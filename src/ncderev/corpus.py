@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, rir
-from .fileformats import fmt, write_rir
+from .fileformats import write_csv, write_rir
 
 PEAK_LIMIT = 0.99
 
@@ -129,13 +129,8 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
 
 
 def write_manifest(rows, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(MANIFEST_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join([
-                r.utterance, str(r.rir_id), fmt(r.rt60), fmt(r.distance),
-                r.split, fmt(r.gain), r.clean_path, r.reverb_path, r.rir_path,
-            ]) + "\n")
+    write_csv(path, MANIFEST_COLUMNS,
+              ([getattr(r, column) for column in MANIFEST_COLUMNS] for r in rows))
 
 
 def read_manifest(path) -> list:

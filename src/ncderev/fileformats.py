@@ -11,6 +11,7 @@ CSV outputs use repr() for floats (shortest round-trip form), which keeps
 rerun outputs byte-identical.
 """
 
+import csv
 import struct
 
 import numpy as np
@@ -20,19 +21,22 @@ from .rir import Rir, RoomSpec
 
 def fmt(value) -> str:
     """Deterministic CSV field formatting."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    # np.float64 is a float subclass whose repr is "np.float64(...)"
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows of mixed scalars with deterministic float formatting."""
+    """Write rows of mixed scalars with deterministic float formatting.
+
+    Fields holding a comma or a quote are quoted, so any reader that
+    follows RFC 4180 (such as Python's csv module) gets them back intact.
+    """
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt(v) for v in row] for row in rows)
 
 
 def write_spectrogram(values, path) -> None:

@@ -5,19 +5,20 @@ of one STFT bin from the reverberant one,
 
     yhat(n) = sum_i g(i) * x(n + q - i),   i = 0..p+q,
 
-with x zero outside its support. The minimizer of sum_n |yhat(n) - y(n)|^2
-over complex taps is obtained by splitting taps and trajectories into real
-and imaginary parts and solving the stacked real normal equations
+with x zero outside its support. Writing Z for the design whose column i
+holds x(n + q - i), the minimizer of sum_n |yhat(n) - y(n)|^2 over complex
+taps solves the complex normal equations
 
-    [[S, -D], [D, S]] [g_r; g_j] = [u1; u2]
+    (ZᴴZ) g = Zᴴy.
 
-where S = M_rr + M_jj, D = M_rj - M_jr, u1 = R_XrYr + R_XjYj and
-u2 = R_XrYj - R_XjYr; the M blocks are Gram matrices of the shifted real
-and imaginary trajectory columns. The stacked solve is the production path.
-A block-elimination closed form exists when S and D are both invertible and
-is kept as a verification path; D is antisymmetric, hence singular whenever
-the tap count is odd and whenever the trajectory is purely real or purely
-imaginary, so the closed form is never used for production fits.
+This n x n complex solve, n = p+q+1, is the production path. The paper's
+stacked real system [[S, -D], [D, S]] [g_r; g_j] = [u1; u2] is the same
+equation split into real and imaginary parts: S = Re ZᴴZ, D = Im ZᴴZ,
+u1 = Re Zᴴy and u2 = Im Zᴴy. Its block-elimination closed form exists when
+S and D are both invertible and is kept as a verification path; D is
+antisymmetric, hence singular whenever the tap count is odd and whenever
+the trajectory is purely real or purely imaginary, so the closed form is
+never used for production fits.
 
 ``ls_oracle`` solves the same problem independently through the explicit
 complex design matrix and a rank-revealing factorization.
@@ -74,52 +75,29 @@ class NcFirFilter:
 
 @dataclass(frozen=True)
 class NormalSystem:
-    """Correlation blocks of the stacked real normal equations for one bin."""
+    """Complex normal equations (ZᴴZ) g = Zᴴy of one bin pair."""
 
-    m_rr: np.ndarray
-    m_jj: np.ndarray
-    m_rj: np.ndarray
-    m_jr: np.ndarray
-    r_xr_yr: np.ndarray
-    r_xj_yj: np.ndarray
-    r_xr_yj: np.ndarray
-    r_xj_yr: np.ndarray
+    gram: np.ndarray
+    corr: np.ndarray
     p: int
     q: int
 
     def __post_init__(self):
         n = self.p + self.q + 1
-        for name in ("m_rr", "m_jj", "m_rj", "m_jr"):
-            mat = np.asarray(getattr(self, name), dtype=np.float64)
-            if mat.shape != (n, n):
-                raise ValueError(f"{name} must be {n}x{n}, got {mat.shape}")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, mat)
-        for name in ("r_xr_yr", "r_xj_yj", "r_xr_yj", "r_xj_yr"):
-            vec = np.asarray(getattr(self, name), dtype=np.float64)
-            if vec.shape != (n,):
-                raise ValueError(f"{name} must have length {n}, got {vec.shape}")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, vec)
+        gram = np.asarray(self.gram, dtype=np.complex128)
+        corr = np.asarray(self.corr, dtype=np.complex128)
+        if gram.shape != (n, n):
+            raise ValueError(f"gram must be {n}x{n}, got {gram.shape}")
+        if corr.shape != (n,):
+            raise ValueError(f"corr must have length {n}, got {corr.shape}")
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(corr))):
+            raise ValueError("normal equations have non-finite entries")
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "corr", corr)
 
     @property
     def taps(self) -> int:
         return self.p + self.q + 1
-
-    def stacked(self):
-        """Return (A, b) of the 2(p+q+1)-dimensional real system A g = b."""
-        s = self.m_rr + self.m_jj
-        d = self.m_rj - self.m_jr
-        u1 = self.r_xr_yr + self.r_xj_yj
-        u2 = self.r_xr_yj - self.r_xj_yr
-        a = np.block([[s, -d], [d, s]])
-        return a, np.concatenate([u1, u2])
-
-    def auto_ridge(self) -> float:
-        """Scale-invariant conditioning floor: 1e-8 * trace(S) / (p+q+1)."""
-        return 1e-8 * float(np.trace(self.m_rr + self.m_jj)) / self.taps
 
 
 def _check_context(x, y, p, q):
@@ -143,42 +121,51 @@ def _check_context(x, y, p, q):
 
 
 def build_normal_system(x, y, p, q) -> NormalSystem:
-    """Populate the eight correlation structures for one bin pair.
+    """Gram ZᴴZ and correlation Zᴴy for one bin pair.
 
     The regression range is n = 0..len(y)-1 and the reverberant
-    trajectory is zero-padded outside its support on both ends, so every
-    block is the Gram product of explicitly shifted trajectory columns.
+    trajectory is zero-padded outside its support on both ends.
     """
     x, y = _check_context(x, y, p, q)
-    m_rr, m_jj, m_rj, r_rr, r_jj, r_rj, r_jr = kernels.normal_blocks(
-        x, y, q, p + q + 1
-    )
-    return NormalSystem(
-        m_rr=m_rr, m_jj=m_jj, m_rj=m_rj, m_jr=m_rj.T.copy(),
-        r_xr_yr=r_rr, r_xj_yj=r_jj, r_xr_yj=r_rj, r_xj_yr=r_jr,
-        p=p, q=q,
-    )
+    gram, corr = kernels.normal_blocks(x, y, q, p + q + 1)
+    return NormalSystem(gram=gram, corr=corr, p=p, q=q)
+
+
+def _solve(gram, corr, ridge):
+    """Solve (G + ridge I) g = r for each bin; gram (K, n, n), corr (K, n).
+
+    ridge is a nonnegative number shared by all bins, or "auto" for the
+    scale-invariant per-bin floor 1e-8 * Re tr(G) / n.
+    """
+    taps = gram.shape[-1]
+    if ridge == "auto":
+        ridge = 1e-8 * np.trace(gram, axis1=1, axis2=2).real / taps
+    elif ridge < 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    a = gram + np.reshape(ridge, (-1, 1, 1)) * np.eye(taps)
+    try:
+        g = np.linalg.solve(a, corr[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        g = np.empty_like(corr)
+        for k in range(len(a)):
+            try:
+                g[k] = np.linalg.solve(a[k], corr[k])
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(
+                    f"bin {k}: singular normal equations; supply ridge"
+                ) from exc
+    bad = np.flatnonzero(~np.all(np.isfinite(g), axis=1))
+    if bad.size:
+        raise SingularSystemError(
+            f"bin {bad[0]}: singular normal equations; supply ridge"
+        )
+    return g
 
 
 def solve_normal_system(system: NormalSystem, ridge=0.0) -> NcFirFilter:
-    """Solve the stacked real system, optionally with a ridge on the diagonal."""
-    if ridge == "auto":
-        ridge = system.auto_ridge()
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    a, b = system.stacked()
-    if ridge:
-        a = a + ridge * np.eye(a.shape[0])
-    try:
-        g = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "singular normal equations; supply ridge"
-        ) from exc
-    if not np.all(np.isfinite(g)):
-        raise SingularSystemError("singular normal equations; supply ridge")
-    n = system.taps
-    return NcFirFilter(g[:n], g[n:], system.p, system.q)
+    """Solve the complex normal equations, optionally with a ridge on the diagonal."""
+    g = _solve(system.gram[None], system.corr[None], ridge)
+    return NcFirFilter.from_taps(g[0], system.p, system.q)
 
 
 def fit_filter(x, y, p, q, ridge=0.0) -> NcFirFilter:
@@ -189,10 +176,10 @@ def fit_filter(x, y, p, q, ridge=0.0) -> NcFirFilter:
         y: clean bin trajectory.
         p, q: causal and non-causal context in frames.
         ridge: nonnegative diagonal loading; "auto" selects a
-            scale-invariant floor of 1e-8 * trace(S)/(p+q+1).
+            scale-invariant floor of 1e-8 * Re tr(ZᴴZ)/(p+q+1).
 
-    Raises SingularSystemError when the stacked system is singular and
-    ridge is zero.
+    Raises SingularSystemError when the normal equations are singular
+    and ridge is zero.
     """
     return solve_normal_system(build_normal_system(x, y, p, q), ridge=ridge)
 
@@ -200,7 +187,9 @@ def fit_filter(x, y, p, q, ridge=0.0) -> NcFirFilter:
 def closed_form_filter(system: NormalSystem, cond_limit=1e12) -> NcFirFilter:
     """Block-elimination closed form of the stacked system (verification path).
 
-    Eliminating each tap half in turn gives
+    The stacked real system [[S, -D], [D, S]] [g_r; g_j] = [u1; u2] is
+    the normal equations split into parts: S = Re ZᴴZ, D = Im ZᴴZ,
+    u1 = Re Zᴴy, u2 = Im Zᴴy. Eliminating each tap half in turn gives
 
         g_r = (D^-1 S + S^-1 D)^-1 (D^-1 u1 + S^-1 u2)
         g_j = (D^-1 S + S^-1 D)^-1 (D^-1 u2 - S^-1 u1)
@@ -210,20 +199,20 @@ def closed_form_filter(system: NormalSystem, cond_limit=1e12) -> NcFirFilter:
     purely imaginary trajectories, and those cases must go through
     ``solve_normal_system`` instead.
     """
-    s = system.m_rr + system.m_jj
-    d = system.m_rj - system.m_jr
-    u1 = system.r_xr_yr + system.r_xj_yj
-    u2 = system.r_xr_yj - system.r_xj_yr
+    s = system.gram.real
+    d = system.gram.imag
+    u1 = system.corr.real
+    u2 = system.corr.imag
     if system.taps % 2 == 1:
         raise SingularSystemError(
             f"odd tap count {system.taps}: the antisymmetric intermediate "
-            "matrix is singular; use the stacked solve"
+            "matrix is singular; use solve_normal_system"
         )
     for name, mat in (("S", s), ("D", d)):
         if np.linalg.cond(mat) > cond_limit:
             raise SingularSystemError(
                 f"intermediate matrix {name} is singular or near-singular; "
-                "use the stacked solve"
+                "use solve_normal_system"
             )
     s_inv = np.linalg.inv(s)
     d_inv = np.linalg.inv(d)
@@ -282,24 +271,6 @@ def ls_oracle(x, y, p, q) -> NcFirFilter:
     return NcFirFilter.from_taps(g, p, q)
 
 
-def _batched_systems(x_values, y_values, p, q):
-    taps = p + q + 1
-    m_rr, m_jj, m_rj, r_rr, r_jj, r_rj, r_jr = kernels.normal_blocks(
-        x_values, y_values, q, taps
-    )
-    m_jr = np.swapaxes(m_rj, 1, 2)
-    s = m_rr + m_jj
-    d = m_rj - m_jr
-    a = np.empty((x_values.shape[1], 2 * taps, 2 * taps))
-    a[:, :taps, :taps] = s
-    a[:, :taps, taps:] = -d
-    a[:, taps:, :taps] = d
-    a[:, taps:, taps:] = s
-    b = np.concatenate([r_rr + r_jj, r_rj - r_jr], axis=1)
-    trace_s = np.trace(s, axis1=1, axis2=2)
-    return a, b, trace_s
-
-
 def dereverberate_spectrogram(reverb: ComplexSpectrogram,
                               clean: ComplexSpectrogram,
                               p: int, q: int, ridge="auto"):
@@ -328,34 +299,10 @@ def dereverberate_spectrogram(reverb: ComplexSpectrogram,
         raise ValueError(
             f"underdetermined: {taps} taps but only {clean.frames} frames"
         )
-    a, b, trace_s = _batched_systems(reverb.values, clean.values, p, q)
-    if ridge == "auto":
-        ridge_k = 1e-8 * trace_s / taps
-    else:
-        if ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {ridge}")
-        ridge_k = np.full(reverb.bins, float(ridge))
-    a += ridge_k[:, None, None] * np.eye(2 * taps)[None, :, :]
-    try:
-        g = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        g = np.empty_like(b)
-        for k in range(reverb.bins):
-            try:
-                g[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(
-                    f"bin {k}: singular normal equations; supply ridge"
-                ) from exc
-    bad = np.flatnonzero(~np.all(np.isfinite(g), axis=1))
-    if bad.size:
-        raise SingularSystemError(
-            f"bin {bad[0]}: singular normal equations; supply ridge"
-        )
-    g_cplx = g[:, :taps] + 1j * g[:, taps:]
-    estimate = kernels.apply_fir(g_cplx, reverb.values, q, clean.frames)
+    g = _solve(*kernels.normal_blocks(reverb.values, clean.values, q, taps), ridge)
+    estimate = kernels.apply_fir(g, reverb.values, q, clean.frames)
     errors = np.sum(np.abs(estimate - clean.values) ** 2, axis=0)
-    filters = [NcFirFilter(g[k, :taps], g[k, taps:], p, q) for k in range(reverb.bins)]
+    filters = [NcFirFilter.from_taps(g_k, p, q) for g_k in g]
     out = ComplexSpectrogram(estimate, clean.config, clean.sample_rate)
     return out, filters, errors
 
@@ -363,8 +310,8 @@ def dereverberate_spectrogram(reverb: ComplexSpectrogram,
 def fit_pooled_filters(pairs, p: int, q: int, ridge="auto"):
     """Fit one filter per bin on the pooled normal equations of many pairs.
 
-    The Gram blocks are additive over utterances, so pooling sums the
-    stacked systems before a single per-bin solve. Used to adapt the
+    The Gram ZᴴZ and correlation Zᴴy are additive over utterances, so
+    pooling sums them before a single per-bin solve. Used to adapt the
     causal reference enhancer on a held-out set.
 
     Args:
@@ -375,38 +322,23 @@ def fit_pooled_filters(pairs, p: int, q: int, ridge="auto"):
         List of per-bin NcFirFilter.
     """
     taps = p + q + 1
-    a_sum = None
-    b_sum = None
-    trace_sum = None
-    n_bins = None
+    gram_sum = None
+    corr_sum = None
     for reverb, clean in pairs:
-        if n_bins is None:
-            n_bins = reverb.bins
-        elif reverb.bins != n_bins:
+        if gram_sum is not None and reverb.bins != len(gram_sum):
             raise ValueError("bin count differs across pairs")
         if clean.frames > reverb.frames or taps > clean.frames:
             raise ValueError("invalid pair: clean longer than reverb or too short")
-        a, b, trace_s = _batched_systems(reverb.values, clean.values, p, q)
-        if a_sum is None:
-            a_sum, b_sum, trace_sum = a, b, trace_s
+        gram, corr = kernels.normal_blocks(reverb.values, clean.values, q, taps)
+        if gram_sum is None:
+            gram_sum, corr_sum = gram, corr
         else:
-            a_sum += a
-            b_sum += b
-            trace_sum += trace_s
-    if a_sum is None:
+            gram_sum += gram
+            corr_sum += corr
+    if gram_sum is None:
         raise ValueError("no pairs supplied")
-    if ridge == "auto":
-        ridge_k = 1e-8 * trace_sum / taps
-    else:
-        ridge_k = np.full(n_bins, float(ridge))
-    a_sum += ridge_k[:, None, None] * np.eye(2 * taps)[None, :, :]
-    try:
-        g = np.linalg.solve(a_sum, b_sum[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "singular pooled normal equations; supply ridge"
-        ) from exc
-    return [NcFirFilter(g[k, :taps], g[k, taps:], p, q) for k in range(n_bins)]
+    g = _solve(gram_sum, corr_sum, ridge)
+    return [NcFirFilter.from_taps(g_k, p, q) for g_k in g]
 
 
 @dataclass(frozen=True)

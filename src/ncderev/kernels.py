@@ -1,112 +1,48 @@
-"""Hot numerical kernels with numba-accelerated and pure-numpy implementations.
+"""Hot numerical kernels, vectorized with numpy.
 
 Three kernels dominate the toolkit's runtime: image-source accumulation for
-room impulse responses, per-bin normal-system construction for the complex
-FIR fits, and batched filter application over all frequency bins. Each has
-a numba ``@njit`` implementation and a vectorized numpy fallback computing
-the same quantities.
-
-Backend selection: the ``NCDEREV_BACKEND`` environment variable ("numba" or
-"numpy", read at import) or :func:`set_backend` at runtime. The default is
-numba when importable. ``bench/bench_kernels.py`` compares both paths.
+room impulse responses, per-bin construction of the complex normal
+equations (ZᴴZ) g = Zᴴy of the FIR fits, and batched filter application
+over all frequency bins.
 """
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-BACKENDS = ("numba", "numpy")
-
-_backend = os.environ.get("NCDEREV_BACKEND", "numba" if HAVE_NUMBA else "numpy")
-if _backend not in BACKENDS:
-    raise ValueError(f"NCDEREV_BACKEND must be one of {BACKENDS}, got {_backend!r}")
-if _backend == "numba" and not HAVE_NUMBA:
-    _backend = "numpy"
-
-
-def get_backend() -> str:
-    """Return the active backend name, "numba" or "numpy"."""
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel backend at runtime (overrides NCDEREV_BACKEND)."""
-    global _backend
-    if name not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
 # Image-source accumulation
 # ---------------------------------------------------------------------------
 
-def _rir_accumulate_loop(h, dims, src, mic, beta, fs, c, tw, fc):
-    # Mirror-image sum over a rectangular room with one reflection
-    # coefficient for all six surfaces. Image positions are
-    # (1-2u)*src + 2*n*dims per axis with u in {0,1}, n integer; the
-    # amplitude is beta**(|n-u|+|n|) per axis over 4*pi*distance.
-    n_taps = h.shape[0]
-    d_max = c * n_taps / fs
-    lx, ly, lz = dims[0], dims[1], dims[2]
-    nx_max = int(d_max / (2.0 * lx)) + 1
-    ny_max = int(d_max / (2.0 * ly)) + 1
-    nz_max = int(d_max / (2.0 * lz)) + 1
-    half_w = 0.5 * tw / fs
-    for nx in range(-nx_max, nx_max + 1):
-        for ny in range(-ny_max, ny_max + 1):
-            for nz in range(-nz_max, nz_max + 1):
-                for u in range(8):
-                    ux = u & 1
-                    uy = (u >> 1) & 1
-                    uz = (u >> 2) & 1
-                    px = (1.0 - 2.0 * ux) * src[0] + 2.0 * nx * lx
-                    py = (1.0 - 2.0 * uy) * src[1] + 2.0 * ny * ly
-                    pz = (1.0 - 2.0 * uz) * src[2] + 2.0 * nz * lz
-                    dx = px - mic[0]
-                    dy = py - mic[1]
-                    dz = pz - mic[2]
-                    d = np.sqrt(dx * dx + dy * dy + dz * dz)
-                    if d < 1e-12:
-                        continue
-                    refl = (abs(nx - ux) + abs(nx) + abs(ny - uy) + abs(ny)
-                            + abs(nz - uz) + abs(nz))
-                    amp = beta ** refl / (4.0 * np.pi * d)
-                    t0 = d / c
-                    if tw <= 0:
-                        idx = int(round(t0 * fs))
-                        if 0 <= idx < n_taps:
-                            h[idx] += amp
-                    else:
-                        lo = int(np.ceil((t0 - half_w) * fs))
-                        hi = int(np.floor((t0 + half_w) * fs))
-                        if lo < 0:
-                            lo = 0
-                        if hi > n_taps - 1:
-                            hi = n_taps - 1
-                        for n in range(lo, hi + 1):
-                            t = n / fs - t0
-                            w = 0.5 * (1.0 + np.cos(2.0 * np.pi * t / (2.0 * half_w)))
-                            h[n] += amp * w * np.sinc(2.0 * fc * t)
-    return h
+def rir_accumulate(n_taps, dims, src, mic, beta, fs, c=343.0, tw=0, fc=None):
+    """Accumulate image-source contributions into an impulse response.
 
+    Mirror-image sum over a rectangular room with one reflection
+    coefficient for all six surfaces. Image positions are
+    (1-2u)*src + 2*n*dims per axis with u in {0,1}, n integer; the
+    amplitude is beta**(|n-u|+|n|) per axis over 4*pi*distance.
 
-if HAVE_NUMBA:
-    _rir_accumulate_numba = numba.njit(cache=True)(_rir_accumulate_loop)
+    Args:
+        n_taps: output length in samples.
+        dims, src, mic: room dimensions and positions, meters, shape (3,).
+        beta: pressure reflection coefficient shared by all six surfaces.
+        fs: sample rate in Hz.
+        c: speed of sound in m/s.
+        tw: width of the fractional-delay low-pass window in samples;
+            0 selects nearest-sample rounding.
+        fc: cut-off of the fractional-delay filter in Hz (default 0.45*fs).
 
-
-def _rir_accumulate_numpy(h, dims, src, mic, beta, fs, c, tw, fc):
-    n_taps = h.shape[0]
+    Returns:
+        float64 array of length n_taps.
+    """
+    if fc is None:
+        fc = 0.45 * fs
+    n_taps = int(n_taps)
+    dims = np.asarray(dims, dtype=np.float64)
+    src = np.asarray(src, dtype=np.float64)
+    mic = np.asarray(mic, dtype=np.float64)
+    beta, fs, c, tw, fc = float(beta), float(fs), float(c), float(tw), float(fc)
+    h = np.zeros(n_taps, dtype=np.float64)
     d_max = c * n_taps / fs
     counts = (d_max / (2.0 * dims)).astype(int) + 1
     grids = np.meshgrid(
@@ -141,132 +77,17 @@ def _rir_accumulate_numpy(h, dims, src, mic, beta, fs, c, tw, fc):
     return h
 
 
-def rir_accumulate(n_taps, dims, src, mic, beta, fs, c=343.0, tw=0, fc=None):
-    """Accumulate image-source contributions into an impulse response.
-
-    Args:
-        n_taps: output length in samples.
-        dims, src, mic: room dimensions and positions, meters, shape (3,).
-        beta: pressure reflection coefficient shared by all six surfaces.
-        fs: sample rate in Hz.
-        c: speed of sound in m/s.
-        tw: width of the fractional-delay low-pass window in samples;
-            0 selects nearest-sample rounding.
-        fc: cut-off of the fractional-delay filter in Hz (default 0.45*fs).
-
-    Returns:
-        float64 array of length n_taps.
-    """
-    if fc is None:
-        fc = 0.45 * fs
-    h = np.zeros(int(n_taps), dtype=np.float64)
-    args = (
-        h,
-        np.ascontiguousarray(dims, dtype=np.float64),
-        np.ascontiguousarray(src, dtype=np.float64),
-        np.ascontiguousarray(mic, dtype=np.float64),
-        float(beta),
-        float(fs),
-        float(c),
-        float(tw),
-        float(fc),
-    )
-    if _backend == "numba":
-        return _rir_accumulate_numba(*args)
-    return _rir_accumulate_numpy(*args)
-
-
 # ---------------------------------------------------------------------------
-# Normal-system construction (per-bin Gram blocks of shifted trajectories)
+# Normal equations (per-bin Gram of shifted trajectories)
 # ---------------------------------------------------------------------------
-
-def _normal_blocks_loop(xr, xj, yr, yj, q, taps):
-    # Regression range is the clean length; the reverberant trajectory is
-    # zero outside its support on both ends. Tap i of a filter reads
-    # x[n + q - i], so block entries are one-sided dot products over the
-    # overlap of the two shifted index ranges.
-    n_c, n_bins = yr.shape
-    lx = xr.shape[0]
-    m_rr = np.zeros((n_bins, taps, taps))
-    m_jj = np.zeros((n_bins, taps, taps))
-    m_rj = np.zeros((n_bins, taps, taps))
-    r_rr = np.zeros((n_bins, taps))
-    r_jj = np.zeros((n_bins, taps))
-    r_rj = np.zeros((n_bins, taps))
-    r_jr = np.zeros((n_bins, taps))
-    for k in range(n_bins):
-        for i in range(taps):
-            si = q - i
-            lo_i = max(0, -si)
-            hi_i = min(n_c, lx - si)
-            for j in range(taps):
-                sj = q - j
-                lo = max(lo_i, -sj)
-                hi = min(hi_i, lx - sj)
-                acc_rr = 0.0
-                acc_jj = 0.0
-                acc_rj = 0.0
-                for n in range(lo, hi):
-                    acc_rr += xr[n + si, k] * xr[n + sj, k]
-                    acc_jj += xj[n + si, k] * xj[n + sj, k]
-                    acc_rj += xr[n + si, k] * xj[n + sj, k]
-                m_rr[k, i, j] = acc_rr
-                m_jj[k, i, j] = acc_jj
-                m_rj[k, i, j] = acc_rj
-            v_rr = 0.0
-            v_jj = 0.0
-            v_rj = 0.0
-            v_jr = 0.0
-            for n in range(lo_i, hi_i):
-                v_rr += xr[n + si, k] * yr[n, k]
-                v_jj += xj[n + si, k] * yj[n, k]
-                v_rj += xr[n + si, k] * yj[n, k]
-                v_jr += xj[n + si, k] * yr[n, k]
-            r_rr[k, i] = v_rr
-            r_jj[k, i] = v_jj
-            r_rj[k, i] = v_rj
-            r_jr[k, i] = v_jr
-    return m_rr, m_jj, m_rj, r_rr, r_jj, r_rj, r_jr
-
-
-if HAVE_NUMBA:
-    _normal_blocks_numba = numba.njit(cache=True)(_normal_blocks_loop)
-
-
-def shifted_design(x, q, taps, out_rows):
-    """Matrix of shifted trajectory values: column i holds x[n + q - i].
-
-    Index positions outside the support of x are zero. Works for 1-D
-    (single trajectory) and 2-D (frames x bins) input; the tap axis is
-    inserted after the frame axis.
-    """
-    x = np.asarray(x)
-    lx = x.shape[0]
-    idx = np.arange(out_rows)[:, None] + (q - np.arange(taps))[None, :]
-    valid = (idx >= 0) & (idx < lx)
-    clipped = np.clip(idx, 0, max(lx - 1, 0))
-    shifted = x[clipped]
-    if x.ndim == 1:
-        return np.where(valid, shifted, 0.0)
-    return np.where(valid[:, :, None], shifted, 0.0)
-
-
-def _normal_blocks_numpy(xr, xj, yr, yj, q, taps):
-    n_c = yr.shape[0]
-    ar = shifted_design(xr, q, taps, n_c)  # (Nc, taps, K)
-    aj = shifted_design(xj, q, taps, n_c)
-    m_rr = np.einsum("nik,njk->kij", ar, ar, optimize=True)
-    m_jj = np.einsum("nik,njk->kij", aj, aj, optimize=True)
-    m_rj = np.einsum("nik,njk->kij", ar, aj, optimize=True)
-    r_rr = np.einsum("nik,nk->ki", ar, yr, optimize=True)
-    r_jj = np.einsum("nik,nk->ki", aj, yj, optimize=True)
-    r_rj = np.einsum("nik,nk->ki", ar, yj, optimize=True)
-    r_jr = np.einsum("nik,nk->ki", aj, yr, optimize=True)
-    return m_rr, m_jj, m_rj, r_rr, r_jj, r_rj, r_jr
-
 
 def normal_blocks(x, y, q, taps):
-    """Correlation blocks of the per-bin least-squares normal equations.
+    """Per-bin complex normal equations (ZᴴZ) g = Zᴴy of the FIR fit.
+
+    Row n of bin k's design Z holds x[n + q - i, k] in column i, with x
+    zero outside its support; the regression range is n = 0..Nc-1. Each
+    bin's Z is a window view of one zero-padded row, so no (K, Nc, taps)
+    design is ever materialized.
 
     Args:
         x: complex reverberant trajectories, shape (Lx, K) or (Lx,).
@@ -276,10 +97,8 @@ def normal_blocks(x, y, q, taps):
         taps: filter length p + q + 1.
 
     Returns:
-        Tuple (m_rr, m_jj, m_rj, r_rr, r_jj, r_rj, r_jr) with shapes
-        (K, taps, taps) for matrices and (K, taps) for vectors. The
-        fourth matrix block m_jr equals m_rj transposed on its tap axes
-        exactly (both are Gram sums of the same shifted columns).
+        (gram, corr): the Hermitian Gram ZᴴZ, shape (K, taps, taps), and
+        Zᴴy, shape (K, taps); both squeezed to one bin for 1-D input.
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
@@ -287,58 +106,31 @@ def normal_blocks(x, y, q, taps):
     if squeeze:
         x = x[:, None]
         y = y[:, None]
-    xr = np.ascontiguousarray(x.real)
-    xj = np.ascontiguousarray(x.imag)
-    yr = np.ascontiguousarray(y.real)
-    yj = np.ascontiguousarray(y.imag)
-    if _backend == "numba":
-        out = _normal_blocks_numba(xr, xj, yr, yj, int(q), int(taps))
-    else:
-        out = _normal_blocks_numpy(xr, xj, yr, yj, int(q), int(taps))
+    q, taps = int(q), int(taps)
+    n_c, n_bins = y.shape
+    # padded[k, j] = x[j - lead, k], so window j of a row reads
+    # x[n + j - lead]: tap i is window taps - 1 - i, and windows[k] is Zᵀ
+    lead = taps - 1 - q
+    lo, hi = max(0, -lead), min(x.shape[0], n_c + q)
+    padded = np.zeros((n_bins, n_c + taps - 1), dtype=np.complex128)
+    if lo < hi:
+        padded[:, lo + lead:hi + lead] = x[lo:hi].T
+    windows = sliding_window_view(padded, n_c, axis=1)[:, ::-1]
+    gram = np.empty((n_bins, taps, taps), dtype=np.complex128)
+    corr = np.empty((n_bins, taps), dtype=np.complex128)
+    for k in range(n_bins):
+        zt = np.ascontiguousarray(windows[k])
+        zh = zt.conj()
+        gram[k] = zh @ zt.T
+        corr[k] = zh @ y[:, k]
     if squeeze:
-        out = tuple(a[0] for a in out)
-    return out
+        return gram[0], corr[0]
+    return gram, corr
 
 
 # ---------------------------------------------------------------------------
 # Batched filter application
 # ---------------------------------------------------------------------------
-
-def _apply_fir_loop(gr, gi, xr, xj, q, out_len):
-    n_bins, taps = gr.shape
-    lx = xr.shape[0]
-    yr = np.zeros((out_len, n_bins))
-    yj = np.zeros((out_len, n_bins))
-    for k in range(n_bins):
-        for n in range(out_len):
-            acc_r = 0.0
-            acc_j = 0.0
-            for i in range(taps):
-                m = n + q - i
-                if 0 <= m < lx:
-                    acc_r += gr[k, i] * xr[m, k] - gi[k, i] * xj[m, k]
-                    acc_j += gr[k, i] * xj[m, k] + gi[k, i] * xr[m, k]
-            yr[n, k] = acc_r
-            yj[n, k] = acc_j
-    return yr, yj
-
-
-if HAVE_NUMBA:
-    _apply_fir_numba = numba.njit(cache=True)(_apply_fir_loop)
-
-
-def _apply_fir_numpy(g, x, q, out_len):
-    lx, n_bins = x.shape
-    taps = g.shape[1]
-    out = np.zeros((out_len, n_bins), dtype=np.complex128)
-    for i in range(taps):
-        s = q - i
-        lo = max(0, -s)
-        hi = min(out_len, lx - s)
-        if lo < hi:
-            out[lo:hi] += g[None, :, i] * x[lo + s:hi + s]
-    return out
-
 
 def apply_fir(g, x, q, out_len):
     """Apply per-bin complex FIR filters to bin trajectories.
@@ -361,16 +153,13 @@ def apply_fir(g, x, q, out_len):
     if squeeze:
         x = x[:, None]
         g = g[None, :]
-    if _backend == "numba":
-        yr, yj = _apply_fir_numba(
-            np.ascontiguousarray(g.real),
-            np.ascontiguousarray(g.imag),
-            np.ascontiguousarray(x.real),
-            np.ascontiguousarray(x.imag),
-            int(q),
-            int(out_len),
-        )
-        out = yr + 1j * yj
-    else:
-        out = _apply_fir_numpy(g, x, int(q), int(out_len))
+    q, out_len = int(q), int(out_len)
+    lx, n_bins = x.shape
+    out = np.zeros((out_len, n_bins), dtype=np.complex128)
+    for i in range(g.shape[1]):
+        s = q - i
+        lo = max(0, -s)
+        hi = min(out_len, lx - s)
+        if lo < hi:
+            out[lo:hi] += g[None, :, i] * x[lo + s:hi + s]
     return out[:, 0] if squeeze else out

@@ -36,20 +36,16 @@ class TestBuildNormalSystem:
         rng = np.random.default_rng(0)
         x = rand_traj(rng, 40, "real")
         system = fir.build_normal_system(x, x, 2, 1)
-        assert np.all(system.m_jj == 0)
-        assert np.all(system.m_rj == 0)
-        assert np.all(system.m_jr == 0)
-        assert np.all(system.r_xj_yj == 0)
-        assert np.all(system.r_xr_yj == 0)
-        assert np.all(system.r_xj_yr == 0)
+        assert np.all(system.gram.imag == 0)
+        assert np.all(system.corr.imag == 0)
 
     def test_scalar_reduction(self):
         rng = np.random.default_rng(1)
-        x = rand_traj(rng, 30, "real")
+        x = rand_traj(rng, 30)
         system = fir.build_normal_system(x, x, 0, 0)
-        assert system.m_rr.shape == (1, 1)
-        assert np.isclose(system.m_rr[0, 0], np.sum(x.real ** 2))
-        assert np.isclose(system.r_xr_yr[0], np.sum(x.real * x.real))
+        assert system.gram.shape == (1, 1)
+        assert np.isclose(system.gram[0, 0], np.sum(np.abs(x) ** 2))
+        assert np.isclose(system.corr[0], np.sum(np.abs(x) ** 2))
 
     def test_matches_design_matrix_gram(self):
         rng = np.random.default_rng(2)
@@ -58,16 +54,9 @@ class TestBuildNormalSystem:
         p, q = 2, 1
         system = fir.build_normal_system(x, y, p, q)
         z = explicit_design(x, p, q, 50)
-        a, b = z.real, z.imag
-        scale = np.max(np.abs(system.m_rr))
-        assert np.max(np.abs(system.m_rr - a.T @ a)) <= 1e-12 * scale
-        assert np.max(np.abs(system.m_jj - b.T @ b)) <= 1e-12 * scale
-        assert np.max(np.abs(system.m_rj - a.T @ b)) <= 1e-12 * scale
-        assert np.max(np.abs(system.m_jr - b.T @ a)) <= 1e-12 * scale
-        assert np.max(np.abs(system.r_xr_yr - a.T @ y.real)) <= 1e-12 * scale
-        assert np.max(np.abs(system.r_xj_yj - b.T @ y.imag)) <= 1e-12 * scale
-        assert np.max(np.abs(system.r_xr_yj - a.T @ y.imag)) <= 1e-12 * scale
-        assert np.max(np.abs(system.r_xj_yr - b.T @ y.real)) <= 1e-12 * scale
+        scale = np.max(np.abs(system.gram))
+        assert np.max(np.abs(system.gram - z.conj().T @ z)) <= 1e-12 * scale
+        assert np.max(np.abs(system.corr - z.conj().T @ y)) <= 1e-12 * scale
 
     def test_underdetermined_rejected(self):
         rng = np.random.default_rng(3)
@@ -381,3 +370,9 @@ class TestPooledFit:
                  for _ in range(3)]
         filters = fir.fit_pooled_filters(pairs, 1, 0)
         assert len(filters) == pairs[0][0].bins
+
+    def test_negative_ridge_rejected(self):
+        rng = np.random.default_rng(27)
+        pair = (toy_spectrogram(rng, 40), toy_spectrogram(rng, 40))
+        with pytest.raises(ValueError, match="ridge"):
+            fir.fit_pooled_filters([pair], 1, 0, ridge=-1e-3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncderev import corpus
 from ncderev import fileformats as ff
 from ncderev.fir import NcFirFilter, SweepRow
 from ncderev.rir import Rir, RoomSpec
@@ -92,3 +93,19 @@ def test_csv_writes_are_byte_deterministic(tmp_path):
     ff.write_csv(b, ["i", "v", "n", "s"], rows)
     assert a.read_bytes() == b.read_bytes()
     assert "0.30000000000000004" in a.read_text()
+
+
+def test_fmt_numpy_scalar_is_plain_float():
+    assert ff.fmt(np.float64(0.25)) == "0.25"
+    assert ff.fmt(np.float32(0.5)) == "0.5"
+
+
+def test_manifest_roundtrip_name_with_comma(tmp_path):
+    row = corpus.ManifestRow(
+        utterance="b,comma", rir_id=3, rt60=0.5, distance=1.25, split="train",
+        gain=1.0, clean_path=str(tmp_path / "clean" / "b,comma.wav"),
+        reverb_path="reverb/b,comma.wav", rir_path="rirs/rir00003.ncir",
+    )
+    path = tmp_path / "manifest.csv"
+    corpus.write_manifest([row], path)
+    assert corpus.read_manifest(path) == [row]

@@ -1,131 +1,156 @@
-"""Backend equivalence: every kernel's numba and numpy paths must agree."""
+"""Every kernel checked against an independent plain-loop oracle."""
 
 import numpy as np
-import pytest
 
-from ncderev import kernels
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
+from ncderev import fir, kernels
+from ncderev.dsp import ComplexSpectrogram, StftConfig
 
 
-@pytest.fixture
-def restore_backend():
-    previous = kernels.get_backend()
-    yield
-    kernels.set_backend(previous)
+def direct_image_sum(n_taps, dims, src, mic, beta, fs, c, tw, fc):
+    """Image-source summation one image at a time (plain loops).
+
+    Image positions are (1-2u)*src + 2*n*dims per axis with u in {0,1},
+    n integer; the amplitude is beta**(|n-u|+|n|) per axis over
+    4*pi*distance.
+    """
+    h = np.zeros(n_taps)
+    d_max = c * n_taps / fs
+    lx, ly, lz = dims
+    nx_max = int(d_max / (2.0 * lx)) + 1
+    ny_max = int(d_max / (2.0 * ly)) + 1
+    nz_max = int(d_max / (2.0 * lz)) + 1
+    half_w = 0.5 * tw / fs
+    for nx in range(-nx_max, nx_max + 1):
+        for ny in range(-ny_max, ny_max + 1):
+            for nz in range(-nz_max, nz_max + 1):
+                for u in range(8):
+                    ux = u & 1
+                    uy = (u >> 1) & 1
+                    uz = (u >> 2) & 1
+                    px = (1.0 - 2.0 * ux) * src[0] + 2.0 * nx * lx
+                    py = (1.0 - 2.0 * uy) * src[1] + 2.0 * ny * ly
+                    pz = (1.0 - 2.0 * uz) * src[2] + 2.0 * nz * lz
+                    dx = px - mic[0]
+                    dy = py - mic[1]
+                    dz = pz - mic[2]
+                    d = np.sqrt(dx * dx + dy * dy + dz * dz)
+                    if d < 1e-12:
+                        continue
+                    refl = (abs(nx - ux) + abs(nx) + abs(ny - uy) + abs(ny)
+                            + abs(nz - uz) + abs(nz))
+                    amp = beta ** refl / (4.0 * np.pi * d)
+                    t0 = d / c
+                    if tw <= 0:
+                        idx = int(round(t0 * fs))
+                        if 0 <= idx < n_taps:
+                            h[idx] += amp
+                    else:
+                        lo = max(int(np.ceil((t0 - half_w) * fs)), 0)
+                        hi = min(int(np.floor((t0 + half_w) * fs)), n_taps - 1)
+                        for n in range(lo, hi + 1):
+                            t = n / fs - t0
+                            w = 0.5 * (1.0 + np.cos(2.0 * np.pi * t / (2.0 * half_w)))
+                            h[n] += amp * w * np.sinc(2.0 * fc * t)
+    return h
 
 
-def _collect(backend, fn, *args, **kwargs):
-    kernels.set_backend(backend)
-    return fn(*args, **kwargs)
+def explicit_design(x, q, taps, rows):
+    """Column i holds x[n + q - i], zero outside x's support."""
+    z = np.zeros((rows, taps), dtype=complex)
+    for n in range(rows):
+        for i in range(taps):
+            m = n + q - i
+            if 0 <= m < len(x):
+                z[n, i] = x[m]
+    return z
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-class TestBackendEquivalence:
-    def test_rir_accumulate(self, restore_backend):
-        dims = np.array([5.1, 4.2, 3.3])
-        src = np.array([1.2, 1.5, 1.4])
-        mic = np.array([3.3, 2.4, 1.8])
-        a = _collect("numba", kernels.rir_accumulate, 2000, dims, src, mic, 0.7, 16000)
-        b = _collect("numpy", kernels.rir_accumulate, 2000, dims, src, mic, 0.7, 16000)
-        assert np.max(np.abs(a - b)) <= 1e-12
+class TestRirAccumulate:
+    dims = np.array([2.1, 1.8, 1.6])
+    src = np.array([0.6, 0.7, 0.5])
+    mic = np.array([1.4, 1.1, 0.9])
 
-    def test_rir_accumulate_frac_delay(self, restore_backend):
-        dims = np.array([5.1, 4.2, 3.3])
-        src = np.array([1.2, 1.5, 1.4])
-        mic = np.array([3.3, 2.4, 1.8])
-        a = _collect("numba", kernels.rir_accumulate, 1500, dims, src, mic,
-                     0.6, 16000, 343.0, 8)
-        b = _collect("numpy", kernels.rir_accumulate, 1500, dims, src, mic,
-                     0.6, 16000, 343.0, 8)
-        assert np.max(np.abs(a - b)) <= 1e-12
+    def test_nearest_sample_matches_direct_sum(self):
+        got = kernels.rir_accumulate(300, self.dims, self.src, self.mic, 0.7, 16000)
+        want = direct_image_sum(300, self.dims, self.src, self.mic, 0.7, 16000,
+                                343.0, 0, 0.45 * 16000)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_normal_blocks(self, restore_backend):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(60, 5)) + 1j * rng.normal(size=(60, 5))
-        y = rng.normal(size=(50, 5)) + 1j * rng.normal(size=(50, 5))
-        a = _collect("numba", kernels.normal_blocks, x, y, 2, 6)
-        b = _collect("numpy", kernels.normal_blocks, x, y, 2, 6)
-        for ka, kb in zip(a, b):
-            assert np.max(np.abs(ka - kb)) <= 1e-10 * max(1.0, np.max(np.abs(kb)))
-
-    def test_apply_fir(self, restore_backend):
-        rng = np.random.default_rng(1)
-        g = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-        x = rng.normal(size=(30, 5)) + 1j * rng.normal(size=(30, 5))
-        a = _collect("numba", kernels.apply_fir, g, x, 1, 28)
-        b = _collect("numpy", kernels.apply_fir, g, x, 1, 28)
-        assert np.max(np.abs(a - b)) <= 1e-12
+    def test_fractional_delay_matches_direct_sum(self):
+        got = kernels.rir_accumulate(300, self.dims, self.src, self.mic, 0.6,
+                                     16000, 343.0, 8)
+        want = direct_image_sum(300, self.dims, self.src, self.mic, 0.6, 16000,
+                                343.0, 8, 0.45 * 16000)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestKernelContracts:
-    def test_apply_fir_zero_padding(self, backend, restore_backend):
-        kernels.set_backend(backend)
+class TestApplyFir:
+    def test_zero_padding(self):
         # single tap at lag q reads x[n]; identity for any q offsets
         x = np.arange(1.0, 6.0) + 0j
         g = np.array([0.0, 1.0, 0.0], dtype=complex)  # taps for q=1: reads x[n]
         out = kernels.apply_fir(g, x, 1, 5)
         assert np.allclose(out, x)
 
-    def test_apply_fir_future_shift(self, backend, restore_backend):
-        kernels.set_backend(backend)
+    def test_future_shift(self):
         x = np.arange(1.0, 6.0) + 0j
         g = np.array([1.0, 0.0], dtype=complex)  # q=1: tap 0 reads x[n+1]
         out = kernels.apply_fir(g, x, 1, 5)
         assert np.allclose(out, np.array([2, 3, 4, 5, 0.0]))
 
-    def test_normal_blocks_match_explicit_design(self, backend, restore_backend):
-        kernels.set_backend(backend)
+    def test_matches_double_loop_convolution(self):
+        rng = np.random.default_rng(1)
+        g = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        x = rng.normal(size=(30, 5)) + 1j * rng.normal(size=(30, 5))
+        q, out_len = 1, 32
+        want = np.zeros((out_len, 5), dtype=complex)
+        for k in range(5):
+            for n in range(out_len):
+                for i in range(4):
+                    m = n + q - i
+                    if 0 <= m < 30:
+                        want[n, k] += g[k, i] * x[m, k]
+        got = kernels.apply_fir(g, x, q, out_len)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestNormalBlocks:
+    def test_matches_explicit_design(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=40) + 1j * rng.normal(size=40)
-        y = rng.normal(size=35) + 1j * rng.normal(size=35)
-        p, q = 2, 1
-        taps = p + q + 1
-        m_rr, m_jj, m_rj, r_rr, r_jj, r_rj, r_jr = kernels.normal_blocks(
-            x, y, q, taps
-        )
-        # independent explicit shifted-column construction
-        cols = np.zeros((35, taps), dtype=complex)
-        for n in range(35):
-            for i in range(taps):
-                m = n + q - i
-                if 0 <= m < 40:
-                    cols[n, i] = x[m]
-        ar, aj = cols.real, cols.imag
-        assert np.max(np.abs(m_rr - ar.T @ ar)) <= 1e-12 * np.max(np.abs(m_rr))
-        assert np.max(np.abs(m_jj - aj.T @ aj)) <= 1e-12 * np.max(np.abs(m_jj))
-        assert np.max(np.abs(m_rj - ar.T @ aj)) <= 1e-11 * max(1, np.max(np.abs(m_rj)))
-        assert np.allclose(r_rr, ar.T @ y.real, rtol=1e-12, atol=1e-12)
-        assert np.allclose(r_jj, aj.T @ y.imag, rtol=1e-12, atol=1e-12)
-        assert np.allclose(r_rj, ar.T @ y.imag, rtol=1e-12, atol=1e-12)
-        assert np.allclose(r_jr, aj.T @ y.real, rtol=1e-12, atol=1e-12)
+        x = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+        y = rng.normal(size=(35, 3)) + 1j * rng.normal(size=(35, 3))
+        q, taps = 1, 4
+        gram, corr = kernels.normal_blocks(x, y, q, taps)
+        assert gram.shape == (3, taps, taps) and corr.shape == (3, taps)
+        for k in range(3):
+            z = explicit_design(x[:, k], q, taps, 35)
+            scale = np.max(np.abs(gram[k]))
+            assert np.max(np.abs(gram[k] - z.conj().T @ z)) <= 1e-12 * scale
+            assert np.max(np.abs(corr[k] - z.conj().T @ y[:, k])) <= 1e-12 * scale
+
+    def test_one_dimensional_input_and_long_lead(self):
+        # q beyond the tap count and a clean range longer than x both read zeros
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=20) + 1j * rng.normal(size=20)
+        y = rng.normal(size=24) + 1j * rng.normal(size=24)
+        q, taps = 5, 3
+        gram, corr = kernels.normal_blocks(x, y, q, taps)
+        z = explicit_design(x, q, taps, 24)
+        assert gram.shape == (taps, taps) and corr.shape == (taps,)
+        assert np.max(np.abs(gram - z.conj().T @ z)) <= 1e-12 * np.max(np.abs(gram))
+        assert np.max(np.abs(corr - z.conj().T @ y)) <= 1e-12 * np.max(np.abs(gram))
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_dereverberation_pipeline_backend_equivalence(restore_backend):
-    # whole per-bin fit + apply path through both backends
-    from ncderev import fir
-    from ncderev.dsp import ComplexSpectrogram, StftConfig
-
+def test_dereverberate_spectrogram_matches_oracle_per_bin():
     rng = np.random.default_rng(9)
     config = StftConfig(16, 8, 16)
     clean = ComplexSpectrogram(
         rng.normal(size=(50, 9)) + 1j * rng.normal(size=(50, 9)), config, 16000)
     reverb = ComplexSpectrogram(
-        clean.values + 0.3 * (rng.normal(size=(50, 9))
-                              + 1j * rng.normal(size=(50, 9))), config, 16000)
-    outputs = {}
-    for backend in ("numba", "numpy"):
-        kernels.set_backend(backend)
-        est, filters, errors = fir.dereverberate_spectrogram(reverb, clean, 2, 2)
-        outputs[backend] = (est.values, np.stack([f.taps for f in filters]), errors)
-    for a, b in zip(outputs["numba"], outputs["numpy"]):
-        assert np.max(np.abs(a - b)) <= 1e-9
-
-
-def test_backend_selection_roundtrip(restore_backend):
-    kernels.set_backend("numpy")
-    assert kernels.get_backend() == "numpy"
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
+        np.vstack([clean.values, np.zeros((4, 9))])
+        + 0.3 * (rng.normal(size=(54, 9)) + 1j * rng.normal(size=(54, 9))),
+        config, 16000)
+    _, filters, _ = fir.dereverberate_spectrogram(reverb, clean, 2, 2, ridge=0.0)
+    for k, filt in enumerate(filters):
+        want = fir.ls_oracle(reverb.bin_trajectory(k), clean.bin_trajectory(k), 2, 2)
+        assert np.max(np.abs(filt.taps - want.taps)) <= 1e-9
