@@ -41,7 +41,7 @@ class ExperimentConfig:
     nominal_dims: list = field(default_factory=lambda: [7.95, 5.68, 4.5])
     rt60_range: list = field(default_factory=lambda: [0.4, 1.99])
     rir_count: int = 0  # 0 means one RIR per utterance
-    absorption_mode: str = "eyring"
+    absorption_mode: str = "calibrated"  # only accepted value; existing configs set it
     frame_ms: float = 25.0
     shift_ms: float = 10.0
     fft_size: int = 512
@@ -82,11 +82,27 @@ class ExperimentConfig:
             )
         if self.split not in ("train", "dev", "test", "all"):
             raise ConfigError(f"split must be train/dev/test/all, got {self.split!r}")
+        if self.absorption_mode != "calibrated":
+            raise ConfigError(
+                f"absorption_mode must be 'calibrated', got {self.absorption_mode!r}"
+            )
         if self.ridge != "auto":
             try:
                 self.ridge = float(self.ridge)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"ridge must be a number or 'auto': {exc}") from exc
+            if not 0.0 <= self.ridge < float("inf"):
+                raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
+        for name in ("p", "q", "enhancer_p", "limit"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_subsets < 1:
+            raise ConfigError(f"n_subsets must be >= 1, got {self.n_subsets}")
+        if not 0 <= self.tail_from_lag <= self.max_lag:
+            raise ConfigError(
+                f"need 0 <= tail_from_lag <= max_lag, got tail_from_lag "
+                f"{self.tail_from_lag} and max_lag {self.max_lag}"
+            )
 
 
 def resolve_config(args) -> ExperimentConfig:
@@ -189,7 +205,6 @@ def cmd_make_corpus(cfg) -> int:
         rt60_range=tuple(cfg.rt60_range),
         sample_rate=cfg.sample_rate,
         rir_count=cfg.rir_count or None,
-        absorption_mode=cfg.absorption_mode,
         jobs=cfg.jobs,
     )
     corpus.write_manifest(rows, workdir / "manifest.csv")

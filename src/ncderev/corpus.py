@@ -59,9 +59,9 @@ def scan_clean_dir(clean_dir) -> list:
 
 
 def _synthesize_one(task):
-    (utt, clean_path, spec, rir_id, out_dir, absorption_mode) = task
+    (utt, clean_path, spec, rir_id, out_dir) = task
     out_dir = Path(out_dir)
-    impulse = rir.image_method_rir(spec, absorption_mode=absorption_mode)
+    impulse = rir.image_method_rir(spec)
     clean = dsp.read_wav(clean_path)
     reverb = dsp.convolve(clean, impulse)
     peak = float(np.max(np.abs(reverb.samples))) if len(reverb) else 0.0
@@ -87,8 +87,7 @@ def _synthesize_one(task):
 
 def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
                  rt60_range=rir.RT60_RANGE, sample_rate: int = 16000,
-                 rir_count=None, absorption_mode: str = "eyring",
-                 jobs: int = 1) -> list:
+                 rir_count=None, jobs: int = 1) -> list:
     """Convolve each clean utterance with its own sampled impulse response.
 
     Args:
@@ -117,7 +116,7 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
                              compute_taps=False)
     order = np.random.default_rng((seed, rir_count)).permutation(rir_count)
     tasks = [
-        (utt, str(path), specs[order[i]], int(order[i]), str(out_dir), absorption_mode)
+        (utt, str(path), specs[order[i]], int(order[i]), str(out_dir))
         for i, (utt, path) in enumerate(clean_pairs)
     ]
     if jobs > 1:

@@ -4,8 +4,10 @@ Rooms are sampled around nominal meeting-room dimensions with +/-20%
 uniform jitter, source and microphone are placed by rejection sampling
 under margin/height/distance constraints, and a target reverberation
 time drawn from U(0.4, 1.99) s sets one reflection coefficient for all
-six surfaces. ``estimate_rt60`` validates generated responses through
-Schroeder backward integration.
+six surfaces. ``estimate_rt60`` measures a response's RT60 through
+Schroeder backward integration, and ``image_method_rir`` calibrates the
+coefficient with it: an Eyring seed, then secant steps on the measured
+RT60 until it lies within 4% of the target.
 """
 
 import math
@@ -162,84 +164,22 @@ def sample_room(rng, nominal_dims=NOMINAL_DIMS, sample_rate=16000,
     )
 
 
-def _sphere_directions(n: int = 512) -> np.ndarray:
-    """Deterministic Fibonacci quadrature of the unit sphere."""
-    i = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * i / n
-    phi = np.pi * (1.0 + math.sqrt(5.0)) * i
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+def absorption_for_rt60(dims, rt60, c=SPEED_OF_SOUND) -> float:
+    """Uniform wall absorption coefficient from Eyring's reverberation formula.
 
-
-def _model_rt60(kappa, dims, direct_dist, c=SPEED_OF_SOUND) -> float:
-    """Schroeder-fit RT60 predicted by the image sum's directional mixture.
-
-    An image at distance d in direction u crosses walls about
-    d*|u_ax|/L_ax times per axis, so its energy carries the factor
-    exp(-kappa * d * s) with s = sum_ax |u_ax|/L_ax and
-    kappa = -ln(1 - alpha). Averaging over directions, the backward
-    reverberant energy integral is proportional to
-    mean(exp(-kappa c s t)/s)/(4 pi V kappa); adding the direct-path
-    energy 1/(4 pi d0)^2 places the -5..-35 dB fit window at the same
-    depth of the decay mixture as the estimator sees on real responses.
-    """
-    dims = np.asarray(dims, dtype=np.float64)
-    s = np.abs(_sphere_directions()) @ (1.0 / dims)
-    rate = kappa * c * s  # per-direction energy decay rate (1/s)
-    t_max = 1.5 * (40.0 * math.log(10.0) / 10.0) / rate.min()
-    t = np.linspace(0.0, t_max, 4000)
-    volume = float(np.prod(dims))
-    edc = (np.exp(-rate[None, :] * t[:, None]) / s[None, :]).mean(axis=1)
-    edc /= 4.0 * math.pi * volume * kappa
-    e_direct = 1.0 / (4.0 * math.pi * direct_dist) ** 2
-    edc[t <= direct_dist / c] += e_direct
-    db = 10.0 * np.log10(edc / edc[0])
-    seg = np.flatnonzero((db <= -5.0) & (db >= -35.0))
-    slope, _ = np.polyfit(t[seg], db[seg], 1)
-    return -60.0 / slope
-
-
-def absorption_for_rt60(dims, rt60, mode="model", direct_dist=1.0,
-                        c=SPEED_OF_SOUND) -> float:
-    """Uniform wall absorption coefficient targeting an RT60.
-
-    Modes: "sabine" is the classical alpha = 0.161 V / (S T); "eyring"
-    is alpha = 1 - exp(-0.161 V / (S T)); "model" bisects the absorption
-    so that the directional-mixture prediction of the Schroeder fit (see
-    ``_model_rt60``) lands on the target, with ``direct_dist`` entering
-    the direct-path energy term. Image-method responses measure 20-50%
-    longer than the diffuse-field inversions predict (the late field is
-    dominated by image families crossing only the widely spaced wall
-    pairs), so "model" seeds the measured calibration loop used by
-    ``image_method_rir``.
+    Inverts T60 = 24 ln(10) V / (c S kappa) with kappa = -ln(1 - alpha),
+    so alpha = 1 - exp(-24 ln(10) V / (c S T60)). Image-method responses
+    measure longer than this diffuse-field value predicts (Lehmann and
+    Johansson, JASA 2008), so ``image_method_rir`` uses it as the seed of
+    a measured calibration.
 
     Raises GeometryError when the required absorption is outside (0, 1).
     """
     lx, ly, lz = dims
     volume = lx * ly * lz
     surface = 2.0 * (lx * ly + lx * lz + ly * lz)
-    sabine_const = 24.0 * math.log(10.0) / c  # 0.1611 s/m at c = 343
-    x = sabine_const * volume / (surface * rt60)
-    if mode == "sabine":
-        alpha = x
-    elif mode == "eyring":
-        alpha = 1.0 - math.exp(-x)
-    elif mode == "model":
-        lo, hi = x / 8.0, 8.0 * x
-        if (_model_rt60(lo, dims, direct_dist, c) < rt60
-                or _model_rt60(hi, dims, direct_dist, c) > rt60):
-            raise GeometryError(
-                f"target rt60 {rt60} s unreachable for room {tuple(dims)}"
-            )
-        for _ in range(40):
-            mid = math.sqrt(lo * hi)
-            if _model_rt60(mid, dims, direct_dist, c) > rt60:
-                lo = mid
-            else:
-                hi = mid
-        alpha = 1.0 - math.exp(-math.sqrt(lo * hi))
-    else:
-        raise ValueError(f"unknown absorption mode {mode!r}")
+    kappa = 24.0 * math.log(10.0) * volume / (c * surface * rt60)
+    alpha = 1.0 - math.exp(-kappa)
     if not 0.0 < alpha < 1.0:
         raise GeometryError(
             f"target rt60 {rt60} s unreachable for room {tuple(dims)}: "
@@ -261,34 +201,24 @@ def _accumulate(spec: RoomSpec, beta: float, tw: int) -> np.ndarray:
     )
 
 
-def image_method_rir(spec: RoomSpec, absorption_mode="calibrated",
-                     frac_delay=False, frac_delay_taps=8,
+def image_method_rir(spec: RoomSpec, frac_delay=False, frac_delay_taps=8,
                      rt60_tolerance=0.04) -> Rir:
     """Simulate the impulse response of a shoebox room by summing image sources.
 
-    All six surfaces share one reflection coefficient derived from the
-    target RT60; reflections are summed up to the order that fits inside
-    ``spec.max_rir_len``. Arrival times use nearest-sample rounding by
-    default; ``frac_delay`` enables a windowed-sinc low-pass interpolation
-    of ``frac_delay_taps`` samples.
+    All six surfaces share one reflection coefficient; reflections are
+    summed up to the order that fits inside ``spec.max_rir_len``. Arrival
+    times use nearest-sample rounding by default; ``frac_delay`` enables a
+    windowed-sinc low-pass interpolation of ``frac_delay_taps`` samples.
 
-    The default "calibrated" absorption mode seeds the coefficient from
-    the directional decay model and then applies up to three secant
-    refinements against the measured Schroeder RT60 of the generated
-    response, stopping within ``rt60_tolerance`` of the target. "sabine"
-    and "eyring" apply the classical diffuse-field inversions directly
-    (their responses measure 20-50% long).
+    The coefficient is calibrated against the measured Schroeder RT60 of
+    the generated response. The Eyring value seeds kappa = -ln(1 - alpha);
+    since the measured decay time scales as 1/kappa, each further
+    accumulation rescales kappa by measured/target. The loop stops within
+    ``rt60_tolerance`` of the target or after four responses, and returns
+    the one closest to the target.
     """
     tw = frac_delay_taps if frac_delay else 0
-    if absorption_mode in ("sabine", "eyring"):
-        alpha = absorption_for_rt60(spec.dims, spec.rt60, mode=absorption_mode)
-        return Rir(_accumulate(spec, math.sqrt(1.0 - alpha), tw),
-                   spec.sample_rate, spec)
-    if absorption_mode != "calibrated":
-        raise ValueError(f"unknown absorption mode {absorption_mode!r}")
-    alpha = absorption_for_rt60(spec.dims, spec.rt60, mode="model",
-                                direct_dist=spec.distance)
-    kappa = -math.log(1.0 - alpha)
+    kappa = -math.log(1.0 - absorption_for_rt60(spec.dims, spec.rt60))
     best_taps = None
     best_gap = np.inf
     for _ in range(4):
@@ -300,7 +230,6 @@ def image_method_rir(spec: RoomSpec, absorption_mode="calibrated",
             best_taps = taps
         if gap <= rt60_tolerance:
             break
-        # measured decay time scales as 1/kappa
         kappa *= measured / spec.rt60
     return Rir(best_taps, spec.sample_rate, spec)
 
@@ -358,8 +287,7 @@ def estimate_rt60(rir, sample_rate=None) -> float:
 
 
 def make_rir_set(seed: int, count: int, nominal_dims=NOMINAL_DIMS,
-                 sample_rate=16000, rt60_range=RT60_RANGE,
-                 absorption_mode="eyring", compute_taps=True):
+                 sample_rate=16000, rt60_range=RT60_RANGE, compute_taps=True):
     """Generate ``count`` independent impulse responses (or just their specs).
 
     Each item gets its own generator derived from (seed, index), so the
@@ -376,4 +304,4 @@ def make_rir_set(seed: int, count: int, nominal_dims=NOMINAL_DIMS,
     ]
     if not compute_taps:
         return specs
-    return [image_method_rir(spec, absorption_mode=absorption_mode) for spec in specs]
+    return [image_method_rir(spec) for spec in specs]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_speech
-from ncderev import cli, corpus, fileformats
+from ncderev import cli, corpus, fileformats, rir
 from ncderev.dsp import write_wav
 
 # utt000..utt005 hash to train/dev/train/test/train/train
@@ -68,6 +68,13 @@ class TestMakeCorpus:
             assert (workdir / r.reverb_path).is_file()
             assert (workdir / r.rir_path).is_file()
 
+    def test_default_rirs_measure_manifest_rt60(self, built_corpus):
+        # the fixture config sets no absorption_mode
+        _, workdir = built_corpus
+        for row in corpus.read_manifest(workdir / "manifest.csv"):
+            measured = rir.estimate_rt60(fileformats.read_rir(workdir / row.rir_path))
+            assert abs(measured - row.rt60) <= 0.2 * row.rt60
+
     def test_run_record_written(self, built_corpus):
         _, workdir = built_corpus
         record = json.loads((workdir / "runs" / "make-corpus.json").read_text())
@@ -108,6 +115,25 @@ class TestConfigHandling:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert cli.main(["featurize", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("absorption_mode", "eyring"),
+        ("ridge", -1.0),
+        ("ridge", "nan"),
+        ("p", -1),
+        ("q", -1),
+        ("enhancer_p", -1),
+        ("limit", -1),
+        ("n_subsets", 0),
+        ("max_lag", -3),
+        ("tail_from_lag", -1),
+        ("tail_from_lag", 101),
+    ])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"workdir": str(tmp_path), key: value}))
+        assert cli.main(["fit-fir", "--config", str(bad)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_flag_overrides_config_file(self, base_config, tmp_path, capsys):
         config_path, _ = base_config

@@ -68,23 +68,13 @@ class TestImageMethod:
         expected = round(spec.distance / rir.SPEED_OF_SOUND * spec.sample_rate)
         assert abs(first - expected) <= 2
 
-    def test_anechoic_limit(self):
-        # large room at the shortest allowed reverberation: absorption ~ 1,
-        # so nearly all energy sits in the direct path and first reflections
-        spec = rir.RoomSpec((14.5, 14.5, 14.5), (5.0, 5.0, 1.5), (5.0, 6.5, 1.5),
+    @pytest.mark.parametrize("side", [14.5, 20.0])
+    def test_large_room_at_shortest_rt60_calibrates(self, side):
+        # a large room at the shortest RT60 needs near-total absorption
+        spec = rir.RoomSpec((side, side, side), (5.0, 5.0, 1.5), (5.0, 6.5, 1.5),
                             0.4, 16000)
-        impulse = rir.image_method_rir(spec, absorption_mode="sabine")
-        energy = impulse.taps ** 2
-        # direct path 1.5 m -> 70 samples; first reflections arrive within
-        # twice the room diagonal; everything past 40 ms is higher order
-        cut = int(0.040 * 16000)
-        assert energy[cut:].sum() < 0.01 * energy.sum()
-
-    def test_unreachable_rt60(self):
-        spec = rir.RoomSpec((20.0, 20.0, 20.0), (5.0, 5.0, 1.5), (5.0, 6.5, 1.5),
-                            0.4, 16000)
-        with pytest.raises(rir.GeometryError, match="unreachable"):
-            rir.image_method_rir(spec, absorption_mode="sabine")
+        impulse = rir.image_method_rir(spec)
+        assert abs(rir.estimate_rt60(impulse) - 0.4) <= 0.2 * 0.4
 
     def test_schroeder_estimate_near_target(self):
         spec = rir.RoomSpec((7.95, 5.68, 4.5), (2.0, 2.0, 1.5), (3.5, 2.8, 1.5),
@@ -117,6 +107,22 @@ class TestImageMethod:
         start = int(np.flatnonzero(impulse.taps)[0]) + window
         values = edc[start:span]
         assert np.all(values[window:] < values[:-window])
+
+
+class TestAbsorptionForRt60:
+    def test_inverts_eyring_formula(self):
+        dims = (7.95, 5.68, 4.5)
+        volume = np.prod(dims)
+        surface = 2 * (dims[0] * dims[1] + dims[0] * dims[2] + dims[1] * dims[2])
+        for target in (0.4, 1.0, 1.99):
+            alpha = rir.absorption_for_rt60(dims, target)
+            t60 = 24 * np.log(10) * volume / (rir.SPEED_OF_SOUND * surface
+                                               * -np.log(1 - alpha))
+            assert abs(t60 - target) <= 1e-12 * target
+
+    def test_unreachable_rt60(self):
+        with pytest.raises(rir.GeometryError, match="unreachable"):
+            rir.absorption_for_rt60((20.0, 20.0, 20.0), 1e-3)
 
 
 class TestEstimateRt60:
