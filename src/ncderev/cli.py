@@ -145,6 +145,7 @@ def _write_run_record(cfg, command) -> None:
     record = {
         "command": command,
         "config": asdict(cfg),
+        "numpy": np.__version__,
         "seed": cfg.seed,
         "version": __version__,
     }

@@ -8,7 +8,6 @@ split, and is recorded in a manifest CSV. All randomness derives from
 
 import csv
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,6 +119,8 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
         for i, (utt, path) in enumerate(clean_pairs)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only paid for when used
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_synthesize_one, tasks))
     else:

@@ -34,6 +34,48 @@ class AutocorrCurve:
         return int(self.lags[-1])
 
 
+def _autocorr_columns(values: np.ndarray, max_lag: int, magnitude: bool):
+    """Normalized autocorrelation of every column of a 2-D array.
+
+    Each column is mean-removed; the numerators for all columns come from
+    one zero-padded FFT (Wiener-Khinchin), the denominators from prefix
+    sums of the energy. Columns that are constant, have (numerically) zero
+    energy, or are not longer than max_lag are unusable.
+
+    Returns:
+        (curves, usable): curves is (max_lag + 1, n_usable), usable is a
+        boolean mask over the columns.
+    """
+    s = np.abs(values) if magnitude else values
+    if not np.iscomplexobj(s):
+        s = s.astype(np.float64)
+    n = s.shape[0]
+    usable = np.zeros(s.shape[1], dtype=bool)
+    if n > max_lag:
+        # compared exactly: a constant column's mean need not round to its value
+        usable = np.any(s != s[0], axis=0)
+        s = s - s.mean(axis=0)
+        energy = s.real ** 2 + s.imag ** 2
+        usable &= ~(energy.sum(axis=0) < 1e-300)  # a NaN column stays and shows
+    if not usable.any():
+        return np.zeros((max_lag + 1, 0)), usable
+    s, energy = s[:, usable], energy[:, usable]
+    # Re sum_n conj(s(n)) s(n+tau) is the sum of the real and imaginary
+    # parts' autocorrelations; padding to n + max_lag avoids wrap-around
+    nfft = 1 << (n + max_lag - 1).bit_length()
+    power = np.abs(np.fft.rfft(s.real, nfft, axis=0)) ** 2
+    if np.iscomplexobj(s):
+        power += np.abs(np.fft.rfft(s.imag, nfft, axis=0)) ** 2
+    num = np.fft.irfft(power, nfft, axis=0)[:max_lag + 1]
+    head = np.cumsum(energy, axis=0)           # head[i] = sum of energy[:i+1]
+    tail = np.cumsum(energy[::-1], axis=0)[::-1]
+    lags = np.arange(max_lag + 1)
+    denom = np.sqrt(head[n - lags - 1] * tail[lags])
+    positive = denom > 0
+    curves = np.where(positive, num / np.where(positive, denom, 1.0), 0.0)
+    return curves, usable
+
+
 def normalized_autocorr(series, max_lag: int, magnitude: bool = False) -> AutocorrCurve:
     """Normalized autocorrelation of one (complex or real) sequence.
 
@@ -52,21 +94,10 @@ def normalized_autocorr(series, max_lag: int, magnitude: bool = False) -> Autoco
         raise ValueError("series must be 1-D")
     if s.size <= max_lag:
         raise ValueError(f"series length {s.size} must exceed max_lag {max_lag}")
-    if magnitude:
-        s = np.abs(s)
-    s = s.astype(np.complex128)
-    s = s - s.mean()
-    energy = s.real ** 2 + s.imag ** 2
-    if float(energy.sum()) < 1e-300:
+    curves, usable = _autocorr_columns(s[:, None], max_lag, magnitude)
+    if not usable[0]:
         raise ValueError("constant series has no autocorrelation")
-    head = np.cumsum(energy)           # head[i] = sum of energy[:i+1]
-    tail = np.cumsum(energy[::-1])[::-1]
-    values = np.empty(max_lag + 1)
-    for tau in range(max_lag + 1):
-        num = float((np.conj(s[:s.size - tau]) * s[tau:]).real.sum())
-        denom = np.sqrt(head[s.size - tau - 1] * tail[tau])
-        values[tau] = num / denom if denom > 0 else 0.0
-    return AutocorrCurve(np.arange(max_lag + 1), values)
+    return AutocorrCurve(np.arange(max_lag + 1), curves[:, 0])
 
 
 def average_autocorr(spectrograms, max_lag: int, magnitude: bool = False):
@@ -91,14 +122,10 @@ def average_autocorr(spectrograms, max_lag: int, magnitude: bool = False):
     skipped = 0
     for spec in spectrograms:
         values = spec.values if isinstance(spec, ComplexSpectrogram) else np.asarray(spec)
-        for k in range(values.shape[1]):
-            try:
-                curve = normalized_autocorr(values[:, k], max_lag, magnitude=magnitude)
-            except ValueError:
-                skipped += 1
-                continue
-            total += curve.values
-            used += 1
+        curves, usable = _autocorr_columns(values, max_lag, magnitude)
+        total += curves.sum(axis=1)
+        used += int(usable.sum())
+        skipped += int(np.count_nonzero(~usable))
     if used == 0:
         raise ValueError("no usable bin trajectories in the corpus")
     return AutocorrCurve(np.arange(max_lag + 1), total / used), skipped

@@ -9,7 +9,6 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, get_window
 
 PCM_SCALE = 32768.0
 
@@ -76,8 +75,9 @@ class StftConfig:
     def analysis_window(self) -> np.ndarray:
         if self.window == "rect":
             return np.ones(self.frame_len)
-        # periodic Hann; fftbins=True gives the DFT-even variant
-        return get_window("hann", self.frame_len, fftbins=True)
+        # periodic (DFT-even) Hann: w[0] = 0, w[N/2] = 1 for even N
+        n = np.arange(self.frame_len)
+        return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.frame_len)
 
     def n_frames(self, n_samples: int) -> int:
         if n_samples < self.frame_len:
@@ -213,8 +213,10 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
 def convolve(waveform: Waveform, rir) -> Waveform:
     """Full linear convolution of a waveform with an impulse response.
 
-    FFT-based; matches direct summation within 1e-10 relative. ``rir``
-    may be an ``rir.Rir`` or any object with taps/sample_rate attributes.
+    Real FFTs padded to a power of two; matches direct summation within
+    1e-10 relative. An empty waveform or empty taps give an empty result.
+    ``rir`` may be an ``rir.Rir`` or any object with taps/sample_rate
+    attributes.
 
     Raises ValueError on sample-rate mismatch.
     """
@@ -225,5 +227,10 @@ def convolve(waveform: Waveform, rir) -> Waveform:
             f"sample-rate mismatch: waveform {waveform.sample_rate} Hz, "
             f"impulse response {rir_rate} Hz"
         )
-    out = fftconvolve(waveform.samples, taps, mode="full")
-    return Waveform(out, waveform.sample_rate)
+    x = waveform.samples
+    if x.size == 0 or taps.size == 0:
+        return Waveform(np.zeros(0), waveform.sample_rate)
+    n = x.size + taps.size - 1
+    nfft = 1 << (n - 1).bit_length()
+    spectrum = np.fft.rfft(x, nfft) * np.fft.rfft(taps, nfft)
+    return Waveform(np.fft.irfft(spectrum, nfft)[:n], waveform.sample_rate)

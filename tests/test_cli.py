@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,17 @@ def built_corpus(base_config):
     return config_path, workdir
 
 
+def test_cli_import_loads_no_scipy_or_process_pool():
+    # every command is a fresh process, so import time is paid on each run
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import ncderev.cli, sys; "
+             "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "False"]
+
+
 def test_split_hash_expectations():
     assert [corpus.split_of(u) for u in UTTS] == [
         "train", "dev", "train", "test", "train", "train",
@@ -80,6 +95,7 @@ class TestMakeCorpus:
         record = json.loads((workdir / "runs" / "make-corpus.json").read_text())
         assert record["seed"] == 5
         assert record["command"] == "make-corpus"
+        assert record["numpy"] == np.__version__
 
     def test_too_few_rirs_is_data_error(self, base_config, tmp_path):
         config_path, _ = base_config

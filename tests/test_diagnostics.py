@@ -5,6 +5,40 @@ from ncderev import diagnostics
 from ncderev.dsp import ComplexSpectrogram, StftConfig
 
 
+def loop_autocorr(series, max_lag, magnitude=False):
+    """Per-lag oracle: direct lag sums over prefix-sum energy denominators."""
+    s = np.asarray(series)
+    if s.size <= max_lag:
+        raise ValueError(f"series length {s.size} must exceed max_lag {max_lag}")
+    if magnitude:
+        s = np.abs(s)
+    s = s.astype(np.complex128)
+    s = s - s.mean()
+    energy = s.real ** 2 + s.imag ** 2
+    if float(energy.sum()) < 1e-300:
+        raise ValueError("constant series has no autocorrelation")
+    head = np.cumsum(energy)
+    tail = np.cumsum(energy[::-1])[::-1]
+    values = np.empty(max_lag + 1)
+    for tau in range(max_lag + 1):
+        num = float((np.conj(s[:s.size - tau]) * s[tau:]).real.sum())
+        denom = np.sqrt(head[s.size - tau - 1] * tail[tau])
+        values[tau] = num / denom if denom > 0 else 0.0
+    return values
+
+
+def loop_average(spectrograms, max_lag, magnitude=False):
+    """Per-bin oracle for average_autocorr: (mean curve, skipped count)."""
+    curves, skipped = [], 0
+    for values in spectrograms:
+        for k in range(values.shape[1]):
+            try:
+                curves.append(loop_autocorr(values[:, k], max_lag, magnitude))
+            except ValueError:
+                skipped += 1
+    return np.mean(curves, axis=0), skipped
+
+
 class TestNormalizedAutocorr:
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(0)
@@ -45,6 +79,14 @@ class TestNormalizedAutocorr:
         with pytest.raises(ValueError, match="constant"):
             diagnostics.normalized_autocorr(np.ones(100), 10)
 
+    @pytest.mark.parametrize("value", [np.sqrt(5.0), 0.1 + 0.7j, -3.3])
+    def test_constant_series_with_inexact_mean_rejected(self, value):
+        s = np.full(150, value)
+        with pytest.raises(ValueError, match="constant"):
+            diagnostics.normalized_autocorr(s, 10)
+        with pytest.raises(ValueError, match="constant"):
+            diagnostics.normalized_autocorr(s, 10, magnitude=True)
+
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
             diagnostics.normalized_autocorr(np.arange(10.0), 10)
@@ -63,6 +105,35 @@ class TestNormalizedAutocorr:
         a = diagnostics.normalized_autocorr(s, 10, magnitude=True).values
         b = diagnostics.normalized_autocorr(np.abs(s), 10).values
         assert np.allclose(a, b)
+
+
+class TestAgainstLoopOracle:
+    @pytest.mark.parametrize("kind", ["complex", "real", "magnitude"])
+    @pytest.mark.parametrize("n, max_lag", [(500, 40), (101, 100), (64, 0)])
+    def test_single_series(self, kind, n, max_lag):
+        rng = np.random.default_rng(n + max_lag)
+        s = rng.normal(size=n) + 1.5
+        if kind != "real":
+            s = s + 1j * rng.normal(size=n)
+        magnitude = kind == "magnitude"
+        got = diagnostics.normalized_autocorr(s, max_lag, magnitude=magnitude).values
+        want = loop_autocorr(s, max_lag, magnitude)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("magnitude", [False, True])
+    def test_spectrogram_with_constant_bins(self, magnitude):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(150, 9)) + 1j * rng.normal(size=(150, 9))
+        a[:, 0] = 2.0 - 1.0j        # constant
+        a[:, 8] = 0.0               # silent
+        b = rng.normal(size=(90, 9)) + 1j * rng.normal(size=(90, 9))
+        b[:, 3] = 0.5
+        short = rng.normal(size=(30, 9)) + 0j   # too short for max_lag 30
+        specs = [a, ComplexSpectrogram(b, StftConfig(16, 8, 16), 16000), short]
+        curve, skipped = diagnostics.average_autocorr(specs, 30, magnitude=magnitude)
+        want, want_skipped = loop_average([a, b, short], 30, magnitude)
+        assert skipped == want_skipped == 2 + 1 + 9
+        assert np.max(np.abs(curve.values - want)) <= 1e-12
 
 
 class TestAverageAutocorr:

@@ -107,6 +107,17 @@ class TestStft:
         with pytest.raises(ValueError, match="shorter than one"):
             stft(Waveform(np.zeros(399), 16000), StftConfig(400, 160, 512))
 
+    @pytest.mark.parametrize("n", [400, 401, 16, 7])
+    def test_analysis_window_is_periodic_hann(self, n):
+        config = StftConfig(n, min(n, 160), 512)
+        w = config.analysis_window()
+        want = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
+        assert w.shape == (n,)
+        assert np.max(np.abs(w - want)) <= 1e-15
+        assert w[0] == 0.0
+        if n % 2 == 0:
+            assert w[n // 2] == 1.0
+
     def test_framing_derived_from_durations(self):
         config = StftConfig.for_sample_rate(8000)
         assert (config.frame_len, config.frame_shift, config.fft_size) == (200, 80, 256)
@@ -206,6 +217,23 @@ class TestConvolve:
             got = convolve(Waveform(x, 16000), h).samples
             want = direct_convolve(x, h)
             assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-30)
+
+    def test_taps_longer_than_waveform(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=9)
+        h = rng.normal(size=70)
+        got = convolve(Waveform(x, 16000), h).samples
+        want = direct_convolve(x, h)
+        assert len(got) == 9 + 70 - 1
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_empty_input_gives_empty_waveform(self):
+        empty_x = convolve(Waveform(np.zeros(0), 16000), np.array([1.0, 0.5]))
+        empty_h = convolve(Waveform(np.ones(10), 16000), np.zeros(0))
+        for out in (empty_x, empty_h):
+            assert isinstance(out, Waveform)
+            assert len(out) == 0
+            assert out.sample_rate == 16000
 
     def test_sample_rate_mismatch(self):
         from ncderev.rir import Rir, RoomSpec
