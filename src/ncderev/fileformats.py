@@ -4,7 +4,8 @@ Binary formats (all little-endian):
     NCSP: complex spectrogram. magic "NCSP", u32 frames, u32 bins, then
           frames*bins interleaved (re, im) f32 pairs, row-major.
     NCIR: impulse response. magic "NCIR", u32 tap count, f32 taps, then
-          the room spec as a trailing key=value text block.
+          the room spec and what calibration measured (measured_rt60,
+          renders, images) as a trailing key=value text block.
     NCFT: feature matrix. magic "NCFT", u32 rows, u32 cols, row-major f32.
 
 CSV outputs use repr() for floats (shortest round-trip form), which keeps
@@ -92,7 +93,7 @@ def read_features(path) -> np.ndarray:
 
 
 def write_rir(rir: Rir, path) -> None:
-    """Dump taps plus the room spec as a trailing key=value text block."""
+    """Dump taps, the room spec and the calibration record as key=value text."""
     spec = rir.spec
     with open(path, "wb") as fh:
         fh.write(b"NCIR")
@@ -105,6 +106,9 @@ def write_rir(rir: Rir, path) -> None:
             f"rt60={spec.rt60!r}",
             f"sample_rate={spec.sample_rate}",
             f"max_rir_len={spec.max_rir_len}",
+            f"measured_rt60={rir.measured_rt60!r}",
+            f"renders={rir.renders}",
+            f"images={rir.images}",
         ]
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
@@ -131,14 +135,10 @@ def read_rir(path) -> Rir:
         sample_rate=int(fields["sample_rate"]),
         max_rir_len=int(fields["max_rir_len"]),
     )
-    return Rir(taps, spec.sample_rate, spec)
-
-
-def write_rir_csv(rir: Rir, path) -> None:
-    """Plot-friendly CSV of the impulse response."""
-    fs = rir.sample_rate
-    rows = ((i, i / fs, float(t)) for i, t in enumerate(rir.taps))
-    write_csv(path, ["sample", "time_s", "amplitude"], rows)
+    return Rir(taps, spec.sample_rate, spec,
+               measured_rt60=float(fields.get("measured_rt60", "nan")),
+               renders=int(fields.get("renders", 0)),
+               images=int(fields.get("images", 0)))
 
 
 def write_filters_csv(filters, path) -> None:

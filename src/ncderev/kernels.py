@@ -1,9 +1,10 @@
 """Hot numerical kernels, vectorized with numpy.
 
-Three kernels dominate the toolkit's runtime: image-source accumulation for
-room impulse responses, per-bin construction of the complex normal
-equations (ZᴴZ) g = Zᴴy of the FIR fits, and batched filter application
-over all frequency bins.
+Three kernels dominate the toolkit's runtime: the one image-lattice pass
+per room impulse response, which tabulates arrivals by reflection order
+so that every calibration step is one matrix-vector render, per-bin
+construction of the complex normal equations (ZᴴZ) g = Zᴴy of the FIR
+fits, and batched filter application over all frequency bins.
 """
 
 import numpy as np
@@ -14,67 +15,69 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Image-source accumulation
 # ---------------------------------------------------------------------------
 
-def rir_accumulate(n_taps, dims, src, mic, beta, fs, c=343.0, tw=0, fc=None):
-    """Accumulate image-source contributions into an impulse response.
+def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
+    """Walk the image lattice once into a per-reflection-order table.
 
-    Mirror-image sum over a rectangular room with one reflection
-    coefficient for all six surfaces. Image positions are
-    (1-2u)*src + 2*n*dims per axis with u in {0,1}, n integer; the
-    amplitude is beta**(|n-u|+|n|) per axis over 4*pi*distance.
+    Mirror-image sum over a rectangular room. Image positions are
+    (1-2u)*src + 2*n*dims per axis with u in {0,1}, n integer; an image
+    reflects |n-u|+|n| times per axis and arrives at the nearest sample
+    of distance/c. Row k of the table sums 1/(4*pi*distance) over the
+    images of total order k, so with one reflection coefficient beta for
+    all six surfaces the response is sum_k beta**k * table[k].
+
+    Per axis and parity, the lattice offsets are pruned to those within
+    reach of n_taps alone; per parity u, the x-y pairs are pruned to
+    those within reach together, and only then broadcast against z. The
+    in-range images are added into one zeroed buffer sized for the
+    highest order the kept offsets could sum to. Rows past the highest
+    order present are never written, so pages the allocator maps lazily
+    stay untouched, and the returned table is trimmed to that order.
 
     Args:
-        n_taps: output length in samples.
+        n_taps: response length in samples.
         dims, src, mic: room dimensions and positions, meters, shape (3,).
-        beta: pressure reflection coefficient shared by all six surfaces.
         fs: sample rate in Hz.
         c: speed of sound in m/s.
-        tw: width of the fractional-delay low-pass window in samples;
-            0 selects nearest-sample rounding.
-        fc: cut-off of the fractional-delay filter in Hz (default 0.45*fs).
 
     Returns:
-        float64 array of length n_taps.
+        (table, images): float64 table of shape (highest order + 1,
+        n_taps), and the number of images that arrive inside n_taps.
     """
-    if fc is None:
-        fc = 0.45 * fs
     n_taps = int(n_taps)
     dims = np.asarray(dims, dtype=np.float64)
     src = np.asarray(src, dtype=np.float64)
     mic = np.asarray(mic, dtype=np.float64)
-    beta, fs, c, tw, fc = float(beta), float(fs), float(c), float(tw), float(fc)
-    h = np.zeros(n_taps, dtype=np.float64)
+    fs, c = float(fs), float(c)
     d_max = c * n_taps / fs
-    counts = (d_max / (2.0 * dims)).astype(int) + 1
-    grids = np.meshgrid(
-        np.arange(-counts[0], counts[0] + 1),
-        np.arange(-counts[1], counts[1] + 1),
-        np.arange(-counts[2], counts[2] + 1),
-        indexing="ij",
-    )
-    n_img = np.stack([g.ravel() for g in grids], axis=1).astype(np.float64)
-    half_w = 0.5 * tw / fs
+    reach = (d_max / (2.0 * dims)).astype(int) + 1
+    # axes[a][ua]: squared offsets and reflection counts along axis a
+    axes = []
+    for a in range(3):
+        n = np.arange(-reach[a], reach[a] + 1)
+        axis = []
+        for ua in (0, 1):
+            offset = (1.0 - 2.0 * ua) * src[a] + 2.0 * n * dims[a] - mic[a]
+            near = np.abs(offset) <= d_max
+            axis.append((offset[near] ** 2, (np.abs(n - ua) + np.abs(n))[near]))
+        axes.append(axis)
+    # no image reflects more often than the per-axis maxima summed
+    bound = 1 + sum(max(int(k.max(initial=0)) for _, k in axis) for axis in axes)
+    table = np.zeros(bound * n_taps)
+    rows, images = 1, 0
     for u in range(8):
-        uvec = np.array([u & 1, (u >> 1) & 1, (u >> 2) & 1], dtype=np.float64)
-        pos = (1.0 - 2.0 * uvec) * src + 2.0 * n_img * dims
-        d = np.linalg.norm(pos - mic, axis=1)
-        refl = (np.abs(n_img - uvec).sum(axis=1) + np.abs(n_img).sum(axis=1))
-        keep = d > 1e-12
-        amp = np.zeros_like(d)
-        amp[keep] = beta ** refl[keep] / (4.0 * np.pi * d[keep])
-        t0 = d / c
-        if tw <= 0:
-            idx = np.round(t0 * fs).astype(np.int64)
-            sel = keep & (idx >= 0) & (idx < n_taps)
-            np.add.at(h, idx[sel], amp[sel])
-        else:
-            lo = np.ceil((t0 - half_w) * fs).astype(np.int64)
-            for k in range(int(tw) + 1):
-                n = lo + k
-                t = n / fs - t0
-                inside = keep & (n >= 0) & (n < n_taps) & (np.abs(t) <= half_w)
-                w = 0.5 * (1.0 + np.cos(2.0 * np.pi * t[inside] / (2.0 * half_w)))
-                np.add.at(h, n[inside], amp[inside] * w * np.sinc(2.0 * fc * t[inside]))
-    return h
+        (sx, kx), (sy, ky), (sz, kz) = (axes[a][(u >> a) & 1] for a in range(3))
+        sq = sx[:, None] + sy[None, :]
+        near = sq <= d_max * d_max
+        sq = sq[near][:, None] + sz[None, :]
+        order = (kx[:, None] + ky[None, :])[near][:, None] + kz[None, :]
+        d = np.sqrt(sq)
+        idx = np.round(d / c * fs).astype(np.int64)
+        sel = (d > 1e-12) & (idx < n_taps)
+        order, idx, d = order[sel], idx[sel], d[sel]
+        images += order.size
+        rows = max(rows, int(order.max(initial=0)) + 1)
+        np.add.at(table, order * n_taps + idx, 1.0 / (4.0 * np.pi * d))
+    return table[:rows * n_taps].reshape(rows, n_taps), images
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ under margin/height/distance constraints, and a target reverberation
 time drawn from U(0.4, 1.99) s sets one reflection coefficient for all
 six surfaces. ``estimate_rt60`` measures a response's RT60 through
 Schroeder backward integration, and ``image_method_rir`` calibrates the
-coefficient with it: an Eyring seed, then secant steps on the measured
-RT60 until it lies within 4% of the target.
+coefficient with it. One pass over the image lattice tabulates the
+arrivals by reflection order; then, from an Eyring seed, each secant
+step renders the table at a new coefficient and measures its RT60, up to
+four renders or until it lies within 4% of the target.
 """
 
 import math
@@ -66,11 +68,20 @@ class RoomSpec:
 
 @dataclass(frozen=True)
 class Rir:
-    """Room impulse response taps plus the spec that produced them."""
+    """Room impulse response taps plus the spec that produced them.
+
+    ``image_method_rir`` also records what its calibration measured: the
+    Schroeder RT60 of these taps, the renders it took and the number of
+    image sources that arrive inside the response. A response built by
+    hand leaves them at nan, 0 and 0.
+    """
 
     taps: np.ndarray
     sample_rate: int
     spec: RoomSpec
+    measured_rt60: float = math.nan
+    renders: int = 0
+    images: int = 0
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -188,50 +199,43 @@ def absorption_for_rt60(dims, rt60, c=SPEED_OF_SOUND) -> float:
     return alpha
 
 
-def _accumulate(spec: RoomSpec, beta: float, tw: int) -> np.ndarray:
-    return kernels.rir_accumulate(
-        spec.max_rir_len,
-        np.array(spec.dims),
-        np.array(spec.src),
-        np.array(spec.mic),
-        beta,
-        spec.sample_rate,
-        c=SPEED_OF_SOUND,
-        tw=tw,
-    )
-
-
-def image_method_rir(spec: RoomSpec, frac_delay=False, frac_delay_taps=8,
-                     rt60_tolerance=0.04) -> Rir:
+def image_method_rir(spec: RoomSpec, rt60_tolerance=0.04) -> Rir:
     """Simulate the impulse response of a shoebox room by summing image sources.
 
     All six surfaces share one reflection coefficient; reflections are
-    summed up to the order that fits inside ``spec.max_rir_len``. Arrival
-    times use nearest-sample rounding by default; ``frac_delay`` enables a
-    windowed-sinc low-pass interpolation of ``frac_delay_taps`` samples.
+    summed up to the order that fits inside ``spec.max_rir_len``, each
+    arriving at the nearest sample. The image lattice is walked once
+    into a per-reflection-order table, so a response for any coefficient
+    beta is one render ``beta**arange(K) @ table``.
 
     The coefficient is calibrated against the measured Schroeder RT60 of
-    the generated response. The Eyring value seeds kappa = -ln(1 - alpha);
-    since the measured decay time scales as 1/kappa, each further
-    accumulation rescales kappa by measured/target. The loop stops within
-    ``rt60_tolerance`` of the target or after four responses, and returns
-    the one closest to the target.
+    the rendered response. The Eyring value seeds kappa = -ln(1 - alpha);
+    since the measured decay time scales as 1/kappa, each further render
+    rescales kappa by measured/target. The loop stops within
+    ``rt60_tolerance`` of the target or after four renders, and returns
+    the response closest to the target together with its measured RT60,
+    the renders taken and the number of in-range images.
     """
-    tw = frac_delay_taps if frac_delay else 0
+    table, images = kernels.rir_order_table(
+        spec.max_rir_len, spec.dims, spec.src, spec.mic, spec.sample_rate,
+        c=SPEED_OF_SOUND,
+    )
+    orders = np.arange(len(table))
     kappa = -math.log(1.0 - absorption_for_rt60(spec.dims, spec.rt60))
-    best_taps = None
+    best_taps = best_rt60 = None
     best_gap = np.inf
-    for _ in range(4):
-        taps = _accumulate(spec, math.exp(-0.5 * kappa), tw)
+    for renders in range(1, 5):
+        taps = math.exp(-0.5 * kappa) ** orders @ table
         measured = estimate_rt60(taps, spec.sample_rate)
         gap = abs(measured / spec.rt60 - 1.0)
         if gap < best_gap:
             best_gap = gap
-            best_taps = taps
+            best_taps, best_rt60 = taps, measured
         if gap <= rt60_tolerance:
             break
         kappa *= measured / spec.rt60
-    return Rir(best_taps, spec.sample_rate, spec)
+    return Rir(best_taps, spec.sample_rate, spec, measured_rt60=best_rt60,
+               renders=renders, images=images)
 
 
 def schroeder_curve(taps) -> np.ndarray:

@@ -90,6 +90,17 @@ class TestMakeCorpus:
             measured = rir.estimate_rt60(fileformats.read_rir(workdir / row.rir_path))
             assert abs(measured - row.rt60) <= 0.2 * row.rt60
 
+    def test_rirs_record_calibration(self, built_corpus):
+        _, workdir = built_corpus
+        for row in corpus.read_manifest(workdir / "manifest.csv"):
+            impulse = fileformats.read_rir(workdir / row.rir_path)
+            assert 1 <= impulse.renders <= 4
+            assert impulse.images > 0
+            assert (abs(impulse.measured_rt60 / row.rt60 - 1.0) <= 0.04
+                    or impulse.renders == 4)
+            # recorded from the float64 taps; the file holds them as float32
+            assert abs(rir.estimate_rt60(impulse) / impulse.measured_rt60 - 1.0) <= 1e-4
+
     def test_run_record_written(self, built_corpus):
         _, workdir = built_corpus
         record = json.loads((workdir / "runs" / "make-corpus.json").read_text())

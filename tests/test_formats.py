@@ -57,14 +57,18 @@ def test_rir_roundtrip(tmp_path):
     assert path.read_bytes()[:4] == b"NCIR"
 
 
-def test_rir_csv(tmp_path):
+def test_rir_calibration_record_roundtrip(tmp_path):
     spec = RoomSpec((7.0, 5.0, 4.0), (2.0, 2.0, 1.5), (3.0, 3.0, 1.5), 0.75, 16000)
-    impulse = Rir(np.array([0.0, 1.0, 0.25]), 16000, spec)
-    path = tmp_path / "h.csv"
-    ff.write_rir_csv(impulse, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sample,time_s,amplitude"
-    assert lines[2].startswith("1,") and lines[2].endswith(",1.0")
+    impulse = Rir(np.array([0.0, 1.0, 0.25]), 16000, spec,
+                  measured_rt60=0.7612345678901234, renders=3, images=123456)
+    path = tmp_path / "h.ncir"
+    ff.write_rir(impulse, path)
+    back = ff.read_rir(path)
+    assert back.measured_rt60 == impulse.measured_rt60
+    assert (back.renders, back.images) == (3, 123456)
+    block = path.read_bytes()[8 + 3 * 4:].decode("ascii").splitlines()
+    assert block[-3:] == ["measured_rt60=0.7612345678901234", "renders=3",
+                          "images=123456"]
 
 
 def test_filters_csv_tap_indexing(tmp_path):

@@ -6,20 +6,21 @@ from ncderev import fir, kernels
 from ncderev.dsp import ComplexSpectrogram, StftConfig
 
 
-def direct_image_sum(n_taps, dims, src, mic, beta, fs, c, tw, fc):
+def direct_image_sum(n_taps, dims, src, mic, beta, fs, c):
     """Image-source summation one image at a time (plain loops).
 
     Image positions are (1-2u)*src + 2*n*dims per axis with u in {0,1},
     n integer; the amplitude is beta**(|n-u|+|n|) per axis over
-    4*pi*distance.
+    4*pi*distance, added at the nearest sample. Returns the response and
+    the number of images that land inside it.
     """
     h = np.zeros(n_taps)
+    images = 0
     d_max = c * n_taps / fs
     lx, ly, lz = dims
     nx_max = int(d_max / (2.0 * lx)) + 1
     ny_max = int(d_max / (2.0 * ly)) + 1
     nz_max = int(d_max / (2.0 * lz)) + 1
-    half_w = 0.5 * tw / fs
     for nx in range(-nx_max, nx_max + 1):
         for ny in range(-ny_max, ny_max + 1):
             for nz in range(-nz_max, nz_max + 1):
@@ -38,20 +39,11 @@ def direct_image_sum(n_taps, dims, src, mic, beta, fs, c, tw, fc):
                         continue
                     refl = (abs(nx - ux) + abs(nx) + abs(ny - uy) + abs(ny)
                             + abs(nz - uz) + abs(nz))
-                    amp = beta ** refl / (4.0 * np.pi * d)
-                    t0 = d / c
-                    if tw <= 0:
-                        idx = int(round(t0 * fs))
-                        if 0 <= idx < n_taps:
-                            h[idx] += amp
-                    else:
-                        lo = max(int(np.ceil((t0 - half_w) * fs)), 0)
-                        hi = min(int(np.floor((t0 + half_w) * fs)), n_taps - 1)
-                        for n in range(lo, hi + 1):
-                            t = n / fs - t0
-                            w = 0.5 * (1.0 + np.cos(2.0 * np.pi * t / (2.0 * half_w)))
-                            h[n] += amp * w * np.sinc(2.0 * fc * t)
-    return h
+                    idx = int(round(d / c * fs))
+                    if 0 <= idx < n_taps:
+                        h[idx] += beta ** refl / (4.0 * np.pi * d)
+                        images += 1
+    return h, images
 
 
 def explicit_design(x, q, taps, rows):
@@ -66,22 +58,28 @@ def explicit_design(x, q, taps, rows):
 
 
 class TestRirAccumulate:
-    dims = np.array([2.1, 1.8, 1.6])
-    src = np.array([0.6, 0.7, 0.5])
-    mic = np.array([1.4, 1.1, 0.9])
+    """One lattice pass into the per-order table, rendered at several betas."""
+
+    def check_renders(self, n_taps, dims, src, mic):
+        table, images = kernels.rir_order_table(n_taps, dims, src, mic, 16000)
+        assert table.shape[1] == n_taps
+        assert np.any(table[-1] != 0)  # trimmed to the highest order present
+        for beta in (0.3, 0.7, 0.95):
+            got = beta ** np.arange(len(table)) @ table
+            want, want_images = direct_image_sum(n_taps, dims, src, mic, beta,
+                                                 16000, 343.0)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert images == want_images
 
     def test_nearest_sample_matches_direct_sum(self):
-        got = kernels.rir_accumulate(300, self.dims, self.src, self.mic, 0.7, 16000)
-        want = direct_image_sum(300, self.dims, self.src, self.mic, 0.7, 16000,
-                                343.0, 0, 0.45 * 16000)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        self.check_renders(300, np.array([2.1, 1.8, 1.6]),
+                           np.array([0.6, 0.7, 0.5]), np.array([1.4, 1.1, 0.9]))
 
-    def test_fractional_delay_matches_direct_sum(self):
-        got = kernels.rir_accumulate(300, self.dims, self.src, self.mic, 0.6,
-                                     16000, 343.0, 8)
-        want = direct_image_sum(300, self.dims, self.src, self.mic, 0.6, 16000,
-                                343.0, 8, 0.45 * 16000)
-        assert np.max(np.abs(got - want)) <= 1e-12
+    def test_long_response_in_oblong_room_matches_direct_sum(self):
+        # 43 m of reach: on every axis the outermost lattice offsets lie
+        # beyond it on their own, so the per-axis pruning drops cells
+        self.check_renders(2000, np.array([5.3, 2.2, 3.0]),
+                           np.array([1.2, 0.8, 1.1]), np.array([4.1, 1.5, 2.2]))
 
 
 class TestApplyFir:

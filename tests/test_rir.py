@@ -88,13 +88,35 @@ class TestImageMethod:
         b = rir.image_method_rir(spec)
         assert np.array_equal(a.taps, b.taps)
 
-    def test_fractional_delay_flag(self):
-        spec = rir.sample_room(np.random.default_rng(22), rt60_range=(0.4, 0.5))
-        a = rir.image_method_rir(spec)
-        b = rir.image_method_rir(spec, frac_delay=True)
-        assert a.taps.size == b.taps.size
-        assert not np.array_equal(a.taps, b.taps)
-        assert abs(rir.estimate_rt60(b) - spec.rt60) <= 0.2 * spec.rt60
+    def test_one_lattice_pass_per_room(self, monkeypatch):
+        calls = {"table": 0, "estimate": 0}
+        table, estimate = rir.kernels.rir_order_table, rir.estimate_rt60
+
+        def counted_table(*args, **kwargs):
+            calls["table"] += 1
+            return table(*args, **kwargs)
+
+        def counted_estimate(*args, **kwargs):
+            calls["estimate"] += 1
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(rir.kernels, "rir_order_table", counted_table)
+        monkeypatch.setattr(rir, "estimate_rt60", counted_estimate)
+        for seed, band in ((24, (0.4, 0.5)), (25, (1.5, 1.99))):
+            calls.update(table=0, estimate=0)
+            impulse = rir.image_method_rir(
+                rir.sample_room(np.random.default_rng(seed), rt60_range=band))
+            assert calls["table"] == 1
+            assert 1 <= calls["estimate"] <= 4
+            assert impulse.renders == calls["estimate"]
+
+    def test_calibration_record(self):
+        spec = rir.sample_room(np.random.default_rng(26), rt60_range=(0.6, 0.8))
+        impulse = rir.image_method_rir(spec)
+        assert impulse.measured_rt60 == rir.estimate_rt60(impulse)
+        assert (abs(impulse.measured_rt60 / spec.rt60 - 1.0) <= 0.04
+                or impulse.renders == 4)
+        assert impulse.images >= np.count_nonzero(impulse.taps)
 
     def test_schroeder_curve_decay(self):
         spec = rir.sample_room(np.random.default_rng(23), rt60_range=(0.5, 0.7))
