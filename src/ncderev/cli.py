@@ -93,11 +93,14 @@ class ExperimentConfig:
                 raise ConfigError(f"ridge must be a number or 'auto': {exc}") from exc
             if not 0.0 <= self.ridge < float("inf"):
                 raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
-        for name in ("p", "q", "enhancer_p", "limit"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.n_subsets < 1:
-            raise ConfigError(f"n_subsets must be >= 1, got {self.n_subsets}")
+        for name, low in (("p", 0), ("q", 0), ("enhancer_p", 0), ("limit", 0),
+                          ("n_subsets", 1), ("hidden_width", 1),
+                          ("hidden_layers", 0), ("batch_size", 1), ("epochs", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 <= self.learning_rate < float("inf"):
+            raise ConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 <= self.tail_from_lag <= self.max_lag:
             raise ConfigError(
                 f"need 0 <= tail_from_lag <= max_lag, got tail_from_lag "
@@ -139,7 +142,9 @@ def _workdir(cfg) -> Path:
     return path
 
 
-def _write_run_record(cfg, command) -> None:
+def _write_run_record(cfg, command, extra=None) -> None:
+    """workdir/runs/<command>.json: config, versions and any deterministic
+    facts of the run in ``extra`` (never wall-clock values)."""
     runs = _workdir(cfg) / "runs"
     runs.mkdir(exist_ok=True)
     record = {
@@ -148,6 +153,7 @@ def _write_run_record(cfg, command) -> None:
         "numpy": np.__version__,
         "seed": cfg.seed,
         "version": __version__,
+        **(extra or {}),
     }
     (runs / f"{command}.json").write_text(
         json.dumps(record, indent=1, sort_keys=True) + "\n"
@@ -305,7 +311,11 @@ def cmd_train_mlp(cfg) -> int:
         ["epoch", "train_mse", "valid_mse", "learning_rate"],
         trace,
     )
-    _write_run_record(cfg, "train-mlp")
+    _write_run_record(cfg, "train-mlp", {
+        "train_frames": train_x.shape[0],
+        "valid_frames": 0 if valid_x is None else valid_x.shape[0],
+        **mlp.trace_summary(trace, config.improvement_threshold),
+    })
     print(f"trained on {train_x.shape[0]} frames; wrote {workdir / 'mlp_model.json'}")
     return 0
 

@@ -1,7 +1,8 @@
 """Feedforward spectral mapper: context-stacked reverberant log-Mel in,
 clean 40-dim log-Mel out, trained by mini-batch gradient descent on MSE.
 
-Hidden layers use the sigmoid; the output layer is affine. Training
+Hidden layers use the sigmoid, computed as 0.5 + 0.5·tanh(z/2); the
+output layer is affine. Parameters and activations are float64. Training
 follows plain SGD with a halving learning-rate schedule driven by the
 validation loss, and returns the parameters of the best validation epoch.
 """
@@ -21,6 +22,13 @@ class TrainingDivergedError(RuntimeError):
         self.trace = trace
 
 
+def _checked_dims(layer_dims) -> list:
+    dims = [int(d) for d in layer_dims]
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise ValueError(f"invalid layer dims {list(layer_dims)}")
+    return dims
+
+
 @dataclass
 class MlpModel:
     """Layer dimensions plus weight matrices (fan_in x fan_out) and biases."""
@@ -30,9 +38,7 @@ class MlpModel:
     biases: list
 
     def __post_init__(self):
-        dims = [int(d) for d in self.layer_dims]
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ValueError(f"invalid layer dims {self.layer_dims}")
+        dims = _checked_dims(self.layer_dims)
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ValueError("need one weight matrix and bias per layer transition")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -67,15 +73,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning_rate must be >= 0, batch_size/epochs >= 1")
+        if (not 0.0 <= self.learning_rate < np.inf or self.batch_size < 1
+                or self.epochs < 1):
+            raise ValueError(
+                "learning_rate must be finite and >= 0, batch_size/epochs >= 1")
 
 
 def init_model(layer_dims, seed: int) -> MlpModel:
     """Uniform fan-based initialization: W ~ U(-s, s), s = sqrt(6/(fan_in+fan_out)).
 
-    Biases start at zero. Deterministic per seed.
+    Biases start at zero. Deterministic per seed. Raises ValueError for
+    fewer than two layers or any dimension below 1.
     """
+    layer_dims = _checked_dims(layer_dims)
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -83,16 +93,20 @@ def init_model(layer_dims, seed: int) -> MlpModel:
         s = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(list(layer_dims), weights, biases)
+    return MlpModel(layer_dims, weights, biases)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(z):
+    """Logistic function 0.5 + 0.5·tanh(z/2), overwriting and returning ``z``.
+
+    No masks and no exp: tanh saturates to ±1, so every output lies in
+    [0, 1] and no z overflows.
+    """
+    z *= 0.5
+    np.tanh(z, out=z)
+    z *= 0.5
+    z += 0.5
+    return z
 
 
 def _forward_all(model, x):
@@ -101,7 +115,9 @@ def _forward_all(model, x):
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
+        # z is fresh, so the in-place sigmoid never touches an earlier act
         h = z if i == last else _sigmoid(z)
         acts.append(h)
     return acts
@@ -157,17 +173,23 @@ def gradients(model: MlpModel, x, targets):
     return w_grads, b_grads, loss
 
 
-def input_gradient(model: MlpModel, x) -> np.ndarray:
-    """Jacobian-vector style gradient of sum(outputs) with respect to one input."""
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    acts = _forward_all(model, x)
-    delta = np.ones((1, model.layer_dims[-1]))
-    for i in range(len(model.weights) - 1, -1, -1):
-        delta = delta @ model.weights[i].T
-        if i > 0:
-            h = acts[i]
-            delta = delta * h * (1.0 - h)
-    return delta[0]
+def _plateaued(prev_valid, valid_mse, threshold) -> bool:
+    """The halving rule: the loss improved by less than ``threshold``, relative."""
+    improvement = (prev_valid - valid_mse) / prev_valid if prev_valid > 0 else 0.0
+    return improvement < threshold
+
+
+def trace_summary(trace, improvement_threshold) -> dict:
+    """Facts of a ``train`` trace: epochs run, the best validation epoch
+    (the one whose parameters ``train`` returns) and the number of epochs
+    after which the learning rate was halved."""
+    valid = [row[2] for row in trace]
+    return {
+        "epochs_run": len(trace),
+        "best_epoch": int(trace[int(np.argmin(valid))][0]),
+        "halvings": sum(_plateaued(prev, cur, improvement_threshold)
+                        for prev, cur in zip(valid, valid[1:])),
+    }
 
 
 def train(model: MlpModel, inputs, targets, config: TrainConfig,
@@ -234,9 +256,7 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
             best_valid = valid_mse
             best = model.copy()
         if prev_valid is not None:
-            improvement = ((prev_valid - valid_mse) / prev_valid
-                           if prev_valid > 0 else 0.0)
-            if improvement < config.improvement_threshold:
+            if _plateaued(prev_valid, valid_mse, config.improvement_threshold):
                 lr *= 0.5
                 halvings += 1
                 if halvings >= config.max_halvings:

@@ -155,12 +155,31 @@ class TestConfigHandling:
         ("max_lag", -3),
         ("tail_from_lag", -1),
         ("tail_from_lag", 101),
+        ("hidden_width", 0),
+        ("hidden_layers", -1),
+        ("batch_size", 0),
+        ("epochs", 0),
+        ("learning_rate", -1.0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"workdir": str(tmp_path), key: value}))
         assert cli.main(["fit-fir", "--config", str(bad)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--hidden-width", "0"),
+        ("--batch-size", "0"),
+        ("--epochs", "0"),
+        ("--learning-rate", "-1"),
+        ("--learning-rate", "nan"),
+    ])
+    def test_bad_mlp_flag_rejected_before_data(self, tmp_path, capsys, flag, value):
+        # the empty workdir holds no features: exit 2 means nothing was read
+        assert cli.main(["train-mlp", "--workdir", str(tmp_path), flag, value]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
     def test_flag_overrides_config_file(self, base_config, tmp_path, capsys):
         config_path, _ = base_config
@@ -228,6 +247,29 @@ class TestPipeline:
         assert len(curves) == 22  # header + lags 0..20
         assert (diag / "tail_mass.csv").is_file()
         assert (diag / "utt003_clean.pgm").read_bytes().startswith(b"P5")
+
+    def test_train_run_record_agrees_with_loss_trace(self, built_corpus):
+        config_path, workdir = built_corpus
+        if not (workdir / "mlp_model.json").is_file():
+            assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
+        record = json.loads((workdir / "runs" / "train-mlp.json").read_text())
+        lines = (workdir / "mlp_loss.csv").read_text().splitlines()[1:]
+        trace = [[float(v) for v in line.split(",")] for line in lines]
+        valid = [row[2] for row in trace]
+        threshold = record["config"]["improvement_threshold"]
+        plateaus = [(a - b) / a < threshold for a, b in zip(valid, valid[1:])]
+        rates = [row[3] for row in trace]
+        assert record["epochs_run"] == len(trace) == record["config"]["epochs"]
+        assert record["best_epoch"] == 1 + valid.index(min(valid))
+        assert record["halvings"] == sum(plateaus)
+        # a plateau after epoch k halves epoch k+1's rate; the last one shows in no row
+        assert [b < a for a, b in zip(rates[1:], rates[2:])] == plateaus[:-1]
+        frames = {"train": 0, "dev": 0, "test": 0}
+        for row in corpus.read_manifest(workdir / "manifest.csv"):
+            path = workdir / "features" / "clean" / f"{row.utterance}.ncft"
+            frames[row.split] += fileformats.read_features(path).shape[0]
+        assert record["train_frames"] == frames["train"]
+        assert record["valid_frames"] == frames["dev"]
 
     def test_derev_without_model_is_data_error(self, built_corpus, tmp_path):
         config_path, _ = built_corpus

@@ -4,6 +4,16 @@ import pytest
 from ncderev import mlp
 
 
+def masked_sigmoid(x):
+    """Reference logistic function: exp of a non-positive argument only."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def central_diff_param_grads(model, x, targets, step=1e-5):
     """Finite-difference oracle for every weight and bias."""
     w_grads = [np.zeros_like(w) for w in model.weights]
@@ -46,9 +56,66 @@ class TestInitModel:
         model = mlp.init_model([8, 6, 4], seed=0)
         assert all(np.all(b == 0) for b in model.biases)
 
+    @pytest.mark.parametrize("dims", [[840, 0, 0, 40], [8, 6, 0], [8], []])
+    def test_invalid_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="invalid layer dims"):
+            mlp.init_model(dims, seed=0)
+
     def test_paper_topology_parameter_count(self):
         model = mlp.init_model([840, 1000, 1000, 1000, 40], seed=0)
         assert model.n_params == 2_883_040
+
+
+class TestSigmoid:
+    def test_matches_masked_oracle(self):
+        rng = np.random.default_rng(8)
+        z = np.concatenate([
+            30 * rng.normal(size=(4000,)),
+            [1000, -1000, 745, -745, 40, -40, 1e-300, -1e-300, 0.0],
+        ])
+        want = masked_sigmoid(z)
+        with np.errstate(all="raise"):
+            got = mlp._sigmoid(z.copy())
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.all((got >= 0) & (got <= 1))
+
+    def test_gradients_finite_for_saturating_inputs(self):
+        model = mlp.init_model([8, 6, 6, 6, 4], seed=12)
+        rng = np.random.default_rng(12)
+        x = 100 * rng.normal(size=(16, 8))
+        targets = rng.normal(size=(16, 4))
+        with np.errstate(all="raise"):
+            w_grads, b_grads, loss = mlp.gradients(model, x, targets)
+        assert np.isfinite(loss)
+        assert all(np.all(np.isfinite(g)) for g in w_grads + b_grads)
+
+    def test_forward_leaves_input_untouched(self):
+        model = mlp.init_model([8, 6, 6, 4], seed=3)
+        x = np.random.default_rng(3).normal(size=(5, 8))
+        before = x.copy()
+        acts = mlp._forward_all(model, x)
+        assert np.array_equal(x, before)
+        assert len({id(a) for a in acts}) == len(acts)
+
+    def test_training_trace_matches_masked_oracle(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(60, 6))
+        y = 0.5 * np.tanh(x @ rng.normal(size=(6, 3)))
+        vx = rng.normal(size=(20, 6))
+        vy = 0.5 * np.tanh(vx @ rng.normal(size=(6, 3)))
+        config = mlp.TrainConfig(learning_rate=0.5, batch_size=16, epochs=8, seed=10)
+
+        def run():
+            return mlp.train(mlp.init_model([6, 10, 10, 3], 10), x, y, config, vx, vy)[1]
+
+        trace = run()
+        monkeypatch.setattr(mlp, "_sigmoid", masked_sigmoid)
+        oracle = run()
+        assert len(trace) == len(oracle)
+        for got, want in zip(trace, oracle):
+            assert got[0] == want[0] and got[3] == want[3]
+            for a, b in zip(got[1:3], want[1:3]):
+                assert abs(a - b) <= 1e-12 * abs(b)
 
 
 class TestForward:
@@ -67,21 +134,6 @@ class TestForward:
         for _ in range(3):
             out = mlp.forward(model, rng.normal(size=8))
             assert np.allclose(out, [1.0, -2.0, 3.0, 0.5])
-
-    def test_input_gradient_matches_finite_differences(self):
-        model = mlp.init_model([8, 6, 6, 6, 4], seed=5)
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=8)
-        analytic = mlp.input_gradient(model, x)
-        step = 1e-5
-        fd = np.zeros(8)
-        for i in range(8):
-            xp = x.copy()
-            xp[i] += step
-            xm = x.copy()
-            xm[i] -= step
-            fd[i] = (mlp.forward(model, xp).sum() - mlp.forward(model, xm).sum()) / (2 * step)
-        assert np.max(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8)) <= 1e-4
 
     def test_dimension_mismatch(self):
         model = mlp.init_model([8, 4], seed=0)
@@ -180,6 +232,13 @@ class TestTrain:
         lrs = [row[3] for row in trace]
         # trace records the rate each epoch ran at; the 5th halving stops
         assert lrs == [1e-9, 1e-9] + [1e-9 / 2 ** k for k in range(1, 5)]
+        assert mlp.trace_summary(trace, 0.001) == {
+            "epochs_run": 6, "best_epoch": 6, "halvings": 5}
+
+    @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            mlp.TrainConfig(learning_rate=lr)
 
     def test_divergence_aborts_with_trace(self):
         rng = np.random.default_rng(4)
