@@ -95,7 +95,8 @@ class ExperimentConfig:
                 raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
         for name, low in (("p", 0), ("q", 0), ("enhancer_p", 0), ("limit", 0),
                           ("n_subsets", 1), ("hidden_width", 1),
-                          ("hidden_layers", 0), ("batch_size", 1), ("epochs", 1)):
+                          ("hidden_layers", 0), ("batch_size", 1), ("epochs", 1),
+                          ("max_halvings", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.learning_rate < float("inf"):
@@ -106,6 +107,34 @@ class ExperimentConfig:
                 f"need 0 <= tail_from_lag <= max_lag, got tail_from_lag "
                 f"{self.tail_from_lag} and max_lag {self.max_lag}"
             )
+        if not self.context_grid or not all(
+                isinstance(cell, (list, tuple)) and len(cell) == 2
+                and all(type(v) is int and v >= 0 for v in cell)
+                for cell in self.context_grid):
+            raise ConfigError(
+                f"context_grid must be a non-empty list of [p, q] pairs of ints "
+                f">= 0, got {self.context_grid}")
+        if not self.lambda_grid or not all(
+                isinstance(v, (int, float)) and 0.0 <= v <= 1.0
+                for v in self.lambda_grid):
+            raise ConfigError(
+                f"lambda_grid must be a non-empty list of values in [0, 1], "
+                f"got {self.lambda_grid}")
+        if not self.mix_configs or not all(
+                type(v) is int and v in mixing.STREAMS_BY_CONFIG
+                for v in self.mix_configs):
+            raise ConfigError(
+                f"mix_configs must be a non-empty list of ids in "
+                f"{sorted(mixing.STREAMS_BY_CONFIG)}, got {self.mix_configs}")
+        try:
+            stft_config = _stft_config(self)
+        except ValueError as exc:
+            raise ConfigError(
+                f"sample_rate/frame_ms/shift_ms/fft_size: {exc}") from exc
+        try:
+            features.mel_bank(stft_config.fft_size, self.sample_rate, self.n_mels)
+        except ValueError as exc:
+            raise ConfigError(f"n_mels/fft_size/sample_rate: {exc}") from exc
 
 
 def resolve_config(args) -> ExperimentConfig:
@@ -247,10 +276,10 @@ def cmd_fit_fir(cfg) -> int:
     err_rows = []
     for row in rows:
         reverb_spec, clean_spec = _load_pair(cfg, row)
-        estimate, filters, errors = fir.dereverberate_spectrogram(
+        estimate, taps, errors = fir.dereverberate_spectrogram(
             reverb_spec, clean_spec, cfg.p, cfg.q, ridge=cfg.ridge
         )
-        fileformats.write_filters_csv(filters, out_dir / f"{row.utterance}_filters.csv")
+        fileformats.write_filters_csv(taps, cfg.q, out_dir / f"{row.utterance}_filters.csv")
         fileformats.write_spectrogram(estimate, out_dir / f"{row.utterance}_estimate.ncsp")
         dsp.write_wav(dsp.istft(estimate), out_dir / f"{row.utterance}_estimate.wav")
         denom = float(np.sum(np.abs(clean_spec.values) ** 2))
@@ -267,7 +296,7 @@ def cmd_sweep_context(cfg) -> int:
     workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
     pairs = [_load_pair(cfg, row) for row in rows]
-    grid = [tuple(int(v) for v in cell) for cell in cfg.context_grid]
+    grid = [tuple(cell) for cell in cfg.context_grid]
     sweep_rows = fir.context_sweep(pairs, grid, ridge=cfg.ridge)
     out = workdir / "context_sweep.csv"
     fileformats.write_sweep_csv(sweep_rows, out)

@@ -44,7 +44,6 @@ class StftConfig:
     frame_len: int = 400
     frame_shift: int = 160
     fft_size: int = 512
-    window: str = "hann"
 
     def __post_init__(self):
         if not (0 < self.frame_shift <= self.frame_len <= self.fft_size):
@@ -54,8 +53,6 @@ class StftConfig:
             )
         if self.fft_size & (self.fft_size - 1):
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if self.window not in ("hann", "rect"):
-            raise ValueError(f"unknown window {self.window!r}")
 
     @classmethod
     def for_sample_rate(cls, sample_rate, frame_ms=25.0, shift_ms=10.0, fft_size=None):
@@ -73,8 +70,6 @@ class StftConfig:
         return self.fft_size // 2 + 1
 
     def analysis_window(self) -> np.ndarray:
-        if self.window == "rect":
-            return np.ones(self.frame_len)
         # periodic (DFT-even) Hann: w[0] = 0, w[N/2] = 1 for even N
         n = np.arange(self.frame_len)
         return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.frame_len)

@@ -141,13 +141,16 @@ def read_rir(path) -> Rir:
                images=int(fields.get("images", 0)))
 
 
-def write_filters_csv(filters, path) -> None:
-    """Per-bin filter dump: bin, tap_index (-q..p), g_real, g_imag."""
-    rows = []
-    for k, filt in enumerate(filters):
-        for i in range(filt.p + filt.q + 1):
-            rows.append((k, i - filt.q, float(filt.g_real[i]), float(filt.g_imag[i])))
-    write_csv(path, ["bin", "tap_index", "g_real", "g_imag"], rows)
+def write_filters_csv(taps, q, path) -> None:
+    """Per-bin filter dump: bin, tap_index (-q..p), g_real, g_imag.
+
+    taps is the (bins, p+q+1) complex array of a spectrogram fit; tap
+    index j = i - q of column i multiplies x(n - j).
+    """
+    write_csv(path, ["bin", "tap_index", "g_real", "g_imag"],
+              ((k, i - q, g.real, g.imag)
+               for k, row in enumerate(np.asarray(taps).tolist())
+               for i, g in enumerate(row)))
 
 
 def write_sweep_csv(rows, path) -> None:

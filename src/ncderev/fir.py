@@ -22,6 +22,11 @@ never used for production fits.
 
 ``ls_oracle`` solves the same problem independently through the explicit
 complex design matrix and a rank-revealing factorization.
+
+Spectrogram fits (``fit_pooled_filters``, ``dereverberate_spectrogram``)
+solve every bin at once and return the taps as one complex array of
+shape (bins, p+q+1), row k holding bin k's g; ``kernels.apply_fir``
+applies it. ``NcFirFilter`` holds the taps of a single-bin fit.
 """
 
 import warnings
@@ -39,38 +44,20 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class NcFirFilter:
-    """Complex FIR taps split into real/imaginary parts, plus (p, q) context."""
+    """Complex FIR taps of one bin; index i multiplies x(n + q - i)."""
 
-    g_real: np.ndarray
-    g_imag: np.ndarray
+    taps: np.ndarray
     p: int
     q: int
 
     def __post_init__(self):
-        g_real = np.asarray(self.g_real, dtype=np.float64)
-        g_imag = np.asarray(self.g_imag, dtype=np.float64)
+        taps = np.asarray(self.taps, dtype=np.complex128)
         n = self.p + self.q + 1
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"p and q must be >= 0, got ({self.p}, {self.q})")
-        if g_real.shape != (n,) or g_imag.shape != (n,):
-            raise ValueError(
-                f"tap vectors must have length p+q+1 = {n}, got "
-                f"{g_real.shape} and {g_imag.shape}"
-            )
-        if not (np.all(np.isfinite(g_real)) and np.all(np.isfinite(g_imag))):
+        if taps.shape != (n,):
+            raise ValueError(f"taps must have length p+q+1 = {n}, got {taps.shape}")
+        if not np.all(np.isfinite(taps)):
             raise ValueError("taps must be finite")
-        object.__setattr__(self, "g_real", g_real)
-        object.__setattr__(self, "g_imag", g_imag)
-
-    @property
-    def taps(self) -> np.ndarray:
-        """Complex taps; index i multiplies x(n + q - i)."""
-        return self.g_real + 1j * self.g_imag
-
-    @classmethod
-    def from_taps(cls, taps, p, q):
-        taps = np.asarray(taps, dtype=np.complex128)
-        return cls(taps.real.copy(), taps.imag.copy(), p, q)
+        object.__setattr__(self, "taps", taps)
 
 
 @dataclass(frozen=True)
@@ -165,7 +152,7 @@ def _solve(gram, corr, ridge):
 def solve_normal_system(system: NormalSystem, ridge=0.0) -> NcFirFilter:
     """Solve the complex normal equations, optionally with a ridge on the diagonal."""
     g = _solve(system.gram[None], system.corr[None], ridge)
-    return NcFirFilter.from_taps(g[0], system.p, system.q)
+    return NcFirFilter(g[0], system.p, system.q)
 
 
 def fit_filter(x, y, p, q, ridge=0.0) -> NcFirFilter:
@@ -219,28 +206,7 @@ def closed_form_filter(system: NormalSystem, cond_limit=1e12) -> NcFirFilter:
     core = np.linalg.inv(d_inv @ s + s_inv @ d)
     g_r = core @ (d_inv @ u1 + s_inv @ u2)
     g_j = core @ (d_inv @ u2 - s_inv @ u1)
-    return NcFirFilter(g_r, g_j, system.p, system.q)
-
-
-def apply_filter(filt: NcFirFilter, x, out_len: int) -> np.ndarray:
-    """Filter one bin trajectory: yhat(n) = sum_i g(i) x(n + q - i).
-
-    x is zero outside its support; output has ``out_len`` frames.
-    """
-    if out_len < 1:
-        raise ValueError(f"out_len must be >= 1, got {out_len}")
-    x = np.asarray(x, dtype=np.complex128)
-    return kernels.apply_fir(filt.taps, x, filt.q, out_len)
-
-
-def prediction_error(y_hat, y) -> float:
-    """Sum of squared complex moduli of the prediction residual."""
-    y_hat = np.asarray(y_hat)
-    y = np.asarray(y)
-    if y_hat.shape != y.shape:
-        raise ValueError(f"length mismatch: {y_hat.shape} vs {y.shape}")
-    diff = y_hat - y
-    return float(np.sum(diff.real ** 2 + diff.imag ** 2))
+    return NcFirFilter(g_r + 1j * g_j, system.p, system.q)
 
 
 def design_matrix(x, p, q, n_rows: int) -> np.ndarray:
@@ -268,7 +234,58 @@ def ls_oracle(x, y, p, q) -> NcFirFilter:
             "returning the minimum-norm solution",
             stacklevel=2,
         )
-    return NcFirFilter.from_taps(g, p, q)
+    return NcFirFilter(g, p, q)
+
+
+def _check_pair(reverb: ComplexSpectrogram, clean: ComplexSpectrogram, p, q):
+    if p < 0 or q < 0:
+        raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
+    if reverb.bins != clean.bins:
+        raise ValueError(f"bin count mismatch: {reverb.bins} vs {clean.bins}")
+    if clean.frames > reverb.frames:
+        raise ValueError(
+            f"clean has more frames ({clean.frames}) than reverb ({reverb.frames})"
+        )
+    if p + q + 1 > clean.frames:
+        raise ValueError(
+            f"underdetermined: {p + q + 1} taps but only {clean.frames} frames"
+        )
+
+
+def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
+    """Fit one filter per bin on the pooled normal equations of many pairs.
+
+    The Gram ZᴴZ and correlation Zᴴy are additive over utterances, so
+    pooling sums them before a single per-bin solve; with one pair this
+    is that pair's own fit.
+
+    Args:
+        pairs: iterable of (reverb, clean) ComplexSpectrogram pairs with
+            one common bin count.
+        ridge: per-bin diagonal loading ("auto" for the scale-invariant
+            default, a number to share one value across bins).
+
+    Returns:
+        Complex taps of shape (bins, p+q+1); tap i of row k multiplies
+        bin k's x(n + q - i).
+    """
+    taps = p + q + 1
+    gram_sum = None
+    corr_sum = None
+    for reverb, clean in pairs:
+        _check_pair(reverb, clean, p, q)
+        if gram_sum is not None and reverb.bins != len(gram_sum):
+            raise ValueError(
+                f"bin count differs across pairs: {len(gram_sum)} vs {reverb.bins}")
+        gram, corr = kernels.normal_blocks(reverb.values, clean.values, q, taps)
+        if gram_sum is None:
+            gram_sum, corr_sum = gram, corr
+        else:
+            gram_sum += gram
+            corr_sum += corr
+    if gram_sum is None:
+        raise ValueError("no pairs supplied")
+    return _solve(gram_sum, corr_sum, ridge)
 
 
 def dereverberate_spectrogram(reverb: ComplexSpectrogram,
@@ -280,65 +297,18 @@ def dereverberate_spectrogram(reverb: ComplexSpectrogram,
         reverb: spectrogram supplying the filter input X.
         clean: spectrogram supplying the regression target Y; must have
             the same bin count and at most as many frames.
-        ridge: per-bin diagonal loading ("auto" for the scale-invariant
-            default, a number to share one value across bins).
+        ridge: as in ``fit_pooled_filters``.
 
     Returns:
-        (estimate, filters, errors): the stacked estimated-clean
-        spectrogram with clean's frame count, the per-bin NcFirFilter
-        list, and the per-bin squared prediction errors.
+        (estimate, taps, errors): the estimated-clean spectrogram with
+        clean's frame count, the (bins, p+q+1) complex taps of
+        ``fit_pooled_filters``, and the per-bin squared prediction errors.
     """
-    if reverb.bins != clean.bins:
-        raise ValueError(f"bin count mismatch: {reverb.bins} vs {clean.bins}")
-    if clean.frames > reverb.frames:
-        raise ValueError(
-            f"clean has more frames ({clean.frames}) than reverb ({reverb.frames})"
-        )
-    taps = p + q + 1
-    if taps > clean.frames:
-        raise ValueError(
-            f"underdetermined: {taps} taps but only {clean.frames} frames"
-        )
-    g = _solve(*kernels.normal_blocks(reverb.values, clean.values, q, taps), ridge)
+    g = fit_pooled_filters([(reverb, clean)], p, q, ridge)
     estimate = kernels.apply_fir(g, reverb.values, q, clean.frames)
     errors = np.sum(np.abs(estimate - clean.values) ** 2, axis=0)
-    filters = [NcFirFilter.from_taps(g_k, p, q) for g_k in g]
     out = ComplexSpectrogram(estimate, clean.config, clean.sample_rate)
-    return out, filters, errors
-
-
-def fit_pooled_filters(pairs, p: int, q: int, ridge="auto"):
-    """Fit one filter per bin on the pooled normal equations of many pairs.
-
-    The Gram ZᴴZ and correlation Zᴴy are additive over utterances, so
-    pooling sums them before a single per-bin solve. Used to adapt the
-    causal reference enhancer on a held-out set.
-
-    Args:
-        pairs: iterable of (reverb, clean) ComplexSpectrogram pairs with
-            one common bin count.
-
-    Returns:
-        List of per-bin NcFirFilter.
-    """
-    taps = p + q + 1
-    gram_sum = None
-    corr_sum = None
-    for reverb, clean in pairs:
-        if gram_sum is not None and reverb.bins != len(gram_sum):
-            raise ValueError("bin count differs across pairs")
-        if clean.frames > reverb.frames or taps > clean.frames:
-            raise ValueError("invalid pair: clean longer than reverb or too short")
-        gram, corr = kernels.normal_blocks(reverb.values, clean.values, q, taps)
-        if gram_sum is None:
-            gram_sum, corr_sum = gram, corr
-        else:
-            gram_sum += gram
-            corr_sum += corr
-    if gram_sum is None:
-        raise ValueError("no pairs supplied")
-    g = _solve(gram_sum, corr_sum, ridge)
-    return [NcFirFilter.from_taps(g_k, p, q) for g_k in g]
+    return out, g, errors
 
 
 @dataclass(frozen=True)

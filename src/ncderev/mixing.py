@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fir
+from . import fir, kernels
+from .dsp import ComplexSpectrogram
 
 STREAMS_BY_CONFIG = {
     1: ("ref_enhanced", "derev_of_reverb"),
@@ -149,29 +150,25 @@ class CausalFirEnhancer:
             raise ValueError(f"p must be >= 0, got {p}")
         self.p = p
         self.ridge = ridge
-        self.filters = None
+        self.taps = None  # (bins, p+1) complex, once fitted
 
     def fit(self, adaptation_pairs) -> "CausalFirEnhancer":
         """Fit pooled per-bin causal filters on (reverb, clean) spectrogram pairs."""
-        self.filters = fir.fit_pooled_filters(
+        self.taps = fir.fit_pooled_filters(
             adaptation_pairs, self.p, 0, ridge=self.ridge
         )
         return self
 
     def enhance(self, spec):
         """Apply the fitted per-bin filters; output keeps the input frame count."""
-        from . import kernels
-        from .dsp import ComplexSpectrogram
-
-        if self.filters is None:
+        if self.taps is None:
             raise ValueError("enhancer is not fitted")
-        if len(self.filters) != spec.bins:
+        if len(self.taps) != spec.bins:
             raise ValueError(
-                f"enhancer fitted for {len(self.filters)} bins, "
+                f"enhancer fitted for {len(self.taps)} bins, "
                 f"spectrogram has {spec.bins}"
             )
-        g = np.stack([f.taps for f in self.filters])
-        out = kernels.apply_fir(g, spec.values, 0, spec.frames)
+        out = kernels.apply_fir(self.taps, spec.values, 0, spec.frames)
         return ComplexSpectrogram(out, spec.config, spec.sample_rate)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_speech
-from ncderev import cli, corpus, fileformats, rir
+from ncderev import cli, corpus, dsp, fileformats, kernels, rir
 from ncderev.dsp import write_wav
 
 # utt000..utt005 hash to train/dev/train/test/train/train
@@ -162,6 +162,16 @@ class TestConfigHandling:
         ("learning_rate", -1.0),
         ("learning_rate", float("nan")),
         ("learning_rate", float("inf")),
+        ("max_halvings", -1),
+        ("context_grid", [[-1, 0]]),
+        ("context_grid", []),
+        ("lambda_grid", [1.5]),
+        ("lambda_grid", []),
+        ("mix_configs", [5]),
+        ("mix_configs", []),
+        ("fft_size", 500),
+        ("n_mels", 300),
+        ("frame_ms", 0),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.json"
@@ -214,6 +224,20 @@ class TestPipeline:
         errs = (out / "errors.csv").read_text().splitlines()
         assert errs[0] == "utterance,total_err,normalized_err"
         assert float(errs[1].split(",")[2]) < 1.0  # beats predicting zero
+
+        # the dumped taps, applied to the reverberant STFT, give the estimate
+        lines = (out / "utt003_filters.csv").read_text().splitlines()
+        assert lines[0] == "bin,tap_index,g_real,g_imag"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[1]) for r in rows[:5]] == [-2, -1, 0, 1, 2]  # -q..p
+        taps = np.array([float(r[2]) + 1j * float(r[3]) for r in rows]).reshape(-1, 5)
+        assert [int(r[0]) for r in rows[::5]] == list(range(len(taps)))
+        row = next(r for r in corpus.read_manifest(workdir / "manifest.csv")
+                   if r.utterance == "utt003")
+        reverb = dsp.stft(dsp.read_wav(workdir / row.reverb_path), dsp.StftConfig())
+        stored = fileformats.read_spectrogram(out / "utt003_estimate.ncsp")
+        applied = kernels.apply_fir(taps, reverb.values, 2, stored.shape[0])
+        assert np.all(np.abs(stored - applied) <= 2.0 ** -23 * np.abs(applied) + 1e-30)
 
     def test_sweep_context(self, built_corpus):
         config_path, workdir = built_corpus

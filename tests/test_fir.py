@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncderev import fir
+from ncderev import fir, kernels
 from ncderev.dsp import ComplexSpectrogram, StftConfig
 
 
@@ -15,6 +15,15 @@ def explicit_design(x, p, q, rows):
             if 0 <= m < len(x):
                 z[n, i] = x[m]
     return z
+
+
+def filtered(filt, x, out_len):
+    """One bin's filter output through the batched kernel."""
+    return kernels.apply_fir(filt.taps, x, filt.q, out_len)
+
+
+def squared_error(y_hat, y):
+    return float(np.sum(np.abs(y_hat - y) ** 2))
 
 
 def rand_traj(rng, n, kind="complex"):
@@ -75,8 +84,7 @@ class TestFitFilter:
         x = rand_traj(rng, 60)
         filt = fir.fit_filter(x, x, 0, 0)
         assert np.allclose(filt.taps, [1.0 + 0.0j], atol=1e-12)
-        err = fir.prediction_error(fir.apply_filter(filt, x, 60), x)
-        assert err <= 1e-18
+        assert squared_error(filtered(filt, x, 60), x) <= 1e-18
 
     def test_causal_channel_in_hypothesis_class(self):
         rng = np.random.default_rng(5)
@@ -85,8 +93,7 @@ class TestFitFilter:
         y = 0.8 * x - 0.2 * shifted
         filt = fir.fit_filter(x, y, 1, 0)
         assert np.allclose(filt.taps, [0.8, -0.2], atol=1e-10)
-        err = fir.prediction_error(fir.apply_filter(filt, x, 100), y)
-        assert err <= 1e-18
+        assert squared_error(filtered(filt, x, 100), y) <= 1e-18
 
     def test_noncausal_imaginary_shift(self):
         rng = np.random.default_rng(6)
@@ -170,62 +177,13 @@ class TestClosedForm:
 
 
 class TestApplyFilter:
-    def test_identity_tap(self):
-        rng = np.random.default_rng(12)
-        x = rand_traj(rng, 30)
-        taps = np.zeros(4, dtype=complex)
-        taps[2] = 1.0  # index q multiplies x(n)
-        filt = fir.NcFirFilter.from_taps(taps, p=1, q=2)
-        assert np.allclose(fir.apply_filter(filt, x, 20), x[:20])
-
-    def test_zero_filter(self):
-        rng = np.random.default_rng(13)
-        x = rand_traj(rng, 30)
-        filt = fir.NcFirFilter.from_taps(np.zeros(3, complex), p=1, q=1)
-        assert np.all(fir.apply_filter(filt, x, 30) == 0)
-
     def test_reproduces_fitted_channel(self):
         rng = np.random.default_rng(14)
         x = rand_traj(rng, 100)
         shifted = np.concatenate([[0.0 + 0.0j], x[:-1]])
         y = 0.8 * x - 0.2 * shifted
         filt = fir.fit_filter(x, y, 1, 0)
-        assert np.max(np.abs(fir.apply_filter(filt, x, 100) - y)) <= 1e-12
-
-    def test_linear_in_input_and_taps(self):
-        rng = np.random.default_rng(15)
-        x = rand_traj(rng, 50)
-        z = rand_traj(rng, 50)
-        taps = rng.normal(size=5) + 1j * rng.normal(size=5)
-        filt = fir.NcFirFilter.from_taps(taps, p=2, q=2)
-        two = fir.NcFirFilter.from_taps(2 * taps, p=2, q=2)
-        a = fir.apply_filter(filt, x, 50) + fir.apply_filter(filt, z, 50)
-        b = fir.apply_filter(filt, x + z, 50)
-        assert np.max(np.abs(a - b)) <= 1e-12
-        assert np.max(np.abs(2 * fir.apply_filter(filt, x, 50)
-                             - fir.apply_filter(two, x, 50))) <= 1e-12
-
-
-class TestPredictionError:
-    def test_exact_match_is_zero(self):
-        y = np.ones(5, dtype=complex)
-        assert fir.prediction_error(y, y) == 0.0
-
-    def test_unit_offset(self):
-        y = np.zeros(5, dtype=complex)
-        y_hat = y.copy()
-        y_hat[2] = 1.0 + 0.0j
-        assert fir.prediction_error(y_hat, y) == 1.0
-
-    def test_complex_modulus(self):
-        y = np.zeros(3, dtype=complex)
-        y_hat = y.copy()
-        y_hat[0] = 3.0 + 4.0j
-        assert fir.prediction_error(y_hat, y) == 25.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            fir.prediction_error(np.zeros(3), np.zeros(4))
+        assert np.max(np.abs(filtered(filt, x, 100) - y)) <= 1e-12
 
 
 class TestLsOracle:
@@ -253,13 +211,12 @@ class TestLsOracle:
             p = int(rng.integers(0, 4))
             q = int(rng.integers(0, 4))
             filt = fir.fit_filter(x, y, p, q)
-            base = fir.prediction_error(fir.apply_filter(filt, x, 80), y)
+            base = squared_error(filtered(filt, x, 80), y)
             for i in range(p + q + 1):
                 for delta in (1e-3, -1e-3, 1e-3j, -1e-3j):
                     taps = filt.taps.copy()
                     taps[i] += delta
-                    pert = fir.NcFirFilter.from_taps(taps, p, q)
-                    err = fir.prediction_error(fir.apply_filter(pert, x, 80), y)
+                    err = squared_error(kernels.apply_fir(taps, x, q, 80), y)
                     assert err >= base - 1e-12 * max(base, 1.0)
 
     def test_nested_context_monotonicity(self):
@@ -270,7 +227,7 @@ class TestLsOracle:
         errors = []
         for p, q in chain:
             filt = fir.fit_filter(x, y, p, q)
-            errors.append(fir.prediction_error(fir.apply_filter(filt, x, 120), y))
+            errors.append(squared_error(filtered(filt, x, 120), y))
         for earlier, later in zip(errors, errors[1:]):
             assert later <= earlier + 1e-9
 
@@ -279,11 +236,11 @@ class TestDereverberateSpectrogram:
     def test_identity_pair(self):
         rng = np.random.default_rng(19)
         spec = toy_spectrogram(rng, 40)
-        out, filters, errors = fir.dereverberate_spectrogram(spec, spec, 1, 1,
-                                                             ridge=0.0)
+        out, taps, errors = fir.dereverberate_spectrogram(spec, spec, 1, 1,
+                                                          ridge=0.0)
         assert np.max(errors) <= 1e-18
         assert np.max(np.abs(out.values - spec.values)) <= 1e-9
-        assert len(filters) == spec.bins
+        assert taps.shape == (spec.bins, 3) and taps.dtype == np.complex128
 
     def test_bin_index_attached_to_error(self):
         rng = np.random.default_rng(20)
@@ -361,18 +318,69 @@ class TestPooledFit:
         pooled = fir.fit_pooled_filters([(x, y)], 2, 0, ridge=0.0)
         single = [fir.fit_filter(x.bin_trajectory(k), y.bin_trajectory(k), 2, 0)
                   for k in range(x.bins)]
+        assert pooled.shape == (x.bins, 3)
         for a, b in zip(pooled, single):
-            assert np.linalg.norm(a.taps - b.taps) <= 1e-9 * np.linalg.norm(b.taps)
+            assert np.linalg.norm(a - b.taps) <= 1e-9 * np.linalg.norm(b.taps)
 
     def test_pooling_mixes_evidence(self):
         rng = np.random.default_rng(26)
         pairs = [(toy_spectrogram(rng, 40), toy_spectrogram(rng, 40))
                  for _ in range(3)]
-        filters = fir.fit_pooled_filters(pairs, 1, 0)
-        assert len(filters) == pairs[0][0].bins
+        taps = fir.fit_pooled_filters(pairs, 1, 0)
+        assert taps.shape == (pairs[0][0].bins, 2)
+        # the pooled fit is none of the single-pair fits
+        for pair in pairs:
+            assert not np.allclose(taps, fir.fit_pooled_filters([pair], 1, 0))
 
     def test_negative_ridge_rejected(self):
         rng = np.random.default_rng(27)
         pair = (toy_spectrogram(rng, 40), toy_spectrogram(rng, 40))
         with pytest.raises(ValueError, match="ridge"):
             fir.fit_pooled_filters([pair], 1, 0, ridge=-1e-3)
+
+
+class TestCheckPair:
+    @pytest.fixture
+    def no_gram(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a Gram was built for an invalid pair")
+        monkeypatch.setattr(kernels, "normal_blocks", fail)
+
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (-1, 3)])
+    def test_negative_context_rejected_before_gram(self, no_gram, p, q):
+        spec = toy_spectrogram(np.random.default_rng(28), 40)
+        with pytest.raises(ValueError, match=r"p and q must be >= 0"):
+            fir.dereverberate_spectrogram(spec, spec, p, q)
+        with pytest.raises(ValueError, match=r"p and q must be >= 0"):
+            fir.fit_pooled_filters([(spec, spec)], p, q)
+
+    def test_bin_count_mismatch_within_pair(self, no_gram):
+        rng = np.random.default_rng(29)
+        wide = toy_spectrogram(rng, 40, bins=17, fft_size=32)
+        narrow = toy_spectrogram(rng, 40)
+        with pytest.raises(ValueError, match="bin count mismatch: 17 vs 9"):
+            fir.fit_pooled_filters([(wide, narrow)], 1, 1)
+
+    def test_bin_count_mismatch_across_pairs(self):
+        rng = np.random.default_rng(31)
+        wide = toy_spectrogram(rng, 40, bins=17, fft_size=32)
+        narrow = toy_spectrogram(rng, 40)
+        with pytest.raises(ValueError, match="bin count differs across pairs"):
+            fir.fit_pooled_filters([(wide, wide), (narrow, narrow)], 1, 1)
+
+    def test_frame_checks_in_pooled_fit(self, no_gram):
+        rng = np.random.default_rng(32)
+        long = toy_spectrogram(rng, 40)
+        short = ComplexSpectrogram(long.values[:4], long.config, 16000)
+        with pytest.raises(ValueError, match="more frames"):
+            fir.fit_pooled_filters([(short, long)], 1, 1)
+        with pytest.raises(ValueError, match="underdetermined"):
+            fir.fit_pooled_filters([(long, short)], 2, 2)
+
+    def test_spectrogram_taps_are_the_single_pair_pooled_fit(self):
+        rng = np.random.default_rng(33)
+        reverb = toy_spectrogram(rng, 45)
+        clean = ComplexSpectrogram(reverb.values[:40] + 0.5 * toy_spectrogram(
+            rng, 40).values, reverb.config, 16000)
+        _, taps, _ = fir.dereverberate_spectrogram(reverb, clean, 3, 2)
+        assert np.array_equal(taps, fir.fit_pooled_filters([(reverb, clean)], 3, 2))

@@ -3,7 +3,7 @@ import pytest
 
 from ncderev import corpus
 from ncderev import fileformats as ff
-from ncderev.fir import NcFirFilter, SweepRow
+from ncderev.fir import SweepRow
 from ncderev.rir import Rir, RoomSpec
 
 
@@ -72,13 +72,17 @@ def test_rir_calibration_record_roundtrip(tmp_path):
 
 
 def test_filters_csv_tap_indexing(tmp_path):
-    filt = NcFirFilter(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4), p=2, q=1)
+    taps = np.array([[1.0, 2.0, 3.0, 4.0], [0.5j, 0, 0, -1.5]])
     path = tmp_path / "filters.csv"
-    ff.write_filters_csv([filt], path)
+    ff.write_filters_csv(taps, 1, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "bin,tap_index,g_real,g_imag"
-    # tap indices run -q..p
-    assert [line.split(",")[1] for line in lines[1:]] == ["-1", "0", "1", "2"]
+    # tap indices run -q..p within each bin
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [k, j] for k in ("0", "1") for j in ("-1", "0", "1", "2")]
+    assert lines[1] == "0,-1,1.0,0.0"
+    assert lines[5] == "1,-1,0.0,0.5"
+    assert lines[8] == "1,2,-1.5,0.0"
 
 
 def test_sweep_csv(tmp_path):

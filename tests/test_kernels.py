@@ -148,7 +148,8 @@ def test_dereverberate_spectrogram_matches_oracle_per_bin():
         np.vstack([clean.values, np.zeros((4, 9))])
         + 0.3 * (rng.normal(size=(54, 9)) + 1j * rng.normal(size=(54, 9))),
         config, 16000)
-    _, filters, _ = fir.dereverberate_spectrogram(reverb, clean, 2, 2, ridge=0.0)
-    for k, filt in enumerate(filters):
+    _, taps, _ = fir.dereverberate_spectrogram(reverb, clean, 2, 2, ridge=0.0)
+    assert taps.shape == (9, 5)
+    for k, g in enumerate(taps):
         want = fir.ls_oracle(reverb.bin_trajectory(k), clean.bin_trajectory(k), 2, 2)
-        assert np.max(np.abs(filt.taps - want.taps)) <= 1e-9
+        assert np.max(np.abs(g - want.taps)) <= 1e-9
