@@ -13,7 +13,7 @@ codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +71,18 @@ class ExperimentConfig:
     streams_dir: str = ""
     max_lag: int = 100
     tail_from_lag: int = 10
-    autocorr_magnitude: bool = True  # magnitude trajectories expose smearing
 
     def __post_init__(self):
         if self.seed is None:
             raise ConfigError("a seed is required; wall-clock seeding is not allowed")
+        # ints are not bools; floats also take ints; ridge is checked below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = type(f.default_factory() if f.default is MISSING else f.default)
+            if f.name == "ridge" or type(value) is kind or (
+                    kind is float and type(value) is int):
+                continue
+            raise ConfigError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
         if self.enhancer not in mixing.ENHANCERS:
             raise ConfigError(
                 f"unknown enhancer {self.enhancer!r}; registered: {mixing.ENHANCERS}"
@@ -159,10 +166,7 @@ def resolve_config(args) -> ExperimentConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def _workdir(cfg) -> Path:
@@ -206,13 +210,15 @@ def _manifest_rows(cfg, split=None):
     return rows
 
 
+def _load_reverb(cfg, row):
+    """Reverberant spectrogram of one manifest row."""
+    return dsp.stft(dsp.read_wav(_workdir(cfg) / row.reverb_path), _stft_config(cfg))
+
+
 def _load_pair(cfg, row):
     """(reverb, clean) spectrograms for one manifest row."""
-    workdir = _workdir(cfg)
-    config = _stft_config(cfg)
-    clean = dsp.stft(dsp.read_wav(row.clean_path), config)
-    reverb = dsp.stft(dsp.read_wav(workdir / row.reverb_path), config)
-    return reverb, clean
+    clean = dsp.stft(dsp.read_wav(row.clean_path), _stft_config(cfg))
+    return _load_reverb(cfg, row), clean
 
 
 def _features_path(cfg, kind, utt) -> Path:
@@ -384,6 +390,7 @@ def cmd_derev(cfg) -> int:
 
 
 def _fit_enhancer(cfg):
+    """None for "identity", else a CausalFirEnhancer fitted on the train split."""
     if cfg.enhancer == "identity":
         return None
     train_rows = _manifest_rows(cfg, "train")
@@ -416,9 +423,10 @@ def cmd_mix_sweep(cfg) -> int:
                              else _require_features(cfg, "reverb", row.utterance))
         ref = _stream_override(cfg, row.utterance, "ref_enhanced")
         if ref is None:
-            reverb_spec, _ = _load_pair(cfg, row)
-            enhanced_spec = mixing.apply_enhancer(cfg.enhancer, reverb_spec, enhancer)
-            ref = _mvn_logmel(enhanced_spec, bank)[:n_frames]
+            spec = _load_reverb(cfg, row)
+            if enhancer is not None:
+                spec = enhancer.enhance(spec)
+            ref = _mvn_logmel(spec, bank)[:n_frames]
         streams["ref_enhanced"] = ref
         dv = _stream_override(cfg, row.utterance, "derev_of_reverb")
         if dv is None:
@@ -483,8 +491,9 @@ def cmd_diagnose(cfg) -> int:
     skipped = {}
     for name, specs in (("clean", clean_specs), ("reverb", reverb_specs),
                         ("fir_derev", derev_specs)):
+        # magnitude trajectories expose the smearing (criterion 5)
         curves[name], skipped[name] = diagnostics.average_autocorr(
-            specs, cfg.max_lag, magnitude=cfg.autocorr_magnitude)
+            specs, cfg.max_lag, magnitude=True)
     fileformats.write_csv(
         out_dir / "autocorr_curves.csv",
         ["lag", "clean", "reverb", "fir_derev"],

@@ -111,8 +111,7 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
     (out_dir / "reverb").mkdir(parents=True, exist_ok=True)
     (out_dir / "rirs").mkdir(parents=True, exist_ok=True)
     specs = rir.make_rir_set(seed, rir_count, nominal_dims,
-                             sample_rate=sample_rate, rt60_range=rt60_range,
-                             compute_taps=False)
+                             sample_rate=sample_rate, rt60_range=rt60_range)
     order = np.random.default_rng((seed, rir_count)).permutation(rir_count)
     tasks = [
         (utt, str(path), specs[order[i]], int(order[i]), str(out_dir))

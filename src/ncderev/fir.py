@@ -23,10 +23,11 @@ never used for production fits.
 ``ls_oracle`` solves the same problem independently through the explicit
 complex design matrix and a rank-revealing factorization.
 
-Spectrogram fits (``fit_pooled_filters``, ``dereverberate_spectrogram``)
-solve every bin at once and return the taps as one complex array of
-shape (bins, p+q+1), row k holding bin k's g; ``kernels.apply_fir``
-applies it. ``NcFirFilter`` holds the taps of a single-bin fit.
+Every fit runs on (frames, bins) arrays behind one pair check; the
+single-bin functions fit their 1-D trajectories as one column. Spectrogram
+fits (``fit_pooled_filters``, ``dereverberate_spectrogram``) return the
+taps as one complex array of shape (bins, p+q+1), row k holding bin k's
+g; ``kernels.apply_fir`` applies it. ``NcFirFilter`` holds one bin's taps.
 """
 
 import warnings
@@ -87,24 +88,32 @@ class NormalSystem:
         return self.p + self.q + 1
 
 
-def _check_context(x, y, p, q):
+def _check_pair(x, y, p, q):
+    """Reject a reverberant x / clean y pair of (frames, bins) arrays that
+    a (p, q) fit cannot use, before any Gram is built."""
+    if p < 0 or q < 0:
+        raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
+    if x.shape[1] != y.shape[1]:
+        raise ValueError(f"bin count mismatch: {x.shape[1]} vs {y.shape[1]}")
+    if len(y) > len(x):
+        raise ValueError(
+            f"clean has more frames ({len(y)}) than reverb ({len(x)})"
+        )
+    if p + q + 1 > len(y):
+        raise ValueError(
+            f"underdetermined: {p + q + 1} taps but only {len(y)} frames"
+        )
+
+
+def _columns(x, y):
+    """One bin's (reverb, clean) trajectories as (frames, 1) columns."""
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("trajectories must be 1-D")
     if x.size == 0 or y.size == 0:
         raise ValueError("empty trajectory")
-    if y.size > x.size:
-        raise ValueError(
-            f"clean trajectory ({y.size}) longer than reverberant ({x.size})"
-        )
-    if p < 0 or q < 0:
-        raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
-    if p + q + 1 > y.size:
-        raise ValueError(
-            f"underdetermined: {p + q + 1} taps but only {y.size} regression frames"
-        )
-    return x, y
+    return x[:, None], y[:, None]
 
 
 def build_normal_system(x, y, p, q) -> NormalSystem:
@@ -113,9 +122,10 @@ def build_normal_system(x, y, p, q) -> NormalSystem:
     The regression range is n = 0..len(y)-1 and the reverberant
     trajectory is zero-padded outside its support on both ends.
     """
-    x, y = _check_context(x, y, p, q)
+    x, y = _columns(x, y)
+    _check_pair(x, y, p, q)
     gram, corr = kernels.normal_blocks(x, y, q, p + q + 1)
-    return NormalSystem(gram=gram, corr=corr, p=p, q=q)
+    return NormalSystem(gram=gram[0], corr=corr[0], p=p, q=q)
 
 
 def _solve(gram, corr, ridge):
@@ -225,9 +235,10 @@ def ls_oracle(x, y, p, q) -> NcFirFilter:
     solves with a rank-revealing factorization (SVD); rank deficiency is
     reported with a warning and the minimum-norm solution is returned.
     """
-    x, y = _check_context(x, y, p, q)
-    z = design_matrix(x, p, q, y.size)
-    g, _, rank, _ = np.linalg.lstsq(z, y, rcond=None)
+    x, y = _columns(x, y)
+    _check_pair(x, y, p, q)
+    z = design_matrix(x[:, 0], p, q, len(y))
+    g, _, rank, _ = np.linalg.lstsq(z, y[:, 0], rcond=None)
     if rank < p + q + 1:
         warnings.warn(
             f"rank-deficient design matrix (rank {rank} < {p + q + 1}); "
@@ -235,21 +246,6 @@ def ls_oracle(x, y, p, q) -> NcFirFilter:
             stacklevel=2,
         )
     return NcFirFilter(g, p, q)
-
-
-def _check_pair(reverb: ComplexSpectrogram, clean: ComplexSpectrogram, p, q):
-    if p < 0 or q < 0:
-        raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
-    if reverb.bins != clean.bins:
-        raise ValueError(f"bin count mismatch: {reverb.bins} vs {clean.bins}")
-    if clean.frames > reverb.frames:
-        raise ValueError(
-            f"clean has more frames ({clean.frames}) than reverb ({reverb.frames})"
-        )
-    if p + q + 1 > clean.frames:
-        raise ValueError(
-            f"underdetermined: {p + q + 1} taps but only {clean.frames} frames"
-        )
 
 
 def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
@@ -273,7 +269,7 @@ def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
     gram_sum = None
     corr_sum = None
     for reverb, clean in pairs:
-        _check_pair(reverb, clean, p, q)
+        _check_pair(reverb.values, clean.values, p, q)
         if gram_sum is not None and reverb.bins != len(gram_sum):
             raise ValueError(
                 f"bin count differs across pairs: {len(gram_sum)} vs {reverb.bins}")

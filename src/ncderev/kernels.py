@@ -4,7 +4,9 @@ Three kernels dominate the toolkit's runtime: the one image-lattice pass
 per room impulse response, which tabulates arrivals by reflection order
 so that every calibration step is one matrix-vector render, per-bin
 construction of the complex normal equations (ZᴴZ) g = Zᴴy of the FIR
-fits, and batched filter application over all frequency bins.
+fits, and batched filter application over all frequency bins. The two
+FIR kernels take bin trajectories only as (frames, bins) arrays; one
+bin is a one-column array.
 """
 
 import numpy as np
@@ -93,22 +95,18 @@ def normal_blocks(x, y, q, taps):
     design is ever materialized.
 
     Args:
-        x: complex reverberant trajectories, shape (Lx, K) or (Lx,).
-        y: complex clean trajectories, shape (Nc, K) or (Nc,); Nc <= Lx
-           is not required, the regression range is always 0..Nc-1.
+        x: complex reverberant trajectories, shape (Lx, K).
+        y: complex clean trajectories, shape (Nc, K); Nc <= Lx is not
+           required, the regression range is always 0..Nc-1.
         q: non-causal context (frames of lead).
         taps: filter length p + q + 1.
 
     Returns:
         (gram, corr): the Hermitian Gram ZᴴZ, shape (K, taps, taps), and
-        Zᴴy, shape (K, taps); both squeezed to one bin for 1-D input.
+        Zᴴy, shape (K, taps).
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-        y = y[:, None]
     q, taps = int(q), int(taps)
     n_c, n_bins = y.shape
     # padded[k, j] = x[j - lead, k], so window j of a row reads
@@ -126,8 +124,6 @@ def normal_blocks(x, y, q, taps):
         zh = zt.conj()
         gram[k] = zh @ zt.T
         corr[k] = zh @ y[:, k]
-    if squeeze:
-        return gram[0], corr[0]
     return gram, corr
 
 
@@ -142,20 +138,16 @@ def apply_fir(g, x, q, out_len):
     outside its support.
 
     Args:
-        g: complex taps, shape (K, taps) or (taps,).
-        x: complex trajectories, shape (Lx, K) or (Lx,).
+        g: complex taps, shape (K, taps).
+        x: complex trajectories, shape (Lx, K).
         q: non-causal context.
         out_len: number of output frames.
 
     Returns:
-        Complex array, shape (out_len, K) or (out_len,).
+        Complex array, shape (out_len, K).
     """
     g = np.asarray(g, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-        g = g[None, :]
     q, out_len = int(q), int(out_len)
     lx, n_bins = x.shape
     out = np.zeros((out_len, n_bins), dtype=np.complex128)
@@ -165,4 +157,4 @@ def apply_fir(g, x, q, out_len):
         hi = min(out_len, lx - s)
         if lo < hi:
             out[lo:hi] += g[None, :, i] * x[lo + s:hi + s]
-    return out[:, 0] if squeeze else out
+    return out

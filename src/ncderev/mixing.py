@@ -11,6 +11,10 @@ Four configurations differ in which two streams are combined:
 Mixing operates on MVN'd log-Mel features. The mixing weight is tuned
 per held-out subset by feature-domain MSE against clean references, and
 an average optimum is reported across subsets.
+
+The reference enhancer producing ``ref_enhanced`` is chosen once per run
+from ``ENHANCERS``: "identity" passes the reverberant spectrogram
+through, "causal-fir" is a fitted :class:`CausalFirEnhancer`.
 """
 
 from dataclasses import dataclass
@@ -146,8 +150,6 @@ class CausalFirEnhancer:
     """
 
     def __init__(self, p: int = 10, ridge="auto"):
-        if p < 0:
-            raise ValueError(f"p must be >= 0, got {p}")
         self.p = p
         self.ridge = ridge
         self.taps = None  # (bins, p+1) complex, once fitted
@@ -170,18 +172,3 @@ class CausalFirEnhancer:
             )
         out = kernels.apply_fir(self.taps, spec.values, 0, spec.frames)
         return ComplexSpectrogram(out, spec.config, spec.sample_rate)
-
-
-def apply_enhancer(name: str, spec, resources=None):
-    """Run a registered reference enhancer on a spectrogram.
-
-    "identity" returns the input unchanged; "causal-fir" requires a
-    fitted :class:`CausalFirEnhancer` as ``resources``.
-    """
-    if name == "identity":
-        return spec
-    if name == "causal-fir":
-        if not isinstance(resources, CausalFirEnhancer):
-            raise ValueError("causal-fir requires a fitted CausalFirEnhancer")
-        return resources.enhance(spec)
-    raise ValueError(f"unknown enhancer {name!r}; registered: {ENHANCERS}")

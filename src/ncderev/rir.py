@@ -291,21 +291,18 @@ def estimate_rt60(rir, sample_rate=None) -> float:
 
 
 def make_rir_set(seed: int, count: int, nominal_dims=NOMINAL_DIMS,
-                 sample_rate=16000, rt60_range=RT60_RANGE, compute_taps=True):
-    """Generate ``count`` independent impulse responses (or just their specs).
+                 sample_rate=16000, rt60_range=RT60_RANGE):
+    """Sample the RoomSpecs of ``count`` independent impulse responses.
 
     Each item gets its own generator derived from (seed, index), so the
     set is bit-identical for a given seed under any parallel schedule.
-    With ``compute_taps=False`` only the sampled RoomSpecs are returned,
-    which is cheap enough for corpus-scale counts.
+    Only the specs are drawn, which is cheap enough for corpus-scale
+    counts; ``image_method_rir`` renders one.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    specs = [
+    return [
         sample_room(np.random.default_rng((seed, i)), nominal_dims,
                     sample_rate=sample_rate, rt60_range=rt60_range)
         for i in range(count)
     ]
-    if not compute_taps:
-        return specs
-    return [image_method_rir(spec) for spec in specs]

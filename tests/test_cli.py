@@ -172,12 +172,37 @@ class TestConfigHandling:
         ("fft_size", 500),
         ("n_mels", 300),
         ("frame_ms", 0),
+        ("enhancer", "wiener"),
+        ("p", "3"),
+        ("p", 2.5),
+        ("enhancer_p", 2.5),
+        ("max_halvings", 1.5),
+        ("hidden_width", 8.0),
+        ("seed", True),
+        ("epochs", 2.5),
+        ("limit", 1.5),
+        ("jobs", 1.5),
+        ("rt60_range", 0.5),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"workdir": str(tmp_path), key: value}))
         assert cli.main(["fit-fir", "--config", str(bad)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("fit-fir", "p", "3"),
+        ("mix-sweep", "enhancer_p", 2.5),
+        ("train-mlp", "epochs", 2.5),
+        ("make-corpus", "rt60_range", 0.5),
+    ])
+    def test_wrong_type_named_before_data(self, tmp_path, capsys, command, key, value):
+        # "p" occurs in any message, so the check above cannot tell that
+        # the key is named; the empty workdir means nothing was read
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"workdir": str(tmp_path), key: value}))
+        assert cli.main([command, "--config", str(bad)]) == 2
+        assert f"config error: {key} must be of type" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--hidden-width", "0"),
@@ -306,12 +331,54 @@ class TestPipeline:
         assert cli.main(["derev", "--config", str(cfg)]) == 3
 
 
-def test_mix_sweep_accepts_external_stream_files(built_corpus, tmp_path):
-    # an external enhancer is plugged in by dropping NCFT stream files;
-    # a perfect derev stream must drive the config-4 optimum to lambda 1
+@pytest.fixture
+def trained(built_corpus):
     config_path, workdir = built_corpus
     if not (workdir / "mlp_model.json").is_file():
         assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
+    return config_path, workdir
+
+
+def test_mix_sweep_reads_no_dev_clean_wav(trained, monkeypatch):
+    # the reference enhancer runs on the reverberant WAV alone; dev clean
+    # references come from the stored features
+    config_path, workdir = trained
+    read = []
+    original = dsp.read_wav
+
+    def recording(path, *args, **kwargs):
+        read.append(Path(path).resolve())
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(dsp, "read_wav", recording)
+    assert cli.main(["mix-sweep", "--config", str(config_path)]) == 0
+    dev = [r for r in corpus.read_manifest(workdir / "manifest.csv")
+           if r.split == "dev"]
+    assert dev
+    for row in dev:
+        assert (workdir / row.reverb_path).resolve() in read
+        assert Path(row.clean_path).resolve() not in read
+
+
+def test_mix_sweep_identity_enhancer(trained, tmp_path):
+    # with identity, ref_enhanced is the reverberant log-Mel recomputed in
+    # float64, so configs 1 and 4 agree at lambda 0 up to the float32
+    # rounding of the stored reverb features
+    config_path, workdir = trained
+    override = dict(json.loads(config_path.read_text()), enhancer="identity")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(override))
+    assert cli.main(["mix-sweep", "--config", str(cfg)]) == 0
+    lines = (workdir / "mix_sweep.csv").read_text().splitlines()[1:]
+    at_zero = {int(c): float(m) for _, c, lam, m in (line.split(",") for line in lines)
+               if float(lam) == 0.0}
+    assert abs(at_zero[1] - at_zero[4]) <= 1e-6 * at_zero[4]
+
+
+def test_mix_sweep_accepts_external_stream_files(trained, tmp_path):
+    # an external enhancer is plugged in by dropping NCFT stream files;
+    # a perfect derev stream must drive the config-4 optimum to lambda 1
+    config_path, workdir = trained
     streams = tmp_path / "streams"
     streams.mkdir()
     clean = fileformats.read_features(

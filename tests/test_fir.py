@@ -18,8 +18,8 @@ def explicit_design(x, p, q, rows):
 
 
 def filtered(filt, x, out_len):
-    """One bin's filter output through the batched kernel."""
-    return kernels.apply_fir(filt.taps, x, filt.q, out_len)
+    """One bin's filter output through the batched kernel, as one column."""
+    return kernels.apply_fir(filt.taps[None], x[:, None], filt.q, out_len)[:, 0]
 
 
 def squared_error(y_hat, y):
@@ -216,7 +216,8 @@ class TestLsOracle:
                 for delta in (1e-3, -1e-3, 1e-3j, -1e-3j):
                     taps = filt.taps.copy()
                     taps[i] += delta
-                    err = squared_error(kernels.apply_fir(taps, x, q, 80), y)
+                    out = kernels.apply_fir(taps[None], x[:, None], q, 80)
+                    err = squared_error(out[:, 0], y)
                     assert err >= base - 1e-12 * max(base, 1.0)
 
     def test_nested_context_monotonicity(self):

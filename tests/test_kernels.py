@@ -85,16 +85,17 @@ class TestRirAccumulate:
 class TestApplyFir:
     def test_zero_padding(self):
         # single tap at lag q reads x[n]; identity for any q offsets
-        x = np.arange(1.0, 6.0) + 0j
-        g = np.array([0.0, 1.0, 0.0], dtype=complex)  # taps for q=1: reads x[n]
+        x = np.arange(1.0, 6.0)[:, None] + 0j
+        g = np.array([[0.0, 1.0, 0.0]], dtype=complex)  # taps for q=1: reads x[n]
         out = kernels.apply_fir(g, x, 1, 5)
+        assert out.shape == (5, 1)
         assert np.allclose(out, x)
 
     def test_future_shift(self):
-        x = np.arange(1.0, 6.0) + 0j
-        g = np.array([1.0, 0.0], dtype=complex)  # q=1: tap 0 reads x[n+1]
+        x = np.arange(1.0, 6.0)[:, None] + 0j
+        g = np.array([[1.0, 0.0]], dtype=complex)  # q=1: tap 0 reads x[n+1]
         out = kernels.apply_fir(g, x, 1, 5)
-        assert np.allclose(out, np.array([2, 3, 4, 5, 0.0]))
+        assert np.allclose(out[:, 0], np.array([2, 3, 4, 5, 0.0]))
 
     def test_matches_double_loop_convolution(self):
         rng = np.random.default_rng(1)
@@ -126,17 +127,18 @@ class TestNormalBlocks:
             assert np.max(np.abs(gram[k] - z.conj().T @ z)) <= 1e-12 * scale
             assert np.max(np.abs(corr[k] - z.conj().T @ y[:, k])) <= 1e-12 * scale
 
-    def test_one_dimensional_input_and_long_lead(self):
+    def test_single_column_and_long_lead(self):
         # q beyond the tap count and a clean range longer than x both read zeros
         rng = np.random.default_rng(3)
         x = rng.normal(size=20) + 1j * rng.normal(size=20)
         y = rng.normal(size=24) + 1j * rng.normal(size=24)
         q, taps = 5, 3
-        gram, corr = kernels.normal_blocks(x, y, q, taps)
+        gram, corr = kernels.normal_blocks(x[:, None], y[:, None], q, taps)
         z = explicit_design(x, q, taps, 24)
-        assert gram.shape == (taps, taps) and corr.shape == (taps,)
-        assert np.max(np.abs(gram - z.conj().T @ z)) <= 1e-12 * np.max(np.abs(gram))
-        assert np.max(np.abs(corr - z.conj().T @ y)) <= 1e-12 * np.max(np.abs(gram))
+        assert gram.shape == (1, taps, taps) and corr.shape == (1, taps)
+        scale = np.max(np.abs(gram))
+        assert np.max(np.abs(gram[0] - z.conj().T @ z)) <= 1e-12 * scale
+        assert np.max(np.abs(corr[0] - z.conj().T @ y)) <= 1e-12 * scale
 
 
 def test_dereverberate_spectrogram_matches_oracle_per_bin():

@@ -151,20 +151,9 @@ def toy_pair(rng, frames=60, bins=9):
 
 
 class TestReferenceEnhancer:
-    def test_identity(self):
-        rng = np.random.default_rng(8)
-        spec, _ = toy_pair(rng)
-        assert mixing.apply_enhancer("identity", spec) is spec
-
-    def test_unknown_enhancer(self):
-        with pytest.raises(ValueError, match="unknown enhancer"):
-            mixing.apply_enhancer("wiener", None)
-
     def test_causal_fir_requires_fitted_resources(self):
         rng = np.random.default_rng(9)
         spec, _ = toy_pair(rng)
-        with pytest.raises(ValueError, match="fitted"):
-            mixing.apply_enhancer("causal-fir", spec, None)
         with pytest.raises(ValueError, match="not fitted"):
             mixing.CausalFirEnhancer(p=1).enhance(spec)
 

@@ -178,25 +178,20 @@ class TestEstimateRt60:
 
 class TestMakeRirSet:
     def test_paper_scale_distinct_specs(self):
-        specs = rir.make_rir_set(0, 8000, compute_taps=False)
+        specs = rir.make_rir_set(0, 8000)
         assert len(specs) == 8000
         assert len({(s.dims, s.src, s.mic, s.rt60) for s in specs}) == 8000
 
     def test_different_seeds_differ(self):
-        a = rir.make_rir_set(1, 1, compute_taps=False)[0]
-        b = rir.make_rir_set(2, 1, compute_taps=False)[0]
+        a = rir.make_rir_set(1, 1)[0]
+        b = rir.make_rir_set(2, 1)[0]
         assert a != b
 
     def test_same_seed_identical(self):
-        a = rir.make_rir_set(3, 4, compute_taps=False)
-        b = rir.make_rir_set(3, 4, compute_taps=False)
+        a = rir.make_rir_set(3, 4)
+        b = rir.make_rir_set(3, 4)
         assert a == b
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
             rir.make_rir_set(0, 0)
-
-    def test_taps_computed(self):
-        out = rir.make_rir_set(4, 1, rt60_range=(0.4, 0.45))
-        assert isinstance(out[0], rir.Rir)
-        assert out[0].taps.size == out[0].spec.max_rir_len
