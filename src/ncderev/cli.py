@@ -38,8 +38,8 @@ class ExperimentConfig:
     seed: int = 0
     jobs: int = 1
     sample_rate: int = 16000
-    nominal_dims: list = field(default_factory=lambda: [7.95, 5.68, 4.5])
-    rt60_range: list = field(default_factory=lambda: [0.4, 1.99])
+    nominal_dims: list = field(default_factory=lambda: list(rir.NOMINAL_DIMS))
+    rt60_range: list = field(default_factory=lambda: list(rir.RT60_RANGE))
     rir_count: int = 0  # 0 means one RIR per utterance
     absorption_mode: str = "calibrated"  # only accepted value; existing configs set it
     frame_ms: float = 25.0
@@ -102,13 +102,9 @@ class ExperimentConfig:
                 raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
         for name, low in (("p", 0), ("q", 0), ("enhancer_p", 0), ("limit", 0),
                           ("n_subsets", 1), ("hidden_width", 1),
-                          ("hidden_layers", 0), ("batch_size", 1), ("epochs", 1),
-                          ("max_halvings", 0)):
+                          ("hidden_layers", 0), ("rir_count", 0), ("jobs", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not 0.0 <= self.learning_rate < float("inf"):
-            raise ConfigError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 <= self.tail_from_lag <= self.max_lag:
             raise ConfigError(
                 f"need 0 <= tail_from_lag <= max_lag, got tail_from_lag "
@@ -134,14 +130,20 @@ class ExperimentConfig:
                 f"mix_configs must be a non-empty list of ids in "
                 f"{sorted(mixing.STREAMS_BY_CONFIG)}, got {self.mix_configs}")
         try:
-            stft_config = _stft_config(self)
+            _stft_config(self)
         except ValueError as exc:
             raise ConfigError(
                 f"sample_rate/frame_ms/shift_ms/fft_size: {exc}") from exc
         try:
-            features.mel_bank(stft_config.fft_size, self.sample_rate, self.n_mels)
+            _mel_bank(self)
         except ValueError as exc:
             raise ConfigError(f"n_mels/fft_size/sample_rate: {exc}") from exc
+        # the messages of these checks name the key
+        try:
+            _train_config(self)
+            rir.check_room_settings(self.nominal_dims, self.rt60_range)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def resolve_config(args) -> ExperimentConfig:
@@ -197,6 +199,15 @@ def _stft_config(cfg) -> dsp.StftConfig:
     return dsp.StftConfig.for_sample_rate(
         cfg.sample_rate, cfg.frame_ms, cfg.shift_ms, cfg.fft_size
     )
+
+
+def _mel_bank(cfg) -> np.ndarray:
+    return features.mel_bank(_stft_config(cfg).fft_size, cfg.sample_rate, cfg.n_mels)
+
+
+def _train_config(cfg) -> mlp.TrainConfig:
+    """Every TrainConfig field is the config key of the same name."""
+    return mlp.TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(mlp.TrainConfig)})
 
 
 def _manifest_rows(cfg, split=None):
@@ -258,8 +269,7 @@ def cmd_make_corpus(cfg) -> int:
 def cmd_featurize(cfg) -> int:
     workdir = _workdir(cfg)
     rows = _manifest_rows(cfg)
-    stft_config = _stft_config(cfg)
-    bank = features.mel_bank(stft_config.fft_size, cfg.sample_rate, cfg.n_mels)
+    bank = _mel_bank(cfg)
     for kind in ("clean", "reverb"):
         (workdir / "features" / kind).mkdir(parents=True, exist_ok=True)
     for row in rows:
@@ -334,11 +344,7 @@ def cmd_train_mlp(cfg) -> int:
     dims = ([(cfg.p + cfg.q + 1) * cfg.n_mels]
             + [cfg.hidden_width] * cfg.hidden_layers + [cfg.n_mels])
     model = mlp.init_model(dims, cfg.seed)
-    config = mlp.TrainConfig(
-        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-        epochs=cfg.epochs, improvement_threshold=cfg.improvement_threshold,
-        max_halvings=cfg.max_halvings, seed=cfg.seed,
-    )
+    config = _train_config(cfg)
     best, trace = mlp.train(model, train_x, train_y, config, valid_x, valid_y)
     mlp.save_model(best, workdir / "mlp_model.json", seed=cfg.seed)
     fileformats.write_csv(
@@ -368,23 +374,21 @@ def cmd_derev(cfg) -> int:
     rows = _manifest_rows(cfg, cfg.split)
     out_dir = workdir / "features" / "derev"
     out_dir.mkdir(parents=True, exist_ok=True)
-    enhanced_pairs = []
-    baseline_pairs = []
+    pairs = {"derev": [], "reverb": []}
     for row in rows:
         reverb_feats = _require_features(cfg, "reverb", row.utterance)
         clean_feats = _require_features(cfg, "clean", row.utterance)
         estimate = mlp.dereverberate_features(model, reverb_feats, cfg.p, cfg.q)
         fileformats.write_features(estimate, out_dir / f"{row.utterance}.ncft")
-        enhanced_pairs.append((row.utterance, estimate, clean_feats))
-        baseline_pairs.append((row.utterance, reverb_feats, clean_feats))
-    derev_rows, derev_mean = diagnostics.mse_report(enhanced_pairs)
-    base_rows, base_mean = diagnostics.mse_report(baseline_pairs)
-    fileformats.write_csv(workdir / "derev_mse.csv",
-                          ["utterance", "n_frames", "mse"], derev_rows)
-    fileformats.write_csv(workdir / "reverb_mse.csv",
-                          ["utterance", "n_frames", "mse"], base_rows)
+        pairs["derev"].append((row.utterance, estimate, clean_feats))
+        pairs["reverb"].append((row.utterance, reverb_feats, clean_feats))
+    means = {}
+    for name, corpus_pairs in pairs.items():
+        report_rows, means[name] = diagnostics.mse_report(corpus_pairs)
+        fileformats.write_csv(workdir / f"{name}_mse.csv",
+                              ["utterance", "n_frames", "mse"], report_rows)
     _write_run_record(cfg, "derev")
-    print(f"corpus MSE: derev {derev_mean!r} vs reverb {base_mean!r} "
+    print(f"corpus MSE: derev {means['derev']!r} vs reverb {means['reverb']!r} "
           f"({len(rows)} utterances)")
     return 0
 
@@ -393,8 +397,8 @@ def _fit_enhancer(cfg):
     """None for "identity", else a CausalFirEnhancer fitted on the train split."""
     if cfg.enhancer == "identity":
         return None
-    train_rows = _manifest_rows(cfg, "train")
-    pairs = [_load_pair(cfg, row) for row in train_rows]
+    # one train pair in memory at a time: the fit sums their Grams as they come
+    pairs = (_load_pair(cfg, row) for row in _manifest_rows(cfg, "train"))
     return mixing.CausalFirEnhancer(p=cfg.enhancer_p, ridge=cfg.ridge).fit(pairs)
 
 
@@ -409,47 +413,33 @@ def cmd_mix_sweep(cfg) -> int:
     workdir = _workdir(cfg)
     model = _load_model(cfg)
     rows = _manifest_rows(cfg, "dev")
-    stft_config = _stft_config(cfg)
-    bank = features.mel_bank(stft_config.fft_size, cfg.sample_rate, cfg.n_mels)
+    bank = _mel_bank(cfg)
     enhancer = _fit_enhancer(cfg)
 
     utterances = []
     for row in rows:
         clean_feats = _require_features(cfg, "clean", row.utterance)
-        n_frames = clean_feats.shape[0]
-        streams = {}
-        override = _stream_override(cfg, row.utterance, "reverb")
-        streams["reverb"] = (override if override is not None
-                             else _require_features(cfg, "reverb", row.utterance))
-        ref = _stream_override(cfg, row.utterance, "ref_enhanced")
-        if ref is None:
+        streams = {name: _stream_override(cfg, row.utterance, name)
+                   for name in mixing.STREAMS}
+        if streams["reverb"] is None:
+            streams["reverb"] = _require_features(cfg, "reverb", row.utterance)
+        if streams["ref_enhanced"] is None:
             spec = _load_reverb(cfg, row)
             if enhancer is not None:
                 spec = enhancer.enhance(spec)
-            ref = _mvn_logmel(spec, bank)[:n_frames]
-        streams["ref_enhanced"] = ref
-        dv = _stream_override(cfg, row.utterance, "derev_of_reverb")
-        if dv is None:
-            dv = mlp.dereverberate_features(model, streams["reverb"], cfg.p, cfg.q)
-        streams["derev_of_reverb"] = dv
-        dve = _stream_override(cfg, row.utterance, "derev_of_ref_enhanced")
-        if dve is None:
-            dve = mlp.dereverberate_features(model, streams["ref_enhanced"], cfg.p, cfg.q)
-        streams["derev_of_ref_enhanced"] = dve
-        utterances.append((row, streams, clean_feats))
+            streams["ref_enhanced"] = _mvn_logmel(spec, bank)[:clean_feats.shape[0]]
+        for source in ("reverb", "ref_enhanced"):
+            if streams[f"derev_of_{source}"] is None:
+                streams[f"derev_of_{source}"] = mlp.dereverberate_features(
+                    model, streams[source], cfg.p, cfg.q)
+        utterances.append((streams, clean_feats))
 
-    rt60s = [row.rt60 for row, _, _ in utterances]
+    # band j holds [edge j, edge j+1); the last band also holds the maximum
+    rt60s = [row.rt60 for row in rows]
     edges = np.linspace(min(rt60s), max(rt60s), cfg.n_subsets + 1)
-    subsets = {}
-    for j in range(cfg.n_subsets):
-        name = f"rt60_band{j}"
-        members = [
-            (streams, clean) for row, streams, clean in utterances
-            if (edges[j] <= row.rt60 <= edges[j + 1] if j == cfg.n_subsets - 1
-                else edges[j] <= row.rt60 < edges[j + 1])
-        ]
-        if members:
-            subsets[name] = members
+    bands = np.searchsorted(edges[1:-1], rt60s, side="right")
+    subsets = {f"rt60_band{j}": [u for u, band in zip(utterances, bands) if band == j]
+               for j in np.unique(bands)}
 
     cell_rows = []
     summary_rows = []
@@ -458,9 +448,7 @@ def cmd_mix_sweep(cfg) -> int:
             subsets, cfg.lambda_grid, config_id
         )
         cell_rows.extend((c.subset, c.config_id, c.lam, c.mse) for c in cells)
-        summary_rows.extend(
-            (config_id, name, per_subset[name]) for name in sorted(per_subset)
-        )
+        summary_rows.extend((config_id, name, lam) for name, lam in per_subset.items())
         summary_rows.append((config_id, "average", average))
     fileformats.write_csv(workdir / "mix_sweep.csv",
                           ["subset", "config", "lambda", "mse"], cell_rows)
@@ -476,47 +464,40 @@ def cmd_diagnose(cfg) -> int:
     rows = _manifest_rows(cfg, cfg.split)
     out_dir = workdir / "diagnostics"
     out_dir.mkdir(exist_ok=True)
-    clean_specs = []
-    reverb_specs = []
-    derev_specs = []
+    specs = {"clean": [], "reverb": [], "fir_derev": []}
     for row in rows:
         reverb_spec, clean_spec = _load_pair(cfg, row)
         estimate, _, _ = fir.dereverberate_spectrogram(
             reverb_spec, clean_spec, cfg.p, cfg.q, ridge=cfg.ridge
         )
-        clean_specs.append(clean_spec)
-        reverb_specs.append(reverb_spec)
-        derev_specs.append(estimate)
+        for name, spec in zip(specs, (clean_spec, reverb_spec, estimate)):
+            specs[name].append(spec)
     curves = {}
     skipped = {}
-    for name, specs in (("clean", clean_specs), ("reverb", reverb_specs),
-                        ("fir_derev", derev_specs)):
+    for name, corpus_specs in specs.items():
         # magnitude trajectories expose the smearing (criterion 5)
         curves[name], skipped[name] = diagnostics.average_autocorr(
-            specs, cfg.max_lag, magnitude=True)
+            corpus_specs, cfg.max_lag, magnitude=True)
     fileformats.write_csv(
         out_dir / "autocorr_curves.csv",
-        ["lag", "clean", "reverb", "fir_derev"],
-        ((int(lag), curves["clean"].values[i], curves["reverb"].values[i],
-          curves["fir_derev"].values[i])
+        ["lag", *curves],
+        ((int(lag), *(curve.values[i] for curve in curves.values()))
          for i, lag in enumerate(curves["clean"].lags)),
     )
     fileformats.write_csv(
         out_dir / "tail_mass.csv",
         ["corpus", "from_lag", "tail_mass", "skipped_trajectories"],
         ((name, cfg.tail_from_lag,
-          diagnostics.tail_mass(curves[name], cfg.tail_from_lag), skipped[name])
-         for name in ("clean", "reverb", "fir_derev")),
+          diagnostics.tail_mass(curve, cfg.tail_from_lag), skipped[name])
+         for name, curve in curves.items()),
     )
-    bank = features.mel_bank(_stft_config(cfg).fft_size, cfg.sample_rate, cfg.n_mels)
+    bank = _mel_bank(cfg)
     first = rows[0].utterance
-    for name, spec in (("clean", clean_specs[0]), ("reverb", reverb_specs[0]),
-                       ("fir_derev", derev_specs[0])):
+    for name, corpus_specs in specs.items():
+        spec = corpus_specs[0]
         diagnostics.export_spectrogram(spec, out_dir / f"{first}_{name}.pgm", "pgm")
         diagnostics.export_spectrogram(
-            features.mvn(features.log_mel(spec, bank)),
-            out_dir / f"{first}_{name}_logmel.csv", "csv",
-        )
+            _mvn_logmel(spec, bank), out_dir / f"{first}_{name}_logmel.csv", "csv")
     _write_run_record(cfg, "diagnose")
     print(f"wrote diagnostics for {len(rows)} utterances under {out_dir}")
     return 0

@@ -82,6 +82,11 @@ class StftConfig:
             )
         return 1 + (n_samples - self.frame_len) // self.frame_shift
 
+    def frame_index(self, n_frames: int) -> np.ndarray:
+        """(n_frames, frame_len) sample indices; row n is n*shift + arange(frame_len)."""
+        return (np.arange(n_frames)[:, None] * self.frame_shift
+                + np.arange(self.frame_len)[None, :])
+
 
 @dataclass(frozen=True)
 class ComplexSpectrogram:
@@ -171,9 +176,7 @@ def stft(waveform: Waveform, config: StftConfig) -> ComplexSpectrogram:
     x = waveform.samples
     n_frames = config.n_frames(len(x))
     window = config.analysis_window()
-    idx = (np.arange(n_frames)[:, None] * config.frame_shift
-           + np.arange(config.frame_len)[None, :])
-    frames = x[idx] * window
+    frames = x[config.frame_index(n_frames)] * window
     values = np.fft.rfft(frames, n=config.fft_size, axis=1)
     return ComplexSpectrogram(values, config, waveform.sample_rate)
 
@@ -191,14 +194,11 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
     window = config.analysis_window()
     frames = np.fft.irfft(spec.values, n=config.fft_size, axis=1)[:, :config.frame_len]
     frames *= window
+    # bincount adds in frame order, as a per-frame overlap-add loop would
+    idx = config.frame_index(n_frames).ravel()
     out_len = (n_frames - 1) * config.frame_shift + config.frame_len
-    x = np.zeros(out_len)
-    wsum = np.zeros(out_len)
-    wsq = window * window
-    for n in range(n_frames):
-        start = n * config.frame_shift
-        x[start:start + config.frame_len] += frames[n]
-        wsum[start:start + config.frame_len] += wsq
+    x = np.bincount(idx, weights=frames.ravel(), minlength=out_len)
+    wsum = np.bincount(idx, weights=np.tile(window * window, n_frames), minlength=out_len)
     nz = wsum > 1e-12
     x[nz] /= wsum[nz]
     x[~nz] = 0.0

@@ -38,6 +38,8 @@ import numpy as np
 from . import kernels
 from .dsp import ComplexSpectrogram
 
+COND_LIMIT = 1e12  # closed_form_filter calls S or D singular above this condition number
+
 
 class SingularSystemError(np.linalg.LinAlgError):
     """Normal equations are singular; a ridge term is required."""
@@ -181,7 +183,7 @@ def fit_filter(x, y, p, q, ridge=0.0) -> NcFirFilter:
     return solve_normal_system(build_normal_system(x, y, p, q), ridge=ridge)
 
 
-def closed_form_filter(system: NormalSystem, cond_limit=1e12) -> NcFirFilter:
+def closed_form_filter(system: NormalSystem) -> NcFirFilter:
     """Block-elimination closed form of the stacked system (verification path).
 
     The stacked real system [[S, -D], [D, S]] [g_r; g_j] = [u1; u2] is
@@ -206,7 +208,7 @@ def closed_form_filter(system: NormalSystem, cond_limit=1e12) -> NcFirFilter:
             "matrix is singular; use solve_normal_system"
         )
     for name, mat in (("S", s), ("D", d)):
-        if np.linalg.cond(mat) > cond_limit:
+        if np.linalg.cond(mat) > COND_LIMIT:
             raise SingularSystemError(
                 f"intermediate matrix {name} is singular or near-singular; "
                 "use solve_normal_system"

@@ -24,6 +24,8 @@ import numpy as np
 from . import fir, kernels
 from .dsp import ComplexSpectrogram
 
+STREAMS = ("reverb", "ref_enhanced", "derev_of_reverb", "derev_of_ref_enhanced")
+
 STREAMS_BY_CONFIG = {
     1: ("ref_enhanced", "derev_of_reverb"),
     2: ("ref_enhanced", "derev_of_ref_enhanced"),

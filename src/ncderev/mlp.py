@@ -73,10 +73,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (not 0.0 <= self.learning_rate < np.inf or self.batch_size < 1
-                or self.epochs < 1):
+        for name, low in (("batch_size", 1), ("epochs", 1), ("max_halvings", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 <= self.learning_rate < np.inf:
             raise ValueError(
-                "learning_rate must be finite and >= 0, batch_size/epochs >= 1")
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not np.isfinite(self.improvement_threshold):
+            raise ValueError(
+                f"improvement_threshold must be finite, got {self.improvement_threshold}")
 
 
 def init_model(layer_dims, seed: int) -> MlpModel:
@@ -269,16 +274,12 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
 
 
 def dereverberate_features(model: MlpModel, reverb_feats, p: int, q: int) -> np.ndarray:
-    """Context-stack a reverberant feature sequence and map it frame-wise."""
+    """Context-stack a reverberant feature sequence and map it frame-wise.
+
+    ``forward`` rejects a model whose input is not p+q+1 frames wide.
+    """
     from .features import stack_context
 
-    reverb_feats = np.asarray(reverb_feats, dtype=np.float64)
-    expected = (p + q + 1) * reverb_feats.shape[1]
-    if model.layer_dims[0] != expected:
-        raise ValueError(
-            f"model input dim {model.layer_dims[0]} does not match "
-            f"(p+q+1)*{reverb_feats.shape[1]} = {expected}"
-        )
     return forward(model, stack_context(reverb_feats, p, q))
 
 

@@ -13,6 +13,7 @@ four renders or until it lies within 4% of the target.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ MIN_SRC_MIC_DIST = 0.144
 MAX_SRC_MIC_DIST = 2.816
 WALL_MARGIN = 1.0
 HEIGHT_BAND = (1.0, 2.0)
+MAX_POSITION_DRAWS = 8192  # source/microphone draws before a room is given up
+RT60_TOLERANCE = 0.04  # calibration stops within this relative RT60 error
 
 
 class GeometryError(ValueError):
@@ -123,32 +126,41 @@ def placement_problems(dims, src, mic):
     return problems
 
 
+def check_room_settings(nominal_dims, rt60_range) -> None:
+    """Raise GeometryError unless nominal_dims are 3 positive finite numbers
+    whose worst-case -20% draw leaves room for the 1 m wall margins, and
+    rt60_range is two numbers low <= high inside RT60_RANGE."""
+    def reals(values, count):
+        return len(values) == count and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+
+    if not reals(nominal_dims, 3) or not all(0 < v < math.inf for v in nominal_dims):
+        raise GeometryError(f"nominal_dims must be 3 positive finite numbers, got {nominal_dims}")
+    if any(0.8 * v <= 2 * WALL_MARGIN for v in nominal_dims):
+        raise GeometryError(f"nominal_dims {tuple(nominal_dims)} are too small: a -20% draw "
+                            f"leaves no placements with {WALL_MARGIN} m wall margins")
+    if not (reals(rt60_range, 2)
+            and RT60_RANGE[0] <= rt60_range[0] <= rt60_range[1] <= RT60_RANGE[1]):
+        raise GeometryError(f"rt60_range must be two numbers low <= high inside "
+                            f"{list(RT60_RANGE)}, got {rt60_range}")
+
+
 def sample_room(rng, nominal_dims=NOMINAL_DIMS, sample_rate=16000,
-                rt60_range=RT60_RANGE, max_position_draws=8192) -> RoomSpec:
+                rt60_range=RT60_RANGE) -> RoomSpec:
     """Sample one room: dims ~ U(0.8, 1.2) x nominal, positions by rejection.
 
     Source and microphone are drawn uniformly over the room volume and
     rejected until the wall-margin, height-band and distance constraints
     all hold. Deterministic given the generator state.
 
-    Raises GeometryError when the nominal room is too small for the 1 m
-    margins (the worst-case -20% draw must leave positive margin space)
-    or when the draw budget is exhausted.
+    Raises GeometryError when ``check_room_settings`` rejects the
+    settings or when MAX_POSITION_DRAWS draws find no placement.
     """
-    nominal = np.asarray(nominal_dims, dtype=np.float64)
-    if nominal.shape != (3,) or np.any(nominal <= 0):
-        raise GeometryError(f"nominal dims must be 3 positive values, got {nominal_dims}")
-    worst = 0.8 * nominal
-    if np.any(worst <= 2 * WALL_MARGIN):
-        raise GeometryError(
-            f"nominal room {tuple(nominal)} is too small: a -20% draw leaves no "
-            f"placements with {WALL_MARGIN} m wall margins and the "
-            f"{HEIGHT_BAND[0]}-{HEIGHT_BAND[1]} m height band"
-        )
-    dims = nominal * rng.uniform(0.8, 1.2, size=3)
+    check_room_settings(nominal_dims, rt60_range)
+    dims = np.asarray(nominal_dims, dtype=np.float64) * rng.uniform(0.8, 1.2, size=3)
     rt60 = float(rng.uniform(*rt60_range))
     batch = 256
-    for _ in range(0, max_position_draws, batch):
+    for _ in range(0, MAX_POSITION_DRAWS, batch):
         src = rng.uniform(0.0, 1.0, size=(batch, 3)) * dims
         mic = rng.uniform(0.0, 1.0, size=(batch, 3)) * dims
         zhi = min(HEIGHT_BAND[1], dims[2] - WALL_MARGIN)
@@ -171,7 +183,7 @@ def sample_room(rng, nominal_dims=NOMINAL_DIMS, sample_rate=16000,
             )
     raise GeometryError(
         f"no valid source/microphone placement in room {tuple(dims)} after "
-        f"{max_position_draws} draws"
+        f"{MAX_POSITION_DRAWS} draws"
     )
 
 
@@ -199,7 +211,7 @@ def absorption_for_rt60(dims, rt60, c=SPEED_OF_SOUND) -> float:
     return alpha
 
 
-def image_method_rir(spec: RoomSpec, rt60_tolerance=0.04) -> Rir:
+def image_method_rir(spec: RoomSpec) -> Rir:
     """Simulate the impulse response of a shoebox room by summing image sources.
 
     All six surfaces share one reflection coefficient; reflections are
@@ -212,7 +224,7 @@ def image_method_rir(spec: RoomSpec, rt60_tolerance=0.04) -> Rir:
     the rendered response. The Eyring value seeds kappa = -ln(1 - alpha);
     since the measured decay time scales as 1/kappa, each further render
     rescales kappa by measured/target. The loop stops within
-    ``rt60_tolerance`` of the target or after four renders, and returns
+    RT60_TOLERANCE of the target or after four renders, and returns
     the response closest to the target together with its measured RT60,
     the renders taken and the number of in-range images.
     """
@@ -231,7 +243,7 @@ def image_method_rir(spec: RoomSpec, rt60_tolerance=0.04) -> Rir:
         if gap < best_gap:
             best_gap = gap
             best_taps, best_rt60 = taps, measured
-        if gap <= rt60_tolerance:
+        if gap <= RT60_TOLERANCE:
             break
         kappa *= measured / spec.rt60
     return Rir(best_taps, spec.sample_rate, spec, measured_rt60=best_rt60,

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_speech
-from ncderev import cli, corpus, dsp, fileformats, kernels, rir
+from ncderev import cli, corpus, dsp, fileformats, kernels, mixing, rir
 from ncderev.dsp import write_wav
 
 # utt000..utt005 hash to train/dev/train/test/train/train
@@ -122,6 +124,20 @@ class TestMakeCorpus:
                          "--workdir", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("rt60_range", [0.6, 0.4]),
+        ("rt60_range", ["a", "b"]),
+        ("nominal_dims", [7.0, 5.0]),
+        ("rir_count", -1),
+    ])
+    def test_room_settings_checked_before_clean_dir(self, tmp_path, capsys, key, value):
+        # the clean directory is absent: exit 3 would mean it was scanned first
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"workdir": str(tmp_path), key: value,
+                                   "clean_dir": str(tmp_path / "absent")}))
+        assert cli.main(["make-corpus", "--config", str(bad)]) == 2
+        assert f"config error: {key} " in capsys.readouterr().err
+
     def test_tiny_nominal_room_is_config_error(self, base_config, tmp_path):
         config_path, workdir = base_config
         override = dict(json.loads(config_path.read_text()))
@@ -183,6 +199,15 @@ class TestConfigHandling:
         ("limit", 1.5),
         ("jobs", 1.5),
         ("rt60_range", 0.5),
+        ("rt60_range", [0.5]),
+        ("rt60_range", [0.6, 0.4]),
+        ("rt60_range", ["a", "b"]),
+        ("rt60_range", [0.3, 0.5]),
+        ("nominal_dims", [7.0, 5.0]),
+        ("rir_count", -1),
+        ("jobs", 0),
+        ("jobs", -2),
+        ("improvement_threshold", float("nan")),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.json"
@@ -376,23 +401,72 @@ def test_mix_sweep_identity_enhancer(trained, tmp_path):
 
 
 def test_mix_sweep_accepts_external_stream_files(trained, tmp_path):
-    # an external enhancer is plugged in by dropping NCFT stream files;
-    # a perfect derev stream must drive the config-4 optimum to lambda 1
+    # an external enhancer is plugged in by dropping NCFT stream files; a
+    # stream equal to the clean features drives every config that mixes it
+    # first to lambda 0 and every config that mixes it second to lambda 1
     config_path, workdir = trained
-    streams = tmp_path / "streams"
-    streams.mkdir()
     clean = fileformats.read_features(
         workdir / "features" / "clean" / "utt001.ncft")
-    fileformats.write_features(clean, streams / "utt001__derev_of_reverb.ncft")
-    override = dict(json.loads(config_path.read_text()))
-    override["streams_dir"] = str(streams)
+    for stream in ("reverb", "ref_enhanced", "derev_of_reverb", "derev_of_ref_enhanced"):
+        streams = tmp_path / stream
+        streams.mkdir()
+        fileformats.write_features(clean, streams / f"utt001__{stream}.ncft")
+        override = dict(json.loads(config_path.read_text()), streams_dir=str(streams))
+        cfg = tmp_path / f"{stream}.json"
+        cfg.write_text(json.dumps(override))
+        assert cli.main(["mix-sweep", "--config", str(cfg)]) == 0
+        summary = (workdir / "mix_summary.csv").read_text().splitlines()[1:]
+        optimum = {int(c): lam for c, subset, lam in (line.split(",") for line in summary)
+                   if subset == "rt60_band0"}
+        expected = {c: "0.0" if pair[0] == stream else "1.0"
+                    for c, pair in mixing.STREAMS_BY_CONFIG.items() if stream in pair}
+        assert len(expected) == 2
+        assert {c: optimum[c] for c in expected} == expected, stream
+
+
+def test_mix_sweep_fits_enhancer_one_train_pair_at_a_time(trained, monkeypatch):
+    # each train pair's Gram is summed before the next pair is loaded
+    config_path, workdir = trained
+    calls = []
+    load_pair, normal_blocks = cli._load_pair, kernels.normal_blocks
+
+    def loading(*args, **kwargs):
+        calls.append("pair")
+        return load_pair(*args, **kwargs)
+
+    def gram(*args, **kwargs):
+        calls.append("gram")
+        return normal_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_pair", loading)
+    monkeypatch.setattr(kernels, "normal_blocks", gram)
+    assert cli.main(["mix-sweep", "--config", str(config_path)]) == 0
+    train = [r for r in corpus.read_manifest(workdir / "manifest.csv")
+             if r.split == "train"]
+    assert calls == ["pair", "gram"] * len(train)
+
+
+def test_mix_summary_lists_bands_in_order(trained, tmp_path):
+    # twelve bands over 0.40-0.50 s put 0.44 in band 4 and 0.50 in band 11,
+    # which an order by name would list before band 4
+    config_path, workdir = trained
+    copy = tmp_path / "work"
+    shutil.copytree(workdir, copy)
+    rows = [dataclasses.replace(r, split="dev") if r.utterance in ("utt000", "utt002")
+            else r for r in corpus.read_manifest(copy / "manifest.csv")]
+    rt60s = iter([0.40, 0.44, 0.50])
+    rows = [dataclasses.replace(r, rt60=next(rt60s)) if r.split == "dev" else r
+            for r in rows]
+    corpus.write_manifest(rows, copy / "manifest.csv")
+    override = dict(json.loads(config_path.read_text()), workdir=str(copy), n_subsets=12)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(override))
     assert cli.main(["mix-sweep", "--config", str(cfg)]) == 0
-    summary = (workdir / "mix_summary.csv").read_text().splitlines()
-    config4 = {line.split(",")[1]: line.split(",")[2]
-               for line in summary[1:] if line.startswith("4,")}
-    assert config4["rt60_band0"] == "1.0"
+    summary = [line.split(",")
+               for line in (copy / "mix_summary.csv").read_text().splitlines()[1:]]
+    for config_id in ("1", "2", "3", "4"):
+        assert [subset for c, subset, _ in summary if c == config_id] == [
+            "rt60_band0", "rt60_band4", "rt60_band11", "average"]
 
 
 def test_jobs_parallel_corpus_matches_serial(clean_dir, tmp_path):

@@ -14,6 +14,26 @@ def direct_convolve(x, h):
     return out
 
 
+def loop_istft(spec):
+    """Per-frame overlap-add oracle: frame n is added at n*shift in turn,
+    then divided by the summed squared window where that sum is nonzero."""
+    config = spec.config
+    window = config.analysis_window()
+    frames = np.fft.irfft(spec.values, n=config.fft_size, axis=1)[:, :config.frame_len]
+    frames = frames * window
+    out_len = (spec.frames - 1) * config.frame_shift + config.frame_len
+    x = np.zeros(out_len)
+    wsum = np.zeros(out_len)
+    for n in range(spec.frames):
+        start = n * config.frame_shift
+        x[start:start + config.frame_len] += frames[n]
+        wsum[start:start + config.frame_len] += window * window
+    nz = wsum > 1e-12
+    x[nz] /= wsum[nz]
+    x[~nz] = 0.0
+    return x
+
+
 class TestWavIO:
     def test_silence_roundtrip(self, tmp_path):
         path = tmp_path / "silence.wav"
@@ -182,6 +202,21 @@ class TestIstft:
         # synthesis divides by window^2, so samples with nonzero window recover
         nz = window > 1e-6
         assert np.allclose(back.samples[nz], w.samples[nz], atol=1e-9)
+
+    @pytest.mark.parametrize("config, n_frames", [
+        (StftConfig(400, 160, 512), 1),
+        (StftConfig(400, 160, 512), 2),
+        (StftConfig(400, 160, 512), 37),
+        (StftConfig(400, 400, 512), 5),
+        (StftConfig(256, 100, 256), 64),
+    ])
+    def test_matches_per_frame_overlap_add(self, config, n_frames):
+        # same additions in the same order: bit-identical, not just close
+        rng = np.random.default_rng(n_frames)
+        values = (rng.normal(size=(n_frames, config.n_bins))
+                  + 1j * rng.normal(size=(n_frames, config.n_bins)))
+        spec = ComplexSpectrogram(values, config, 16000)
+        assert np.array_equal(istft(spec).samples, loop_istft(spec))
 
     def test_inconsistent_bins_rejected(self):
         config = StftConfig(400, 160, 512)

@@ -240,6 +240,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate"):
             mlp.TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("epochs", 0), ("max_halvings", -1),
+        ("improvement_threshold", float("nan")), ("improvement_threshold", float("inf")),
+    ])
+    def test_bad_setting_rejected_naming_field_and_value(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
+            mlp.TrainConfig(**{field: value})
+
     def test_divergence_aborts_with_trace(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 4)) * 50
