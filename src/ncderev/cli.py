@@ -311,13 +311,13 @@ def cmd_fit_fir(cfg) -> int:
 def cmd_sweep_context(cfg) -> int:
     workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
-    pairs = [_load_pair(cfg, row) for row in rows]
+    pairs = (_load_pair(cfg, row) for row in rows)
     grid = [tuple(cell) for cell in cfg.context_grid]
     sweep_rows = fir.context_sweep(pairs, grid, ridge=cfg.ridge)
     out = workdir / "context_sweep.csv"
     fileformats.write_sweep_csv(sweep_rows, out)
     _write_run_record(cfg, "sweep-context")
-    print(f"wrote {out} ({len(sweep_rows)} grid cells x {len(pairs)} utterances)")
+    print(f"wrote {out} ({len(sweep_rows)} grid cells x {len(rows)} utterances)")
     return 0
 
 

@@ -28,6 +28,12 @@ single-bin functions fit their 1-D trajectories as one column. Spectrogram
 fits (``fit_pooled_filters``, ``dereverberate_spectrogram``) return the
 taps as one complex array of shape (bins, p+q+1), row k holding bin k's
 g; ``kernels.apply_fir`` applies it. ``NcFirFilter`` holds one bin's taps.
+
+``context_sweep`` consumes its iterable of pairs once and builds one Gram
+per utterance at (max p, max q) of its grid. Column s of that design is
+x(n + Q - s) whatever the cell, so every cell's Gram and Zᴴy are a
+principal block and subvector of it, and each cell's error comes from
+the quadratic form ‖y‖² - 2 Re(gᴴr) + gᴴGg without applying the filter.
 """
 
 import warnings
@@ -321,35 +327,77 @@ class SweepRow:
     utterance_count: int
 
 
+def _cell_errors(gram, corr, energy, frames, grid, ridge):
+    """Every grid cell's prediction error on one pair over its clean energy.
+
+    gram and corr are the pair's normal equations at (P, Q) = (max p,
+    max q) of the grid; cell (p, q)'s are the principal block and
+    subvector on rows Q-q .. Q+p. energy is the clean energy per bin,
+    summed over the pair's frames.
+    """
+    wide_q = max(q for _, q in grid)
+    errors = np.empty(len(grid))
+    for c, (p, q) in enumerate(grid):
+        rows = slice(wide_q - q, wide_q + p + 1)
+        g_cell, r_cell = gram[:, rows, rows], corr[:, rows]
+        g = _solve(g_cell, r_cell, ridge)
+        err = (energy - 2.0 * np.einsum("ki,ki->k", g.conj(), r_cell).real
+               + np.einsum("ki,kij,kj->k", g.conj(), g_cell, g).real)
+        # rounding in G, Zᴴy and ‖y‖² leaves err uncertain by up to
+        # Nc·ε·(‖y‖ + Σ|g_i|·√G_ii)²; an error inside that bound reads as 0
+        scale = np.sqrt(energy) + np.sum(
+            np.abs(g) * np.sqrt(np.diagonal(g_cell, axis1=1, axis2=2).real), axis=1)
+        bound = frames * np.finfo(np.float64).eps * scale ** 2
+        errors[c] = np.sum(err[err > bound])
+    total = energy.sum()
+    return errors / total if total > 0 else errors
+
+
 def context_sweep(pairs, grid, ridge="auto"):
     """Mean normalized prediction error over a corpus for each (p, q).
 
     For every grid cell the per-utterance error is the total squared
     prediction error over all bins divided by the clean energy
     sum |Y|^2; rows carry 100*p/(p+q) for fixed-tap-count slices (NaN
-    for the (0, 0) cell).
+    for the (0, 0) cell). Each utterance gets one Gram at the grid's
+    (max p, max q), whose principal blocks are every cell's Gram, and
+    each cell's error comes from the quadratic form
+    ‖y‖² - 2 Re(gᴴr) + gᴴGg, so no filter is applied. The pair is
+    released before its cells are solved, and its Gram before the next
+    pair is drawn.
 
     Args:
-        pairs: list of (reverb, clean) ComplexSpectrogram pairs.
+        pairs: iterable of (reverb, clean) ComplexSpectrogram pairs,
+            consumed once.
         grid: iterable of (p, q) tuples.
+        ridge: as in ``fit_pooled_filters``.
 
     Returns:
         List of SweepRow in grid order.
     """
-    pairs = list(pairs)
     grid = list(grid)
-    if not pairs or not grid:
+    if not grid:
         raise ValueError("corpus and grid must be non-empty")
-    rows = []
-    for p, q in grid:
-        errs = []
-        for reverb, clean in pairs:
-            _, _, errors = dereverberate_spectrogram(reverb, clean, p, q, ridge=ridge)
-            denom = float(np.sum(np.abs(clean.values) ** 2))
-            errs.append(float(errors.sum()) / denom if denom > 0 else 0.0)
-        ratio = 100.0 * p / (p + q) if (p + q) > 0 else float("nan")
-        rows.append(SweepRow(
-            p=p, q=q, taps=p + q + 1, ratio_percent=ratio,
-            mean_err=float(np.mean(errs)), utterance_count=len(pairs),
-        ))
-    return rows
+    wide_p = max(p for p, _ in grid)
+    wide_q = max(q for _, q in grid)
+    total = np.zeros(len(grid))
+    count = 0
+    for reverb, clean in pairs:
+        x, y = reverb.values, clean.values
+        for p, q in grid:
+            _check_pair(x, y, p, q)
+        gram, corr = kernels.normal_blocks(x, y, wide_q, wide_p + wide_q + 1)
+        energy, frames = np.sum(np.abs(y) ** 2, axis=0), len(y)
+        # one pair, then one Gram, is alive at a time
+        del reverb, clean, x, y
+        total += _cell_errors(gram, corr, energy, frames, grid, ridge)
+        del gram, corr
+        count += 1
+    if not count:
+        raise ValueError("corpus and grid must be non-empty")
+    return [
+        SweepRow(p=p, q=q, taps=p + q + 1,
+                 ratio_percent=100.0 * p / (p + q) if (p + q) > 0 else float("nan"),
+                 mean_err=float(err / count), utterance_count=count)
+        for (p, q), err in zip(grid, total)
+    ]

@@ -446,6 +446,29 @@ def test_mix_sweep_fits_enhancer_one_train_pair_at_a_time(trained, monkeypatch):
     assert calls == ["pair", "gram"] * len(train)
 
 
+def test_sweep_context_holds_one_pair_at_a_time(built_corpus, monkeypatch):
+    # each pair's one Gram serves every grid cell before the next pair is loaded
+    config_path, workdir = built_corpus
+    calls = []
+    load_pair, normal_blocks = cli._load_pair, kernels.normal_blocks
+
+    def loading(*args, **kwargs):
+        calls.append("pair")
+        return load_pair(*args, **kwargs)
+
+    def gram(*args, **kwargs):
+        calls.append("gram")
+        return normal_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_pair", loading)
+    monkeypatch.setattr(kernels, "normal_blocks", gram)
+    assert cli.main(["sweep-context", "--config", str(config_path), "--split", "all"]) == 0
+    assert calls == ["pair", "gram"] * len(UTTS)
+    counts = [line.split(",")[-1]
+              for line in (workdir / "context_sweep.csv").read_text().splitlines()[1:]]
+    assert counts == [str(len(UTTS))] * 3
+
+
 def test_mix_summary_lists_bands_in_order(trained, tmp_path):
     # twelve bands over 0.40-0.50 s put 0.44 in band 4 and 0.50 in band 11,
     # which an order by name would list before band 4

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,28 @@ class TestContextSweep:
         assert rows[0].utterance_count == 2
         assert np.isnan(rows[0].ratio_percent)
 
+    def test_identity_corpus_never_negative(self):
+        # the quadratic form cancels to rounding noise of either sign on an
+        # exact fit; noise inside its rounding bound reads as 0
+        rng = np.random.default_rng(22)
+        pairs = [(s, s) for s in (toy_spectrogram(rng, 30), toy_spectrogram(rng, 35))]
+        rows = fir.context_sweep(pairs, [(0, 0), (1, 1), (3, 2), (1, 4)], ridge=0.0)
+        assert all(0.0 <= r.mean_err <= 1e-18 for r in rows)
+
+    def test_small_error_above_rounding_bound_kept(self):
+        # a 1e-6 perturbation leaves errors near 1e-12, far above the
+        # quadratic form's rounding bound, so they must not read as 0
+        rng = np.random.default_rng(38)
+        x = toy_spectrogram(rng, 40)
+        y = ComplexSpectrogram(x.values + 1e-6 * toy_spectrogram(rng, 40).values,
+                               x.config, 16000)
+        rows = fir.context_sweep([(x, y)], [(0, 0), (1, 1)], ridge=0.0)
+        for row in rows:
+            _, _, errors = fir.dereverberate_spectrogram(x, y, row.p, row.q, ridge=0.0)
+            want = errors.sum() / np.sum(np.abs(y.values) ** 2)
+            assert 1e-14 < want < 1e-10
+            assert abs(row.mean_err - want) <= 1e-2 * want
+
     def test_nested_cells_non_increasing(self):
         rng = np.random.default_rng(23)
         x = toy_spectrogram(rng, 60)
@@ -309,6 +333,56 @@ class TestContextSweep:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             fir.context_sweep([], [(0, 0)])
+
+    @pytest.mark.parametrize("ridge", ["auto", 0.0])
+    def test_matches_per_cell_spectrogram_fits(self, ridge):
+        # the 8-frame pair is shorter than the grid's 11-tap shared Gram,
+        # though every cell's own 6 taps fit
+        rng = np.random.default_rng(34)
+        pairs = []
+        for frames, extra in ((40, 0), (33, 4), (8, 2)):
+            clean = toy_spectrogram(rng, frames)
+            reverb = ComplexSpectrogram(
+                np.vstack([clean.values, np.zeros((extra, clean.bins))])
+                + 0.7 * toy_spectrogram(rng, frames + extra).values,
+                clean.config, 16000)
+            pairs.append((reverb, clean))
+        grid = [(0, 0), (0, 5), (5, 0), (3, 2), (2, 1), (1, 1)]
+        rows = fir.context_sweep(iter(pairs), grid, ridge=ridge)  # read once
+        for row, (p, q) in zip(rows, grid):
+            want = np.mean([
+                fir.dereverberate_spectrogram(reverb, clean, p, q, ridge=ridge)[2].sum()
+                / np.sum(np.abs(clean.values) ** 2)
+                for reverb, clean in pairs])
+            assert (row.p, row.q, row.utterance_count) == (p, q, len(pairs))
+            assert abs(row.mean_err - want) <= 1e-10 * want
+
+    def test_pair_and_gram_released_in_turn(self, monkeypatch):
+        # the pair is gone before its cells are solved, and its Gram
+        # before the next pair is drawn
+        rng = np.random.default_rng(39)
+        pair_refs, gram_refs = [], []
+        normal_blocks, solve = kernels.normal_blocks, fir._solve
+
+        def gram(*args):
+            out = normal_blocks(*args)
+            gram_refs.append(weakref.ref(out[0]))
+            return out
+
+        def solving(*args):
+            assert all(ref() is None for ref in pair_refs)
+            return solve(*args)
+
+        def new_pair():
+            assert all(ref() is None for ref in gram_refs)
+            pair = (toy_spectrogram(rng, 30), toy_spectrogram(rng, 30))
+            pair_refs.extend(weakref.ref(s) for s in pair)
+            return pair
+
+        monkeypatch.setattr(kernels, "normal_blocks", gram)
+        monkeypatch.setattr(fir, "_solve", solving)
+        rows = fir.context_sweep((new_pair() for _ in range(3)), [(0, 0), (2, 1)])
+        assert len(gram_refs) == 3 and rows[0].utterance_count == 3
 
 
 class TestPooledFit:
@@ -377,6 +451,17 @@ class TestCheckPair:
             fir.fit_pooled_filters([(short, long)], 1, 1)
         with pytest.raises(ValueError, match="underdetermined"):
             fir.fit_pooled_filters([(long, short)], 2, 2)
+
+    def test_sweep_checks_every_cell_before_gram(self, no_gram):
+        rng = np.random.default_rng(37)
+        spec = toy_spectrogram(rng, 10)
+        with pytest.raises(ValueError, match=r"p and q must be >= 0"):
+            fir.context_sweep([(spec, spec)], [(1, 1), (0, -1)])
+        with pytest.raises(ValueError, match="underdetermined: 11 taps"):
+            fir.context_sweep([(spec, spec)], [(1, 1), (5, 5)])
+        wide = toy_spectrogram(rng, 10, bins=17, fft_size=32)
+        with pytest.raises(ValueError, match="bin count mismatch: 17 vs 9"):
+            fir.context_sweep([(wide, spec)], [(0, 0)])
 
     def test_spectrogram_taps_are_the_single_pair_pooled_fit(self):
         rng = np.random.default_rng(33)

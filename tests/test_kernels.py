@@ -1,6 +1,7 @@
 """Every kernel checked against an independent plain-loop oracle."""
 
 import numpy as np
+import pytest
 
 from ncderev import fir, kernels
 from ncderev.dsp import ComplexSpectrogram, StftConfig
@@ -139,6 +140,26 @@ class TestNormalBlocks:
         scale = np.max(np.abs(gram))
         assert np.max(np.abs(gram[0] - z.conj().T @ z)) <= 1e-12 * scale
         assert np.max(np.abs(corr[0] - z.conj().T @ y)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_c", [30, 5])
+    def test_wide_blocks_hold_every_cell(self, n_c):
+        # column s of the wide design is x[n + Q - s], so cell (p, q) is the
+        # principal block on rows Q-q .. Q+p; 5 frames are fewer than the
+        # wide tap count, though every cell's own taps fit
+        grid = [(0, 3), (3, 0), (2, 1), (0, 0)]
+        wide_p, wide_q = max(p for p, _ in grid), max(q for _, q in grid)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(n_c + 2, 3)) + 1j * rng.normal(size=(n_c + 2, 3))
+        y = rng.normal(size=(n_c, 3)) + 1j * rng.normal(size=(n_c, 3))
+        gram, corr = kernels.normal_blocks(x, y, wide_q, wide_p + wide_q + 1)
+        for p, q in grid:
+            rows = slice(wide_q - q, wide_q + p + 1)
+            for k in range(3):
+                z = fir.design_matrix(x[:, k], p, q, n_c)
+                want = z.conj().T @ z
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(gram[k, rows, rows] - want)) <= 1e-12 * scale
+                assert np.max(np.abs(corr[k, rows] - z.conj().T @ y[:, k])) <= 1e-12 * scale
 
 
 def test_dereverberate_spectrogram_matches_oracle_per_bin():
