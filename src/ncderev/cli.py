@@ -374,19 +374,22 @@ def cmd_derev(cfg) -> int:
     rows = _manifest_rows(cfg, cfg.split)
     out_dir = workdir / "features" / "derev"
     out_dir.mkdir(parents=True, exist_ok=True)
-    pairs = {"derev": [], "reverb": []}
-    for row in rows:
-        reverb_feats = _require_features(cfg, "reverb", row.utterance)
-        clean_feats = _require_features(cfg, "clean", row.utterance)
-        estimate = mlp.dereverberate_features(model, reverb_feats, cfg.p, cfg.q)
-        fileformats.write_features(estimate, out_dir / f"{row.utterance}.ncft")
-        pairs["derev"].append((row.utterance, estimate, clean_feats))
-        pairs["reverb"].append((row.utterance, reverb_feats, clean_feats))
-    means = {}
-    for name, corpus_pairs in pairs.items():
-        report_rows, means[name] = diagnostics.mse_report(corpus_pairs)
-        fileformats.write_csv(workdir / f"{name}_mse.csv",
-                              ["utterance", "n_frames", "mse"], report_rows)
+    mses = {"derev": [], "reverb": []}
+    header = ["utterance", "n_frames", "mse"]
+    # each utterance's MSE rows are written before the next one is loaded
+    with fileformats.csv_rows(workdir / "derev_mse.csv", header) as write_derev, \
+            fileformats.csv_rows(workdir / "reverb_mse.csv", header) as write_reverb:
+        for row in rows:
+            reverb_feats = _require_features(cfg, "reverb", row.utterance)
+            clean_feats = _require_features(cfg, "clean", row.utterance)
+            estimate = mlp.dereverberate_features(model, reverb_feats, cfg.p, cfg.q)
+            fileformats.write_features(estimate, out_dir / f"{row.utterance}.ncft")
+            for name, write_row, feats in (("derev", write_derev, estimate),
+                                           ("reverb", write_reverb, reverb_feats)):
+                report_row = diagnostics.mse_row(row.utterance, feats, clean_feats)
+                write_row(report_row)
+                mses[name].append(report_row[2])
+    means = {name: diagnostics.corpus_mse(values) for name, values in mses.items()}
     _write_run_record(cfg, "derev")
     print(f"corpus MSE: derev {means['derev']!r} vs reverb {means['reverb']!r} "
           f"({len(rows)} utterances)")
@@ -459,25 +462,65 @@ def cmd_mix_sweep(cfg) -> int:
     return 0
 
 
+def _require_fit_fir_run(cfg) -> None:
+    """fit-fir's estimates serve diagnose only if its run used the same
+    p, q, ridge and split."""
+    path = _workdir(cfg) / "runs" / "fit-fir.json"
+    if not path.is_file():
+        raise DataError(f"missing upstream artifact {path}; run fit-fir first")
+    recorded = json.loads(path.read_text()).get("config", {})
+    for key in ("p", "q", "ridge", "split"):
+        if recorded.get(key) != getattr(cfg, key):
+            raise DataError(
+                f"fit-fir ran with {key} {recorded.get(key)!r} but diagnose has "
+                f"{getattr(cfg, key)!r} ({path}); rerun fit-fir with this config")
+
+
+def _estimate_path(cfg, utt) -> Path:
+    return _workdir(cfg) / "fir" / f"{utt}_estimate.ncsp"
+
+
+def _diagnose_one(cfg, row, sums, export_dir=None) -> None:
+    """Fold one utterance's clean, reverberant and fit-fir estimate
+    spectrograms into ``sums`` (one AutocorrSums per corpus); with
+    ``export_dir`` set, also export the three for inspection."""
+    reverb_spec, clean_spec = _load_pair(cfg, row)
+    path = _estimate_path(cfg, row.utterance)
+    estimate = fileformats.read_spectrogram(path)
+    if estimate.shape != clean_spec.values.shape:
+        raise DataError(f"{path} holds shape {estimate.shape}, but the clean "
+                        f"spectrogram is {clean_spec.values.shape}; rerun fit-fir")
+    specs = {"clean": clean_spec, "reverb": reverb_spec,
+             "fir_derev": dsp.ComplexSpectrogram(estimate, clean_spec.config,
+                                                 clean_spec.sample_rate)}
+    for name, spec in specs.items():
+        sums[name].add(spec)
+    if export_dir is not None:
+        bank = _mel_bank(cfg)
+        for name, spec in specs.items():
+            stem = export_dir / f"{row.utterance}_{name}"
+            diagnostics.export_spectrogram(spec, f"{stem}.pgm", "pgm")
+            diagnostics.export_spectrogram(_mvn_logmel(spec, bank), f"{stem}_logmel.csv", "csv")
+
+
 def cmd_diagnose(cfg) -> int:
+    _require_fit_fir_run(cfg)
     workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
+    missing = [path for path in (_estimate_path(cfg, row.utterance) for row in rows)
+               if not path.is_file()]
+    if missing:
+        raise DataError(f"missing upstream artifact {missing[0]} "
+                        f"({len(missing)} of {len(rows)}); run fit-fir first")
     out_dir = workdir / "diagnostics"
     out_dir.mkdir(exist_ok=True)
-    specs = {"clean": [], "reverb": [], "fir_derev": []}
-    for row in rows:
-        reverb_spec, clean_spec = _load_pair(cfg, row)
-        estimate, _, _ = fir.dereverberate_spectrogram(
-            reverb_spec, clean_spec, cfg.p, cfg.q, ridge=cfg.ridge
-        )
-        for name, spec in zip(specs, (clean_spec, reverb_spec, estimate)):
-            specs[name].append(spec)
-    curves = {}
-    skipped = {}
-    for name, corpus_specs in specs.items():
-        # magnitude trajectories expose the smearing (criterion 5)
-        curves[name], skipped[name] = diagnostics.average_autocorr(
-            corpus_specs, cfg.max_lag, magnitude=True)
+    # magnitude trajectories expose the smearing (criterion 5)
+    sums = {name: diagnostics.AutocorrSums(cfg.max_lag, magnitude=True)
+            for name in ("clean", "reverb", "fir_derev")}
+    # one utterance in memory at a time; the first one is also exported
+    for i, row in enumerate(rows):
+        _diagnose_one(cfg, row, sums, out_dir if i == 0 else None)
+    curves = {name: corpus_sums.curve() for name, corpus_sums in sums.items()}
     fileformats.write_csv(
         out_dir / "autocorr_curves.csv",
         ["lag", *curves],
@@ -488,17 +531,14 @@ def cmd_diagnose(cfg) -> int:
         out_dir / "tail_mass.csv",
         ["corpus", "from_lag", "tail_mass", "skipped_trajectories"],
         ((name, cfg.tail_from_lag,
-          diagnostics.tail_mass(curve, cfg.tail_from_lag), skipped[name])
+          diagnostics.tail_mass(curve, cfg.tail_from_lag), sums[name].skipped)
          for name, curve in curves.items()),
     )
-    bank = _mel_bank(cfg)
-    first = rows[0].utterance
-    for name, corpus_specs in specs.items():
-        spec = corpus_specs[0]
-        diagnostics.export_spectrogram(spec, out_dir / f"{first}_{name}.pgm", "pgm")
-        diagnostics.export_spectrogram(
-            _mvn_logmel(spec, bank), out_dir / f"{first}_{name}_logmel.csv", "csv")
-    _write_run_record(cfg, "diagnose")
+    _write_run_record(cfg, "diagnose", {
+        "estimate_source": "fit-fir",
+        "trajectories": {name: {"used": corpus_sums.used, "skipped": corpus_sums.skipped}
+                         for name, corpus_sums in sums.items()},
+    })
     print(f"wrote diagnostics for {len(rows)} utterances under {out_dir}")
     return 0
 

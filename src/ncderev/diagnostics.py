@@ -100,6 +100,37 @@ def normalized_autocorr(series, max_lag: int, magnitude: bool = False) -> Autoco
     return AutocorrCurve(np.arange(max_lag + 1), curves[:, 0])
 
 
+class AutocorrSums:
+    """Running sums of ``average_autocorr`` over spectrograms added one at
+    a time, so a corpus never has to be held in memory at once.
+
+    ``sums`` holds the per-lag sum of the usable trajectories' curves;
+    ``used`` and ``skipped`` count usable and degenerate trajectories.
+    """
+
+    def __init__(self, max_lag: int, magnitude: bool = False):
+        self.max_lag = max_lag
+        self.magnitude = magnitude
+        self.sums = np.zeros(max_lag + 1)
+        self.used = 0
+        self.skipped = 0
+
+    def add(self, spec) -> None:
+        """Fold in every bin trajectory of one ComplexSpectrogram (or bare
+        complex frames-by-bins array)."""
+        values = spec.values if isinstance(spec, ComplexSpectrogram) else np.asarray(spec)
+        curves, usable = _autocorr_columns(values, self.max_lag, self.magnitude)
+        self.sums += curves.sum(axis=1)
+        self.used += int(usable.sum())
+        self.skipped += int(np.count_nonzero(~usable))
+
+    def curve(self) -> AutocorrCurve:
+        """The mean curve; ValueError when no trajectory was usable."""
+        if self.used == 0:
+            raise ValueError("no usable bin trajectories in the corpus")
+        return AutocorrCurve(np.arange(self.max_lag + 1), self.sums / self.used)
+
+
 def average_autocorr(spectrograms, max_lag: int, magnitude: bool = False):
     """Mean normalized autocorrelation over all bins of all utterances.
 
@@ -117,18 +148,10 @@ def average_autocorr(spectrograms, max_lag: int, magnitude: bool = False):
     Raises ValueError when every trajectory is degenerate or the corpus
     is empty.
     """
-    total = np.zeros(max_lag + 1)
-    used = 0
-    skipped = 0
+    sums = AutocorrSums(max_lag, magnitude)
     for spec in spectrograms:
-        values = spec.values if isinstance(spec, ComplexSpectrogram) else np.asarray(spec)
-        curves, usable = _autocorr_columns(values, max_lag, magnitude)
-        total += curves.sum(axis=1)
-        used += int(usable.sum())
-        skipped += int(np.count_nonzero(~usable))
-    if used == 0:
-        raise ValueError("no usable bin trajectories in the corpus")
-    return AutocorrCurve(np.arange(max_lag + 1), total / used), skipped
+        sums.add(spec)
+    return sums.curve(), sums.skipped
 
 
 def tail_mass(curve: AutocorrCurve, from_lag: int) -> float:
@@ -172,6 +195,24 @@ def export_spectrogram(data, path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'pgm'")
 
 
+def mse_row(utt_id, est, ref):
+    """(utterance_id, n_frames, mse) of one aligned feature pair."""
+    est = np.asarray(est, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    if est.shape != ref.shape:
+        raise ValueError(
+            f"{utt_id}: misaligned pair {est.shape} vs {ref.shape}"
+        )
+    return utt_id, est.shape[0], float(np.mean((est - ref) ** 2))
+
+
+def corpus_mse(mses) -> float:
+    """Corpus mean of per-utterance MSEs; ValueError when there are none."""
+    if not mses:
+        raise ValueError("no pairs supplied")
+    return float(np.mean(mses))
+
+
 def mse_report(pairs):
     """Per-utterance and corpus-mean MSE between aligned feature pairs.
 
@@ -182,16 +223,5 @@ def mse_report(pairs):
     Returns:
         (rows, corpus_mean): rows are (utterance_id, n_frames, mse).
     """
-    rows = []
-    for utt_id, est, ref in pairs:
-        est = np.asarray(est, dtype=np.float64)
-        ref = np.asarray(ref, dtype=np.float64)
-        if est.shape != ref.shape:
-            raise ValueError(
-                f"{utt_id}: misaligned pair {est.shape} vs {ref.shape}"
-            )
-        rows.append((utt_id, est.shape[0], float(np.mean((est - ref) ** 2))))
-    if not rows:
-        raise ValueError("no pairs supplied")
-    corpus_mean = float(np.mean([row[2] for row in rows]))
-    return rows, corpus_mean
+    rows = [mse_row(*pair) for pair in pairs]
+    return rows, corpus_mse([row[2] for row in rows])

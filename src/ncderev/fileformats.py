@@ -12,6 +12,7 @@ CSV outputs use repr() for floats (shortest round-trip form), which keeps
 rerun outputs byte-identical.
 """
 
+import contextlib
 import csv
 import struct
 
@@ -28,8 +29,10 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write rows of mixed scalars with deterministic float formatting.
+@contextlib.contextmanager
+def csv_rows(path, header):
+    """Open a CSV for writing one row at a time; yields a function that
+    writes one row of mixed scalars with deterministic float formatting.
 
     Fields holding a comma or a quote are quoted, so any reader that
     follows RFC 4180 (such as Python's csv module) gets them back intact.
@@ -37,7 +40,14 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([fmt(v) for v in row] for row in rows)
+        yield lambda row: writer.writerow([fmt(v) for v in row])
+
+
+def write_csv(path, header, rows) -> None:
+    """Write all rows at once, formatted as by ``csv_rows``."""
+    with csv_rows(path, header) as write_row:
+        for row in rows:
+            write_row(row)
 
 
 def write_spectrogram(values, path) -> None:

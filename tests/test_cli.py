@@ -4,13 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synth_speech
-from ncderev import cli, corpus, dsp, fileformats, kernels, mixing, rir
+from ncderev import cli, corpus, diagnostics, dsp, fileformats, fir, kernels, mixing, mlp, rir
 from ncderev.dsp import write_wav
 
 # utt000..utt005 hash to train/dev/train/test/train/train
@@ -314,6 +315,9 @@ class TestPipeline:
         summary = (workdir / "mix_summary.csv").read_text().splitlines()
         assert summary[0] == "config,subset,optimal_lambda"
 
+        # diagnose reads fit-fir's estimates; run it here if no earlier test did
+        if not (workdir / "fir").is_dir():
+            assert cli.main(["fit-fir", "--config", str(config_path)]) == 0
         assert cli.main(["diagnose", "--config", str(config_path)]) == 0
         diag = workdir / "diagnostics"
         curves = (diag / "autocorr_curves.csv").read_text().splitlines()
@@ -467,6 +471,146 @@ def test_sweep_context_holds_one_pair_at_a_time(built_corpus, monkeypatch):
     counts = [line.split(",")[-1]
               for line in (workdir / "context_sweep.csv").read_text().splitlines()[1:]]
     assert counts == [str(len(UTTS))] * 3
+
+
+def test_derev_reports_match_mse_report(trained, capsys):
+    # derev writes its MSE rows one utterance at a time; the reports are
+    # those of mse_report over every utterance's pair held at once
+    config_path, workdir = trained
+    assert cli.main(["derev", "--config", str(config_path)]) == 0
+    rows = [r for r in corpus.read_manifest(workdir / "manifest.csv") if r.split == "test"]
+    feats = {kind: [fileformats.read_features(workdir / "features" / kind / f"{r.utterance}.ncft")
+                    for r in rows]
+             for kind in ("clean", "reverb")}
+    # the MSE is taken from the float64 estimate, not its float32 file
+    model = mlp.load_model(workdir / "mlp_model.json")
+    feats["derev"] = [mlp.dereverberate_features(model, x, 2, 2) for x in feats["reverb"]]
+    means = {}
+    for name in ("derev", "reverb"):
+        report, means[name] = diagnostics.mse_report(
+            zip([r.utterance for r in rows], feats[name], feats["clean"]))
+        expected = ["utterance,n_frames,mse"] + [f"{u},{n},{m!r}" for u, n, m in report]
+        assert (workdir / f"{name}_mse.csv").read_text().splitlines() == expected
+    assert f"corpus MSE: derev {means['derev']!r} vs reverb {means['reverb']!r}" in \
+        capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def fitted_all(built_corpus, tmp_path_factory):
+    """A copy of the built corpus on which fit-fir has run with split all."""
+    config_path, workdir = built_corpus
+    copy = tmp_path_factory.mktemp("fitted") / "work"
+    shutil.copytree(workdir, copy, ignore=shutil.ignore_patterns("fir", "diagnostics"))
+    cfg = copy / "config.json"
+    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()),
+                                   workdir=str(copy), split="all")))
+    assert cli.main(["fit-fir", "--config", str(cfg)]) == 0
+    return cfg, copy
+
+
+def _copy_of(fitted, tmp_path):
+    config_path, workdir = fitted
+    copy = tmp_path / "work"
+    shutil.copytree(workdir, copy, ignore=shutil.ignore_patterns("diagnostics"))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()), workdir=str(copy))))
+    return cfg, copy
+
+
+@pytest.mark.parametrize("key, value", [("p", 3), ("q", 1), ("ridge", 0.5), ("split", "test")])
+def test_diagnose_rejects_fit_fir_run_with_other_settings(fitted_all, tmp_path, capsys,
+                                                          key, value):
+    config_path, _ = fitted_all
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()), **{key: value})))
+    assert cli.main(["diagnose", "--config", str(cfg)]) == 3
+    assert f"fit-fir ran with {key} " in capsys.readouterr().err
+
+
+def test_diagnose_without_fit_fir_run_is_data_error(fitted_all, tmp_path, capsys):
+    config_path, workdir = _copy_of(fitted_all, tmp_path)
+    (workdir / "runs" / "fit-fir.json").unlink()
+    assert cli.main(["diagnose", "--config", str(config_path)]) == 3
+    assert "fit-fir.json; run fit-fir first" in capsys.readouterr().err
+
+
+def test_diagnose_missing_estimate_is_data_error(fitted_all, tmp_path, capsys):
+    config_path, workdir = _copy_of(fitted_all, tmp_path)
+    (workdir / "fir" / "utt004_estimate.ncsp").unlink()
+    assert cli.main(["diagnose", "--config", str(config_path)]) == 3
+    assert "utt004_estimate.ncsp" in capsys.readouterr().err
+    assert not (workdir / "diagnostics").exists()
+
+
+def test_diagnose_estimate_of_wrong_shape_is_data_error(fitted_all, tmp_path, capsys):
+    config_path, workdir = _copy_of(fitted_all, tmp_path)
+    path = workdir / "fir" / "utt002_estimate.ncsp"
+    estimate = fileformats.read_spectrogram(path)
+    fileformats.write_spectrogram(estimate[:-1], path)
+    assert cli.main(["diagnose", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "utt002_estimate.ncsp" in err and "shape" in err
+
+
+def test_diagnose_holds_one_utterance_at_a_time(fitted_all, monkeypatch):
+    # each utterance's three spectrograms are folded into the sums and
+    # released before the next utterance is loaded
+    config_path, _ = fitted_all
+    calls, loaded = [], []
+    load_pair, read_spectrogram = cli._load_pair, fileformats.read_spectrogram
+    add = diagnostics.AutocorrSums.add
+
+    def loading(*args, **kwargs):
+        assert all(ref() is None for ref in loaded)
+        calls.append("pair")
+        pair = load_pair(*args, **kwargs)
+        loaded.extend(weakref.ref(spec) for spec in pair)
+        return pair
+
+    def reading(*args, **kwargs):
+        calls.append("estimate")
+        estimate = read_spectrogram(*args, **kwargs)
+        loaded.append(weakref.ref(estimate))
+        return estimate
+
+    def adding(self, spec):
+        calls.append("add")
+        return add(self, spec)
+
+    monkeypatch.setattr(cli, "_load_pair", loading)
+    monkeypatch.setattr(fileformats, "read_spectrogram", reading)
+    monkeypatch.setattr(diagnostics.AutocorrSums, "add", adding)
+    assert cli.main(["diagnose", "--config", str(config_path)]) == 0
+    assert calls == ["pair", "estimate", "add", "add", "add"] * len(UTTS)
+    assert all(ref() is None for ref in loaded)
+
+
+def test_diagnose_matches_average_autocorr_over_the_split(fitted_all):
+    # clean and reverb are folded in the same utterance order as the list
+    # form, so they agree byte for byte; fir_derev comes from fit-fir's
+    # float32-stored estimates, so it agrees with float64 refits closely
+    config_path, workdir = fitted_all
+    assert cli.main(["diagnose", "--config", str(config_path)]) == 0
+    specs = {"clean": [], "reverb": [], "fir_derev": []}
+    for row in corpus.read_manifest(workdir / "manifest.csv"):
+        clean = dsp.stft(dsp.read_wav(row.clean_path), dsp.StftConfig())
+        reverb = dsp.stft(dsp.read_wav(workdir / row.reverb_path), dsp.StftConfig())
+        specs["clean"].append(clean)
+        specs["reverb"].append(reverb)
+        specs["fir_derev"].append(fir.dereverberate_spectrogram(reverb, clean, 2, 2)[0])
+    lines = (workdir / "diagnostics" / "autocorr_curves.csv").read_text().splitlines()
+    columns = list(zip(*(line.split(",") for line in lines[1:])))
+    record = json.loads((workdir / "runs" / "diagnose.json").read_text())
+    assert record["estimate_source"] == "fit-fir"
+    for i, name in enumerate(specs, start=1):
+        curve, skipped = diagnostics.average_autocorr(specs[name], 20, magnitude=True)
+        if name == "fir_derev":
+            got = np.array([float(v) for v in columns[i]])
+            assert np.max(np.abs(got - curve.values)) <= 1e-6
+        else:
+            assert list(columns[i]) == [repr(float(v)) for v in curve.values]
+        assert record["trajectories"][name] == {
+            "used": len(UTTS) * 257 - skipped, "skipped": skipped}
 
 
 def test_mix_summary_lists_bands_in_order(trained, tmp_path):
