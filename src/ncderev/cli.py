@@ -11,6 +11,7 @@ codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -210,6 +211,11 @@ def _train_config(cfg) -> mlp.TrainConfig:
     return mlp.TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(mlp.TrainConfig)})
 
 
+def _manifest_digest(cfg) -> str:
+    """sha256 of manifest.csv, which names the corpus an artifact came from."""
+    return hashlib.sha256((_workdir(cfg) / "manifest.csv").read_bytes()).hexdigest()
+
+
 def _manifest_rows(cfg, split=None):
     rows = corpus.read_manifest(_workdir(cfg) / "manifest.csv")
     if split and split != "all":
@@ -287,6 +293,7 @@ def cmd_featurize(cfg) -> int:
 def cmd_fit_fir(cfg) -> int:
     workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
+    manifest_sha256 = _manifest_digest(cfg)
     out_dir = workdir / "fir"
     out_dir.mkdir(exist_ok=True)
     err_rows = []
@@ -303,7 +310,7 @@ def cmd_fit_fir(cfg) -> int:
                          float(errors.sum()) / denom if denom else 0.0))
     fileformats.write_csv(out_dir / "errors.csv",
                           ["utterance", "total_err", "normalized_err"], err_rows)
-    _write_run_record(cfg, "fit-fir")
+    _write_run_record(cfg, "fit-fir", {"manifest_sha256": manifest_sha256})
     print(f"wrote per-bin filters for {len(rows)} utterances under {out_dir}")
     return 0
 
@@ -322,25 +329,25 @@ def cmd_sweep_context(cfg) -> int:
 
 
 def _dataset_from_rows(cfg, rows):
+    """The rows' reverberant features as (p, q) ContextFrames, which hold
+    them unstacked, and their clean features concatenated as targets."""
     inputs = []
     targets = []
     for row in rows:
-        reverb_feats = _require_features(cfg, "reverb", row.utterance)
-        clean_feats = _require_features(cfg, "clean", row.utterance)
-        inputs.append(features.stack_context(reverb_feats, cfg.p, cfg.q))
-        targets.append(clean_feats)
-    return np.concatenate(inputs), np.concatenate(targets)
+        inputs.append(_require_features(cfg, "reverb", row.utterance))
+        targets.append(_require_features(cfg, "clean", row.utterance))
+    return features.ContextFrames(inputs, cfg.p, cfg.q), np.concatenate(targets)
 
 
 def cmd_train_mlp(cfg) -> int:
     workdir = _workdir(cfg)
-    train_rows = _manifest_rows(cfg, "train")
-    train_x, train_y = _dataset_from_rows(cfg, train_rows)
+    train_x, train_y = _dataset_from_rows(cfg, _manifest_rows(cfg, "train"))
     try:
         dev_rows = _manifest_rows(cfg, "dev")
-        valid_x, valid_y = _dataset_from_rows(cfg, dev_rows)
-    except DataError:
+    except DataError:  # no dev utterances: the training loss drives the schedule
         valid_x = valid_y = None
+    else:
+        valid_x, valid_y = _dataset_from_rows(cfg, dev_rows)
     dims = ([(cfg.p + cfg.q + 1) * cfg.n_mels]
             + [cfg.hidden_width] * cfg.hidden_layers + [cfg.n_mels])
     model = mlp.init_model(dims, cfg.seed)
@@ -353,11 +360,11 @@ def cmd_train_mlp(cfg) -> int:
         trace,
     )
     _write_run_record(cfg, "train-mlp", {
-        "train_frames": train_x.shape[0],
-        "valid_frames": 0 if valid_x is None else valid_x.shape[0],
+        "train_frames": len(train_x),
+        "valid_frames": 0 if valid_x is None else len(valid_x),
         **mlp.trace_summary(trace, config.improvement_threshold),
     })
-    print(f"trained on {train_x.shape[0]} frames; wrote {workdir / 'mlp_model.json'}")
+    print(f"trained on {len(train_x)} frames; wrote {workdir / 'mlp_model.json'}")
     return 0
 
 
@@ -464,16 +471,20 @@ def cmd_mix_sweep(cfg) -> int:
 
 def _require_fit_fir_run(cfg) -> None:
     """fit-fir's estimates serve diagnose only if its run used the same
-    p, q, ridge and split."""
+    p, q, ridge and split, on the corpus that manifest.csv now lists."""
     path = _workdir(cfg) / "runs" / "fit-fir.json"
     if not path.is_file():
         raise DataError(f"missing upstream artifact {path}; run fit-fir first")
-    recorded = json.loads(path.read_text()).get("config", {})
+    record = json.loads(path.read_text())
+    recorded = record.get("config", {})
     for key in ("p", "q", "ridge", "split"):
         if recorded.get(key) != getattr(cfg, key):
             raise DataError(
                 f"fit-fir ran with {key} {recorded.get(key)!r} but diagnose has "
                 f"{getattr(cfg, key)!r} ({path}); rerun fit-fir with this config")
+    if record.get("manifest_sha256") != _manifest_digest(cfg):
+        raise DataError(f"fit-fir ran on another manifest.csv than the current one "
+                        f"({path}); rerun fit-fir on this corpus")
 
 
 def _estimate_path(cfg, utt) -> Path:
@@ -504,9 +515,9 @@ def _diagnose_one(cfg, row, sums, export_dir=None) -> None:
 
 
 def cmd_diagnose(cfg) -> int:
-    _require_fit_fir_run(cfg)
     workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
+    _require_fit_fir_run(cfg)
     missing = [path for path in (_estimate_path(cfg, row.utterance) for row in rows)
                if not path.is_file()]
     if missing:

@@ -3,7 +3,8 @@
 Feature matrices are plain float64 arrays of shape (frames, 40). Each
 frame's context vector concatenates the p previous, the current, and the
 q future frames in that order, with zero vectors beyond the utterance
-bounds.
+bounds. ContextFrames gathers those vectors on demand from the unstacked
+features; stack_context materializes them for one utterance.
 """
 
 from dataclasses import dataclass
@@ -107,21 +108,57 @@ def mvn(feats: np.ndarray) -> np.ndarray:
     return out
 
 
+class ContextFrames:
+    """Context vectors of the frames of one or more utterances, gathered
+    on demand.
+
+    Each utterance's (frames, d) block is held once, with p zero rows
+    before it and q after it, so the set takes (frames + (p+q)·utterances)
+    × d floats instead of the (frames, (p+q+1)·d) stacked matrix. Frames
+    are numbered across the utterances in block order; ``rows(idx)`` is
+    the stacked matrix's rows ``idx``, bit for bit.
+    """
+
+    def __init__(self, blocks, p: int, q: int):
+        if p < 0 or q < 0:
+            raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
+        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+        if not blocks or any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1]
+                             for b in blocks):
+            raise ValueError(f"features must be 2-D blocks of one width, got shapes "
+                             f"{[b.shape for b in blocks]}")
+        lengths = [b.shape[0] for b in blocks]
+        # frame i of block u starts its context at padded row i + u·(p+q)
+        self.starts = (np.arange(sum(lengths))
+                       + (p + q) * np.repeat(np.arange(len(blocks)), lengths))
+        d = blocks[0].shape[1]
+        self.padded = np.zeros((len(self.starts) + (p + q) * len(blocks), d))
+        first = p
+        for b in blocks:
+            self.padded[first:first + b.shape[0]] = b
+            first += b.shape[0] + p + q
+        # padded rows s..s+p+q are one contiguous run of floats, so row s of
+        # this read-only view is the context vector that starts at row s
+        self.windows = np.lib.stride_tricks.as_strided(
+            self.padded, shape=(max(len(self.padded) - p - q, 0), (p + q + 1) * d),
+            strides=self.padded.strides, writeable=False)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def rows(self, idx) -> np.ndarray:
+        """Context vectors of frames ``idx`` (an index array or a slice):
+        frames n-p..n+q concatenated per frame, shape (len(idx), (p+q+1)·d)."""
+        return self.windows[self.starts[idx]]
+
+
 def stack_context(feats: np.ndarray, p: int, q: int) -> np.ndarray:
     """Concatenate frames n-p..n+q per frame, zero vectors past the edges.
 
     Shape (N, d) -> (N, (p+q+1)*d); the center d columns of the output
-    equal the input.
+    equal the input. The one-utterance, all-frames case of ContextFrames.
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {feats.shape}")
-    if p < 0 or q < 0:
-        raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
-    n, d = feats.shape
-    padded = np.zeros((p + n + q, d))
-    padded[p:p + n] = feats
-    return np.hstack([padded[j:j + n] for j in range(p + q + 1)])
+    return ContextFrames([feats], p, q).rows(slice(None))
 
 
 def align_pairs(reverb_feats: np.ndarray, clean_feats: np.ndarray):

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import features
+
+# rows per forward call of the per-epoch loss pass
+LOSS_CHUNK = 512
+
 
 class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite; carries the loss trace so far."""
@@ -197,6 +202,28 @@ def trace_summary(trace, improvement_threshold) -> dict:
     }
 
 
+def _context_frames(inputs) -> features.ContextFrames:
+    """``inputs`` as ContextFrames; a plain (rows, d) array is its own
+    context (p = q = 0), so both kinds are read through ``rows``."""
+    if isinstance(inputs, features.ContextFrames):
+        return inputs
+    return features.ContextFrames([inputs], 0, 0)
+
+
+def _forward_chunked(model, inputs) -> np.ndarray:
+    """``forward`` over every row of ``inputs`` (ContextFrames), LOSS_CHUNK
+    rows at a time. The last chunk ends at the last row and is as long as
+    the others: BLAS may sum a small product in another order (OpenBLAS
+    does below 1e6 multiply-adds), so a short last chunk could give rows
+    other than a full-set forward's."""
+    n = len(inputs)
+    out = np.empty((n, model.layer_dims[-1]))
+    for start in range(0, n, LOSS_CHUNK):
+        chunk = slice(max(min(start, n - LOSS_CHUNK), 0), start + LOSS_CHUNK)
+        out[chunk] = forward(model, inputs.rows(chunk))
+    return out
+
+
 def train(model: MlpModel, inputs, targets, config: TrainConfig,
           valid_inputs=None, valid_targets=None):
     """Mini-batch SGD over shuffled epochs with a halving learning rate.
@@ -207,6 +234,9 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
     the epoch budget runs out. Without a validation set the training
     loss drives the schedule.
 
+    ``inputs`` and ``valid_inputs`` are (rows, d_in) arrays or
+    features.ContextFrames; each batch and loss chunk gathers its rows.
+
     Returns:
         (best_model, trace) where best_model holds the parameters of the
         best validation epoch and trace is a list of
@@ -215,15 +245,15 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
     Raises TrainingDivergedError (carrying the partial trace) when the
     loss becomes non-finite.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = _context_frames(inputs)
     targets = np.asarray(targets, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
+    if len(inputs) == 0:
         raise ValueError("empty training set")
-    if inputs.shape[0] != targets.shape[0]:
+    if len(inputs) != targets.shape[0]:
         raise ValueError("inputs and targets differ in sample count")
     has_valid = valid_inputs is not None and valid_targets is not None
     if has_valid:
-        valid_inputs = np.asarray(valid_inputs, dtype=np.float64)
+        valid_inputs = _context_frames(valid_inputs)
         valid_targets = np.asarray(valid_targets, dtype=np.float64)
 
     rng = np.random.default_rng(config.seed)
@@ -234,14 +264,14 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
     best_valid = np.inf
     prev_valid = None
     halvings = 0
-    n = inputs.shape[0]
+    n = len(inputs)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, config.batch_size):
                 sel = order[start:start + config.batch_size]
                 w_grads, b_grads, batch_loss = gradients(
-                    model, inputs[sel], targets[sel])
+                    model, inputs.rows(sel), targets[sel])
                 if not np.isfinite(batch_loss):
                     raise TrainingDivergedError(
                         f"non-finite loss in epoch {epoch}", trace
@@ -249,10 +279,13 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
                 if lr:
                     for w, b, gw, gb in zip(model.weights, model.biases,
                                             w_grads, b_grads):
-                        w -= lr * gw
-                        b -= lr * gb
-            train_mse = mse_loss(forward(model, inputs), targets)
-            valid_mse = (mse_loss(forward(model, valid_inputs), valid_targets)
+                        # lr·g in the gradient's own buffer: no temporary
+                        gw *= lr
+                        gb *= lr
+                        w -= gw
+                        b -= gb
+            train_mse = mse_loss(_forward_chunked(model, inputs), targets)
+            valid_mse = (mse_loss(_forward_chunked(model, valid_inputs), valid_targets)
                          if has_valid else train_mse)
         if not (np.isfinite(train_mse) and np.isfinite(valid_mse)):
             raise TrainingDivergedError(f"non-finite loss in epoch {epoch}", trace)
@@ -278,9 +311,7 @@ def dereverberate_features(model: MlpModel, reverb_feats, p: int, q: int) -> np.
 
     ``forward`` rejects a model whose input is not p+q+1 frames wide.
     """
-    from .features import stack_context
-
-    return forward(model, stack_context(reverb_feats, p, q))
+    return forward(model, features.stack_context(reverb_feats, p, q))
 
 
 def save_model(model: MlpModel, path, seed=None) -> None:

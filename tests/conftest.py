@@ -37,6 +37,15 @@ def synth_speech(rng, sample_rate=16000, duration=1.5):
     return Waveform(0.85 * sig / np.max(np.abs(sig)), sample_rate)
 
 
+def hstack_context(feats, p, q):
+    """Context-stacking oracle: the (frames, (p+q+1)·d) matrix built by
+    concatenating p+q+1 shifted, zero-padded copies of the features."""
+    n, d = feats.shape
+    padded = np.zeros((p + n + q, d))
+    padded[p:p + n] = feats
+    return np.hstack([padded[j:j + n] for j in range(p + q + 1)])
+
+
 @pytest.fixture(scope="session")
 def speech():
     return synth_speech(np.random.default_rng(7), duration=1.2)

@@ -1,16 +1,18 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import synth_speech
+from conftest import hstack_context, synth_speech
 from ncderev import cli, corpus, diagnostics, dsp, fileformats, fir, kernels, mixing, mlp, rir
 from ncderev.dsp import write_wav
 
@@ -495,6 +497,81 @@ def test_derev_reports_match_mse_report(trained, capsys):
         capsys.readouterr().out
 
 
+def _stacked_split(workdir, split, p, q):
+    """The split's context matrix and targets as train-mlp built them before
+    it gathered context per batch: hstack_context per utterance, stacked."""
+    rows = [r for r in corpus.read_manifest(workdir / "manifest.csv") if r.split == split]
+    feats = {kind: [fileformats.read_features(workdir / "features" / kind / f"{r.utterance}.ncft")
+                    for r in rows] for kind in ("reverb", "clean")}
+    return (np.concatenate([hstack_context(f, p, q) for f in feats["reverb"]]),
+            np.concatenate(feats["clean"]))
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_train_mlp_matches_training_on_the_stacked_matrix(trained, tmp_path, monkeypatch,
+                                                          chunk):
+    config_path, workdir = _copy_of(trained, tmp_path)
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["train-mlp", "--config", str(config_path)]))
+    x, y = _stacked_split(workdir, "train", cfg.p, cfg.q)
+    vx, vy = _stacked_split(workdir, "dev", cfg.p, cfg.q)
+    dims = [x.shape[1]] + [cfg.hidden_width] * cfg.hidden_layers + [cfg.n_mels]
+    monkeypatch.setattr(mlp, "LOSS_CHUNK", 10 ** 6)  # one forward call per set
+    best, trace = mlp.train(mlp.init_model(dims, cfg.seed), x, y,
+                            cli._train_config(cfg), vx, vy)
+    mlp.save_model(best, tmp_path / "mlp_model.json", seed=cfg.seed)
+    fileformats.write_csv(tmp_path / "mlp_loss.csv",
+                          ["epoch", "train_mse", "valid_mse", "learning_rate"], trace)
+    if chunk:
+        monkeypatch.setattr(mlp, "LOSS_CHUNK", chunk)
+    else:
+        monkeypatch.undo()
+        assert len(x) < mlp.LOSS_CHUNK  # so the default chunk holds the whole set
+    assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
+    for name in ("mlp_model.json", "mlp_loss.csv"):
+        assert (workdir / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_train_mlp_allocates_no_stacked_matrix(built_corpus, tmp_path, monkeypatch):
+    # p = q = 10 makes the stacked train matrix 21x the features; with loss
+    # chunks shorter than the split, the peak stays below that one array
+    config_path, workdir = _copy_of(built_corpus, tmp_path)
+    config_path.write_text(json.dumps(dict(json.loads(config_path.read_text()), p=10, q=10)))
+    x, _ = _stacked_split(workdir, "train", 10, 10)
+    stacked_bytes = x.nbytes
+    del x
+    monkeypatch.setattr(mlp, "LOSS_CHUNK", 64)
+    tracemalloc.start()
+    try:
+        assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stacked_bytes
+
+
+def test_train_mlp_missing_dev_features_is_data_error(built_corpus, tmp_path, capsys):
+    config_path, workdir = _copy_of(built_corpus, tmp_path)
+    (workdir / "features" / "reverb" / "utt001.ncft").unlink()  # utt001 is dev
+    (workdir / "runs" / "train-mlp.json").unlink(missing_ok=True)
+    assert cli.main(["train-mlp", "--config", str(config_path)]) == 3
+    assert "utt001.ncft; run featurize first" in capsys.readouterr().err
+    assert not (workdir / "runs" / "train-mlp.json").exists()
+
+
+def test_train_mlp_without_dev_split_trains_on_the_train_loss(built_corpus, tmp_path):
+    config_path, workdir = _copy_of(built_corpus, tmp_path)
+    rows = [dataclasses.replace(r, split="test") if r.split == "dev" else r
+            for r in corpus.read_manifest(workdir / "manifest.csv")]
+    corpus.write_manifest(rows, workdir / "manifest.csv")
+    (workdir / "runs" / "train-mlp.json").unlink(missing_ok=True)
+    assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
+    assert json.loads((workdir / "runs" / "train-mlp.json").read_text())["valid_frames"] == 0
+    for line in (workdir / "mlp_loss.csv").read_text().splitlines()[1:]:
+        _, train_mse, valid_mse, _ = line.split(",")
+        assert train_mse == valid_mse
+
+
 @pytest.fixture(scope="module")
 def fitted_all(built_corpus, tmp_path_factory):
     """A copy of the built corpus on which fit-fir has run with split all."""
@@ -550,6 +627,22 @@ def test_diagnose_estimate_of_wrong_shape_is_data_error(fitted_all, tmp_path, ca
     assert cli.main(["diagnose", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
     assert "utt002_estimate.ncsp" in err and "shape" in err
+
+
+def test_fit_fir_records_the_manifest_digest(fitted_all):
+    _, workdir = fitted_all
+    record = json.loads((workdir / "runs" / "fit-fir.json").read_text())
+    assert record["manifest_sha256"] == hashlib.sha256(
+        (workdir / "manifest.csv").read_bytes()).hexdigest()
+
+
+def test_diagnose_rejects_estimates_of_an_older_corpus(fitted_all, tmp_path, capsys):
+    config_path, workdir = _copy_of(fitted_all, tmp_path)
+    assert cli.main(["make-corpus", "--config", str(config_path), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert cli.main(["diagnose", "--config", str(config_path)]) == 3
+    assert "another manifest.csv" in capsys.readouterr().err
+    assert not (workdir / "diagnostics").exists()
 
 
 def test_diagnose_holds_one_utterance_at_a_time(fitted_all, monkeypatch):

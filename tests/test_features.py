@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import hstack_context
 from ncderev import features
 from ncderev.dsp import ComplexSpectrogram, StftConfig, Waveform, stft
 
@@ -133,6 +134,72 @@ class TestStackContext:
         p, q = 3, 2
         out = features.stack_context(x, p, q)
         assert np.array_equal(out[:, p * 40:(p + 1) * 40], x)
+
+
+class TestContextFrames:
+    """Gathered rows against the hstack oracle of the concatenated utterances."""
+
+    @staticmethod
+    def blocks(lengths, d=40, seed=0):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(n, d)) for n in lengths]
+
+    @staticmethod
+    def oracle(blocks, p, q):
+        return np.vstack([hstack_context(b, p, q) for b in blocks])
+
+    @pytest.mark.parametrize("p, q", [(10, 10), (3, 1), (0, 4), (5, 0), (0, 0)])
+    def test_random_index_sets(self, p, q):
+        blocks = self.blocks([37, 52, 9, 60])
+        frames = features.ContextFrames(blocks, p, q)
+        expected = self.oracle(blocks, p, q)
+        rng = np.random.default_rng(p * 10 + q)
+        for size in (1, 7, 64, len(expected)):
+            idx = rng.choice(len(expected), size=size, replace=False)
+            assert np.array_equal(frames.rows(idx), expected[idx])
+        assert np.array_equal(frames.rows(slice(None)), expected)
+
+    @pytest.mark.parametrize("p, q", [(10, 10), (2, 7), (0, 3), (3, 0)])
+    def test_first_and_last_frames(self, p, q):
+        blocks = self.blocks([30], seed=1)
+        frames = features.ContextFrames(blocks, p, q)
+        expected = self.oracle(blocks, p, q)
+        edges = np.r_[np.arange(p + 1), np.arange(30 - q - 1, 30)]
+        assert np.array_equal(frames.rows(edges), expected[edges])
+
+    @pytest.mark.parametrize("lengths", [[1], [3], [20], [1, 2, 1, 5]])
+    def test_utterances_shorter_than_the_context(self, lengths):
+        blocks = self.blocks(lengths, seed=2)
+        frames = features.ContextFrames(blocks, 10, 10)
+        assert np.array_equal(frames.rows(np.arange(len(frames))),
+                              self.oracle(blocks, 10, 10))
+
+    def test_several_utterances_in_one_block(self):
+        blocks = self.blocks([25, 40, 12], seed=3)
+        frames = features.ContextFrames(blocks, 4, 6)
+        assert len(frames) == 77
+        # every utterance keeps its own zero edges: no frame sees a neighbour's
+        assert frames.padded.shape == (77 + 3 * 10, 40)
+        starts = np.cumsum([0, 25, 40])
+        for block, start in zip(blocks, starts):
+            rows = frames.rows(np.arange(start, start + len(block)))
+            assert np.array_equal(rows, hstack_context(block, 4, 6))
+
+    def test_stack_context_is_the_gather_of_one_utterance(self):
+        (x,) = self.blocks([45], d=8, seed=4)
+        for p, q in [(0, 0), (10, 10), (2, 0), (0, 5)]:
+            assert np.array_equal(features.stack_context(x, p, q), hstack_context(x, p, q))
+
+    @pytest.mark.parametrize("blocks, p, q", [
+        ([np.ones(5)], 1, 1),
+        ([np.ones((5, 4)), np.ones((5, 3))], 1, 1),
+        ([], 1, 1),
+        ([np.ones((5, 4))], -1, 0),
+        ([np.ones((5, 4))], 0, -1),
+    ])
+    def test_bad_input_rejected(self, blocks, p, q):
+        with pytest.raises(ValueError):
+            features.ContextFrames(blocks, p, q)
 
 
 class TestAlignPairs:

@@ -211,6 +211,50 @@ class TestTrain:
         final = mlp.mse_loss(mlp.forward(trained, x), y)
         assert final <= 1e-3
 
+    @pytest.mark.parametrize("chunk", [64, 100, 101, 512])
+    def test_context_frames_train_like_the_stacked_matrix(self, monkeypatch, chunk):
+        # the batches gather the stacked matrix's rows, and each loss chunk's
+        # rows equal a full-set forward's, so trace and parameters are equal
+        # bit for bit. The 32-wide layer keeps every chunk's first product
+        # above the 1e6 multiply-adds below which OpenBLAS sums in another
+        # order, as the full set's is.
+        from ncderev.features import ContextFrames, stack_context
+
+        rng = np.random.default_rng(11)
+        utts = [rng.normal(size=(n, 40)) for n in (90, 3, 150, 61)]
+        devs = [rng.normal(size=(n, 40)) for n in (70, 45)]
+        y = np.tanh(np.vstack(utts))
+        vy = np.tanh(np.vstack(devs))
+        p, q = 10, 10
+        config = mlp.TrainConfig(learning_rate=0.5, batch_size=32, epochs=3, seed=11)
+
+        def run(x, vx):
+            return mlp.train(mlp.init_model([840, 32, 40], 11), x, y, config, vx, vy)
+
+        monkeypatch.setattr(mlp, "LOSS_CHUNK", 10 ** 6)  # one forward call per set
+        want_model, want_trace = run(np.vstack([stack_context(u, p, q) for u in utts]),
+                                     np.vstack([stack_context(u, p, q) for u in devs]))
+        monkeypatch.setattr(mlp, "LOSS_CHUNK", chunk)
+        got_model, got_trace = run(ContextFrames(utts, p, q), ContextFrames(devs, p, q))
+        assert got_trace == want_trace
+        for a, b in zip(got_model.weights + got_model.biases,
+                        want_model.weights + want_model.biases):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk", [64, 100, 101, 512])
+    def test_loss_chunks_give_the_full_set_forward(self, monkeypatch, chunk):
+        # 304 = 3·101 + 1 = 3·100 + 4 rows: a short last chunk would be a
+        # small product, which BLAS may sum in another order
+        from ncderev.features import ContextFrames, stack_context
+
+        rng = np.random.default_rng(12)
+        utts = [rng.normal(size=(n, 40)) for n in (90, 3, 150, 61)]
+        model = mlp.init_model([840, 32, 40], 12)
+        want = mlp.forward(model, np.vstack([stack_context(u, 10, 10) for u in utts]))
+        monkeypatch.setattr(mlp, "LOSS_CHUNK", chunk)
+        got = mlp._forward_chunked(model, ContextFrames(utts, 10, 10))
+        assert np.array_equal(got, want)
+
     def test_seeded_determinism_of_trace(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 5))
