@@ -178,11 +178,59 @@ def _workdir(cfg) -> Path:
     return path
 
 
+def _manifest_path(cfg) -> Path:
+    return _workdir(cfg) / "manifest.csv"
+
+
+def _run_path(cfg, command) -> Path:
+    return _workdir(cfg) / "runs" / f"{command}.json"
+
+
+def _features_dir(cfg, kind) -> Path:
+    return _workdir(cfg) / "features" / kind
+
+
+def _features_path(cfg, kind, utt) -> Path:
+    return _features_dir(cfg, kind) / f"{utt}.ncft"
+
+
+def _fir_dir(cfg) -> Path:
+    return _workdir(cfg) / "fir"
+
+
+def _estimate_path(cfg, utt) -> Path:
+    return _fir_dir(cfg) / f"{utt}_estimate.ncsp"
+
+
+def _model_path(cfg) -> Path:
+    return _workdir(cfg) / "mlp_model.json"
+
+
+def _upstream(path, command) -> Path:
+    """``path``, an artifact that ``command`` writes; DataError if it is missing."""
+    if not path.is_file():
+        raise DataError(f"missing upstream artifact {path}; run {command} first")
+    return path
+
+
+def _require_run(cfg, command, keys) -> dict:
+    """``command``'s run record; DataError unless it holds this config's ``keys``."""
+    path = _upstream(_run_path(cfg, command), command)
+    record = json.loads(path.read_text())
+    recorded = record.get("config", {})
+    for key in keys:
+        if recorded.get(key) != getattr(cfg, key):
+            raise DataError(
+                f"{command} ran with {key} {recorded.get(key)!r} but this config "
+                f"has {getattr(cfg, key)!r} ({path}); rerun {command} with this config")
+    return record
+
+
 def _write_run_record(cfg, command, extra=None) -> None:
     """workdir/runs/<command>.json: config, versions and any deterministic
     facts of the run in ``extra`` (never wall-clock values)."""
-    runs = _workdir(cfg) / "runs"
-    runs.mkdir(exist_ok=True)
+    path = _run_path(cfg, command)
+    path.parent.mkdir(exist_ok=True)
     record = {
         "command": command,
         "config": asdict(cfg),
@@ -191,9 +239,7 @@ def _write_run_record(cfg, command, extra=None) -> None:
         "version": __version__,
         **(extra or {}),
     }
-    (runs / f"{command}.json").write_text(
-        json.dumps(record, indent=1, sort_keys=True) + "\n"
-    )
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
 def _stft_config(cfg) -> dsp.StftConfig:
@@ -213,11 +259,11 @@ def _train_config(cfg) -> mlp.TrainConfig:
 
 def _manifest_digest(cfg) -> str:
     """sha256 of manifest.csv, which names the corpus an artifact came from."""
-    return hashlib.sha256((_workdir(cfg) / "manifest.csv").read_bytes()).hexdigest()
+    return hashlib.sha256(_manifest_path(cfg).read_bytes()).hexdigest()
 
 
 def _manifest_rows(cfg, split=None):
-    rows = corpus.read_manifest(_workdir(cfg) / "manifest.csv")
+    rows = corpus.read_manifest(_upstream(_manifest_path(cfg), "make-corpus"))
     if split and split != "all":
         rows = [r for r in rows if r.split == split]
         if not rows:
@@ -238,15 +284,8 @@ def _load_pair(cfg, row):
     return _load_reverb(cfg, row), clean
 
 
-def _features_path(cfg, kind, utt) -> Path:
-    return _workdir(cfg) / "features" / kind / f"{utt}.ncft"
-
-
 def _require_features(cfg, kind, utt) -> np.ndarray:
-    path = _features_path(cfg, kind, utt)
-    if not path.is_file():
-        raise DataError(f"missing upstream artifact {path}; run featurize first")
-    return fileformats.read_features(path)
+    return fileformats.read_features(_upstream(_features_path(cfg, kind, utt), "featurize"))
 
 
 def _mvn_logmel(spec, bank) -> np.ndarray:
@@ -266,18 +305,17 @@ def cmd_make_corpus(cfg) -> int:
         rir_count=cfg.rir_count or None,
         jobs=cfg.jobs,
     )
-    corpus.write_manifest(rows, workdir / "manifest.csv")
+    corpus.write_manifest(rows, _manifest_path(cfg))
     _write_run_record(cfg, "make-corpus")
-    print(f"wrote {workdir / 'manifest.csv'} ({len(rows)} utterances)")
+    print(f"wrote {_manifest_path(cfg)} ({len(rows)} utterances)")
     return 0
 
 
 def cmd_featurize(cfg) -> int:
-    workdir = _workdir(cfg)
     rows = _manifest_rows(cfg)
     bank = _mel_bank(cfg)
     for kind in ("clean", "reverb"):
-        (workdir / "features" / kind).mkdir(parents=True, exist_ok=True)
+        _features_dir(cfg, kind).mkdir(parents=True, exist_ok=True)
     for row in rows:
         reverb_spec, clean_spec = _load_pair(cfg, row)
         clean_feats = _mvn_logmel(clean_spec, bank)
@@ -286,15 +324,14 @@ def cmd_featurize(cfg) -> int:
         fileformats.write_features(clean_feats, _features_path(cfg, "clean", row.utterance))
         fileformats.write_features(reverb_feats, _features_path(cfg, "reverb", row.utterance))
     _write_run_record(cfg, "featurize")
-    print(f"wrote features for {len(rows)} utterances under {workdir / 'features'}")
+    print(f"wrote features for {len(rows)} utterances under {_features_dir(cfg, 'clean').parent}")
     return 0
 
 
 def cmd_fit_fir(cfg) -> int:
-    workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
     manifest_sha256 = _manifest_digest(cfg)
-    out_dir = workdir / "fir"
+    out_dir = _fir_dir(cfg)
     out_dir.mkdir(exist_ok=True)
     err_rows = []
     for row in rows:
@@ -303,7 +340,7 @@ def cmd_fit_fir(cfg) -> int:
             reverb_spec, clean_spec, cfg.p, cfg.q, ridge=cfg.ridge
         )
         fileformats.write_filters_csv(taps, cfg.q, out_dir / f"{row.utterance}_filters.csv")
-        fileformats.write_spectrogram(estimate, out_dir / f"{row.utterance}_estimate.ncsp")
+        fileformats.write_spectrogram(estimate, _estimate_path(cfg, row.utterance))
         dsp.write_wav(dsp.istft(estimate), out_dir / f"{row.utterance}_estimate.wav")
         denom = float(np.sum(np.abs(clean_spec.values) ** 2))
         err_rows.append((row.utterance, float(errors.sum()),
@@ -353,7 +390,7 @@ def cmd_train_mlp(cfg) -> int:
     model = mlp.init_model(dims, cfg.seed)
     config = _train_config(cfg)
     best, trace = mlp.train(model, train_x, train_y, config, valid_x, valid_y)
-    mlp.save_model(best, workdir / "mlp_model.json", seed=cfg.seed)
+    mlp.save_model(best, _model_path(cfg), seed=cfg.seed)
     fileformats.write_csv(
         workdir / "mlp_loss.csv",
         ["epoch", "train_mse", "valid_mse", "learning_rate"],
@@ -364,23 +401,21 @@ def cmd_train_mlp(cfg) -> int:
         "valid_frames": 0 if valid_x is None else len(valid_x),
         **mlp.trace_summary(trace, config.improvement_threshold),
     })
-    print(f"trained on {len(train_x)} frames; wrote {workdir / 'mlp_model.json'}")
+    print(f"trained on {len(train_x)} frames; wrote {_model_path(cfg)}")
     return 0
 
 
 def _load_model(cfg) -> mlp.MlpModel:
-    path = _workdir(cfg) / "mlp_model.json"
-    if not path.is_file():
-        raise DataError(f"missing upstream artifact {path}; run train-mlp first")
-    return mlp.load_model(path)
+    """train-mlp's model, which serves only the context and features it was trained on."""
+    _require_run(cfg, "train-mlp", ("p", "q", "n_mels"))
+    return mlp.load_model(_upstream(_model_path(cfg), "train-mlp"))
 
 
 def cmd_derev(cfg) -> int:
     workdir = _workdir(cfg)
     model = _load_model(cfg)
     rows = _manifest_rows(cfg, cfg.split)
-    out_dir = workdir / "features" / "derev"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _features_dir(cfg, "derev").mkdir(parents=True, exist_ok=True)
     mses = {"derev": [], "reverb": []}
     header = ["utterance", "n_frames", "mse"]
     # each utterance's MSE rows are written before the next one is loaded
@@ -390,7 +425,7 @@ def cmd_derev(cfg) -> int:
             reverb_feats = _require_features(cfg, "reverb", row.utterance)
             clean_feats = _require_features(cfg, "clean", row.utterance)
             estimate = mlp.dereverberate_features(model, reverb_feats, cfg.p, cfg.q)
-            fileformats.write_features(estimate, out_dir / f"{row.utterance}.ncft")
+            fileformats.write_features(estimate, _features_path(cfg, "derev", row.utterance))
             for name, write_row, feats in (("derev", write_derev, estimate),
                                            ("reverb", write_reverb, reverb_feats)):
                 report_row = diagnostics.mse_row(row.utterance, feats, clean_feats)
@@ -469,28 +504,6 @@ def cmd_mix_sweep(cfg) -> int:
     return 0
 
 
-def _require_fit_fir_run(cfg) -> None:
-    """fit-fir's estimates serve diagnose only if its run used the same
-    p, q, ridge and split, on the corpus that manifest.csv now lists."""
-    path = _workdir(cfg) / "runs" / "fit-fir.json"
-    if not path.is_file():
-        raise DataError(f"missing upstream artifact {path}; run fit-fir first")
-    record = json.loads(path.read_text())
-    recorded = record.get("config", {})
-    for key in ("p", "q", "ridge", "split"):
-        if recorded.get(key) != getattr(cfg, key):
-            raise DataError(
-                f"fit-fir ran with {key} {recorded.get(key)!r} but diagnose has "
-                f"{getattr(cfg, key)!r} ({path}); rerun fit-fir with this config")
-    if record.get("manifest_sha256") != _manifest_digest(cfg):
-        raise DataError(f"fit-fir ran on another manifest.csv than the current one "
-                        f"({path}); rerun fit-fir on this corpus")
-
-
-def _estimate_path(cfg, utt) -> Path:
-    return _workdir(cfg) / "fir" / f"{utt}_estimate.ncsp"
-
-
 def _diagnose_one(cfg, row, sums, export_dir=None) -> None:
     """Fold one utterance's clean, reverberant and fit-fir estimate
     spectrograms into ``sums`` (one AutocorrSums per corpus); with
@@ -517,12 +530,15 @@ def _diagnose_one(cfg, row, sums, export_dir=None) -> None:
 def cmd_diagnose(cfg) -> int:
     workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
-    _require_fit_fir_run(cfg)
-    missing = [path for path in (_estimate_path(cfg, row.utterance) for row in rows)
-               if not path.is_file()]
-    if missing:
-        raise DataError(f"missing upstream artifact {missing[0]} "
-                        f"({len(missing)} of {len(rows)}); run fit-fir first")
+    # fit-fir's estimates serve only the same fit and STFT, on the corpus
+    # that manifest.csv now lists
+    record = _require_run(cfg, "fit-fir", ("p", "q", "ridge", "split", "sample_rate",
+                                           "frame_ms", "shift_ms", "fft_size"))
+    if record.get("manifest_sha256") != _manifest_digest(cfg):
+        raise DataError(f"fit-fir ran on another manifest.csv than the current one "
+                        f"({_run_path(cfg, 'fit-fir')}); rerun fit-fir on this corpus")
+    for row in rows:
+        _upstream(_estimate_path(cfg, row.utterance), "fit-fir")
     out_dir = workdir / "diagnostics"
     out_dir.mkdir(exist_ok=True)
     # magnitude trajectories expose the smearing (criterion 5)

@@ -8,7 +8,7 @@ split, and is recorded in a manifest CSV. All randomness derives from
 
 import csv
 import hashlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +18,11 @@ from .fileformats import write_csv, write_rir
 
 PEAK_LIMIT = 0.99
 
-MANIFEST_COLUMNS = [
-    "utterance", "rir_id", "rt60", "distance", "split", "gain",
-    "clean_path", "reverb_path", "rir_path",
-]
-
 
 @dataclass(frozen=True)
 class ManifestRow:
+    """One manifest line; the fields, in order, are the CSV columns."""
+
     utterance: str
     rir_id: int
     rt60: float
@@ -35,6 +32,9 @@ class ManifestRow:
     clean_path: str
     reverb_path: str
     rir_path: str
+
+
+MANIFEST_COLUMNS = [f.name for f in fields(ManifestRow)]
 
 
 def split_of(utterance: str) -> str:
@@ -69,6 +69,8 @@ def _synthesize_one(task):
         reverb = dsp.Waveform(reverb.samples * gain, reverb.sample_rate)
     reverb_path = out_dir / "reverb" / f"{utt}.wav"
     rir_path = out_dir / "rirs" / f"rir{rir_id:05d}.ncir"
+    for path in (reverb_path, rir_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
     dsp.write_wav(reverb, reverb_path)
     write_rir(impulse, rir_path)
     return ManifestRow(
@@ -107,9 +109,6 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
             f"{rir_count} RIRs for {n_utts} utterances: assignment without "
             "replacement needs at least one RIR per utterance"
         )
-    out_dir = Path(out_dir)
-    (out_dir / "reverb").mkdir(parents=True, exist_ok=True)
-    (out_dir / "rirs").mkdir(parents=True, exist_ok=True)
     specs = rir.make_rir_set(seed, rir_count, nominal_dims,
                              sample_rate=sample_rate, rt60_range=rt60_range)
     order = np.random.default_rng((seed, rir_count)).permutation(rir_count)
@@ -128,28 +127,25 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
 
 
 def write_manifest(rows, path) -> None:
-    write_csv(path, MANIFEST_COLUMNS,
-              ([getattr(r, column) for column in MANIFEST_COLUMNS] for r in rows))
+    write_csv(path, MANIFEST_COLUMNS, map(astuple, rows))
 
 
 def read_manifest(path) -> list:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"manifest not found: {path}; run make-corpus first"
-        )
-    rows = []
+    """Rows of a manifest; ValueError naming the file for a header other
+    than MANIFEST_COLUMNS, a row of another length or a field that does not
+    convert to its ManifestRow type."""
+    types = [f.type for f in fields(ManifestRow)]
     with open(path, "r", encoding="ascii", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(ManifestRow(
-                utterance=rec["utterance"],
-                rir_id=int(rec["rir_id"]),
-                rt60=float(rec["rt60"]),
-                distance=float(rec["distance"]),
-                split=rec["split"],
-                gain=float(rec["gain"]),
-                clean_path=rec["clean_path"],
-                reverb_path=rec["reverb_path"],
-                rir_path=rec["rir_path"],
-            ))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != MANIFEST_COLUMNS:
+            raise ValueError(f"{path}: header {header} is not {MANIFEST_COLUMNS}")
+        rows = []
+        for record in reader:
+            try:
+                if len(record) != len(types):
+                    raise ValueError(f"{len(record)} fields, expected {len(types)}")
+                rows.append(ManifestRow(*(kind(v) for kind, v in zip(types, record))))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     return rows

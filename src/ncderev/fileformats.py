@@ -1,12 +1,12 @@
 """On-disk interchange formats.
 
-Binary formats (all little-endian):
-    NCSP: complex spectrogram. magic "NCSP", u32 frames, u32 bins, then
-          frames*bins interleaved (re, im) f32 pairs, row-major.
-    NCIR: impulse response. magic "NCIR", u32 tap count, f32 taps, then
-          the room spec and what calibration measured (measured_rt60,
-          renders, images) as a trailing key=value text block.
-    NCFT: feature matrix. magic "NCFT", u32 rows, u32 cols, row-major f32.
+Binary formats (all little-endian) open with one block: the 4-byte magic
+that names the format, u32 dims, then the row-major f32 payload they declare.
+    NCSP: complex spectrogram; dims frames, bins; (re, im) pairs per cell.
+    NCIR: impulse response; dims tap count; then the room spec and what
+          calibration measured (measured_rt60, renders, images) as a
+          trailing key=value text block.
+    NCFT: feature matrix; dims rows, cols.
 
 CSV outputs use repr() for floats (shortest round-trip form), which keeps
 rerun outputs byte-identical.
@@ -14,10 +14,14 @@ rerun outputs byte-identical.
 
 import contextlib
 import csv
+import math
 import struct
+from dataclasses import astuple, fields
+from pathlib import Path
 
 import numpy as np
 
+from .fir import SweepRow
 from .rir import Rir, RoomSpec
 
 
@@ -50,32 +54,54 @@ def write_csv(path, header, rows) -> None:
             write_row(row)
 
 
+def _write_block(path, magic: bytes, values, ndims: int, tail: bytes = b"") -> None:
+    """Write ``magic``, the first ``ndims`` dims of ``values`` as u32,
+    ``values`` as f32 and then ``tail``."""
+    values = np.asarray(values, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack(f"<{ndims}I", *values.shape[:ndims]))
+        fh.write(values.tobytes())
+        fh.write(tail)
+
+
+def _read_block(path, magic: bytes, ndims: int, cell=()):
+    """Read what ``_write_block`` wrote: (values of shape dims + ``cell``, tail).
+
+    Raises ValueError naming the file for another magic or a header or
+    payload shorter than it declares.
+    """
+    raw = Path(path).read_bytes()
+    kind = magic.decode("ascii")
+    if raw[:4] != magic:
+        raise ValueError(f"not an {kind} file: magic {raw[:4]!r} ({path})")
+    start = 4 + 4 * ndims
+    if len(raw) < start:
+        raise ValueError(f"truncated {kind} file {path}: {len(raw)} bytes, "
+                         f"the header needs {start}")
+    shape = struct.unpack_from(f"<{ndims}I", raw, 4) + tuple(cell)
+    count = math.prod(shape)
+    stop = start + 4 * count
+    if len(raw) < stop:
+        raise ValueError(f"truncated {kind} file {path}: {len(raw)} bytes, "
+                         f"{shape} f32 values need {stop}")
+    return np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(shape), raw[stop:]
+
+
 def write_spectrogram(values, path) -> None:
     """Dump complex frame-by-bin values in NCSP format."""
     values = np.asarray(getattr(values, "values", values), dtype=np.complex128)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
-    n, k = values.shape
-    inter = np.empty((n, k, 2), dtype="<f4")
+    inter = np.empty(values.shape + (2,), dtype="<f4")
     inter[:, :, 0] = values.real
     inter[:, :, 1] = values.imag
-    with open(path, "wb") as fh:
-        fh.write(b"NCSP")
-        fh.write(struct.pack("<II", n, k))
-        fh.write(inter.tobytes())
+    _write_block(path, b"NCSP", inter, 2)
 
 
 def read_spectrogram(path) -> np.ndarray:
     """Read an NCSP dump back as a complex128 (frames, bins) matrix."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != b"NCSP":
-            raise ValueError(f"not an NCSP file: magic {magic!r}")
-        n, k = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(n * k * 8), dtype="<f4")
-    if data.size != n * k * 2:
-        raise ValueError("truncated NCSP file")
-    data = data.reshape(n, k, 2).astype(np.float64)
+    data = _read_block(path, b"NCSP", 2, (2,))[0].astype(np.float64)
     return data[:, :, 0] + 1j * data[:, :, 1]
 
 
@@ -84,71 +110,37 @@ def write_features(feats, path) -> None:
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {feats.shape}")
-    with open(path, "wb") as fh:
-        fh.write(b"NCFT")
-        fh.write(struct.pack("<II", feats.shape[0], feats.shape[1]))
-        fh.write(feats.astype("<f4").tobytes())
+    _write_block(path, b"NCFT", feats, 2)
 
 
 def read_features(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != b"NCFT":
-            raise ValueError(f"not an NCFT file: magic {magic!r}")
-        rows, cols = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(rows * cols * 4), dtype="<f4")
-    if data.size != rows * cols:
-        raise ValueError("truncated NCFT file")
-    return data.reshape(rows, cols).astype(np.float64)
+    return _read_block(path, b"NCFT", 2)[0].astype(np.float64)
+
+
+# Rir's calibration record: its fields after taps, sample_rate and spec
+_CALIBRATION = fields(Rir)[3:]
 
 
 def write_rir(rir: Rir, path) -> None:
-    """Dump taps, the room spec and the calibration record as key=value text."""
-    spec = rir.spec
-    with open(path, "wb") as fh:
-        fh.write(b"NCIR")
-        fh.write(struct.pack("<I", rir.taps.size))
-        fh.write(rir.taps.astype("<f4").tobytes())
-        lines = [
-            f"dims={spec.dims[0]!r},{spec.dims[1]!r},{spec.dims[2]!r}",
-            f"src={spec.src[0]!r},{spec.src[1]!r},{spec.src[2]!r}",
-            f"mic={spec.mic[0]!r},{spec.mic[1]!r},{spec.mic[2]!r}",
-            f"rt60={spec.rt60!r}",
-            f"sample_rate={spec.sample_rate}",
-            f"max_rir_len={spec.max_rir_len}",
-            f"measured_rt60={rir.measured_rt60!r}",
-            f"renders={rir.renders}",
-            f"images={rir.images}",
-        ]
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+    """Dump taps, then the room spec and calibration record as key=value lines."""
+    pairs = ([(f.name, getattr(rir.spec, f.name)) for f in fields(RoomSpec)]
+             + [(f.name, getattr(rir, f.name)) for f in _CALIBRATION])
+    text = "".join(
+        f"{key}={','.join(map(fmt, value)) if isinstance(value, tuple) else fmt(value)}\n"
+        for key, value in pairs)
+    _write_block(path, b"NCIR", rir.taps, 1, text.encode("ascii"))
 
 
 def read_rir(path) -> Rir:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != b"NCIR":
-            raise ValueError(f"not an NCIR file: magic {magic!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        taps = np.frombuffer(fh.read(count * 4), dtype="<f4").astype(np.float64)
-        if taps.size != count:
-            raise ValueError("truncated NCIR file")
-        fields = {}
-        for line in fh.read().decode("ascii").splitlines():
-            if line.strip():
-                key, value = line.split("=", 1)
-                fields[key] = value
-    spec = RoomSpec(
-        dims=tuple(float(v) for v in fields["dims"].split(",")),
-        src=tuple(float(v) for v in fields["src"].split(",")),
-        mic=tuple(float(v) for v in fields["mic"].split(",")),
-        rt60=float(fields["rt60"]),
-        sample_rate=int(fields["sample_rate"]),
-        max_rir_len=int(fields["max_rir_len"]),
-    )
-    return Rir(taps, spec.sample_rate, spec,
-               measured_rt60=float(fields.get("measured_rt60", "nan")),
-               renders=int(fields.get("renders", 0)),
-               images=int(fields.get("images", 0)))
+    """Read an NCIR dump; a missing calibration key keeps Rir's default."""
+    taps, tail = _read_block(path, b"NCIR", 1)
+    text = dict(line.split("=", 1) for line in tail.decode("ascii").splitlines()
+                if line.strip())
+    spec = RoomSpec(**{f.name: tuple(map(float, text[f.name].split(",")))
+                       if f.type is tuple else f.type(text[f.name])
+                       for f in fields(RoomSpec)})
+    return Rir(taps.astype(np.float64), spec.sample_rate, spec,
+               **{f.name: f.type(text[f.name]) for f in _CALIBRATION if f.name in text})
 
 
 def write_filters_csv(taps, q, path) -> None:
@@ -164,10 +156,5 @@ def write_filters_csv(taps, q, path) -> None:
 
 
 def write_sweep_csv(rows, path) -> None:
-    """Context-sweep table: p, q, taps, ratio_percent, mean_err, utterance_count."""
-    write_csv(
-        path,
-        ["p", "q", "taps", "ratio_percent", "mean_err", "utterance_count"],
-        ((r.p, r.q, r.taps, r.ratio_percent, r.mean_err, r.utterance_count)
-         for r in rows),
-    )
+    """Context-sweep table: one line per SweepRow, its fields as the columns."""
+    write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))

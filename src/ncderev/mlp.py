@@ -157,7 +157,8 @@ def mse_loss(outputs, targets) -> float:
     targets = np.asarray(targets, dtype=np.float64)
     if outputs.shape != targets.shape:
         raise ValueError(f"shape mismatch: {outputs.shape} vs {targets.shape}")
-    return float(np.mean((outputs - targets) ** 2))
+    diff = outputs - targets
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 def gradients(model: MlpModel, x, targets):
@@ -168,10 +169,10 @@ def gradients(model: MlpModel, x, targets):
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     acts = _forward_all(model, x)
-    out = acts[-1]
-    batch = x.shape[0]
-    loss = float(np.mean((out - targets) ** 2))
-    delta = 2.0 * (out - targets) / (batch * targets.shape[1])
+    delta = acts[-1] - targets
+    loss = float(np.mean(delta ** 2))
+    delta *= 2.0
+    delta /= x.shape[0] * targets.shape[1]
     w_grads = [None] * len(model.weights)
     b_grads = [None] * len(model.weights)
     for i in range(len(model.weights) - 1, -1, -1):
@@ -307,11 +308,10 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
 
 
 def dereverberate_features(model: MlpModel, reverb_feats, p: int, q: int) -> np.ndarray:
-    """Context-stack a reverberant feature sequence and map it frame-wise.
-
-    ``forward`` rejects a model whose input is not p+q+1 frames wide.
-    """
-    return forward(model, features.stack_context(reverb_feats, p, q))
+    """Map a reverberant feature sequence frame-wise from its (p, q)
+    context, as train's loss pass does; ``forward`` rejects a model whose
+    input is not p+q+1 frames wide."""
+    return _forward_chunked(model, features.ContextFrames([reverb_feats], p, q))
 
 
 def save_model(model: MlpModel, path, seed=None) -> None:

@@ -594,7 +594,11 @@ def _copy_of(fitted, tmp_path):
     return cfg, copy
 
 
-@pytest.mark.parametrize("key, value", [("p", 3), ("q", 1), ("ridge", 0.5), ("split", "test")])
+@pytest.mark.parametrize("key, value", [
+    ("p", 3), ("q", 1), ("ridge", 0.5), ("split", "test"),
+    # 24 ms frames give as many frames as 25 ms ones here: only the record tells
+    ("frame_ms", 24.0), ("shift_ms", 12.0), ("fft_size", 1024), ("sample_rate", 8000),
+])
 def test_diagnose_rejects_fit_fir_run_with_other_settings(fitted_all, tmp_path, capsys,
                                                           key, value):
     config_path, _ = fitted_all
@@ -627,6 +631,54 @@ def test_diagnose_estimate_of_wrong_shape_is_data_error(fitted_all, tmp_path, ca
     assert cli.main(["diagnose", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
     assert "utt002_estimate.ncsp" in err and "shape" in err
+
+
+@pytest.mark.parametrize("command, artifact, size", [
+    ("train-mlp", "features/reverb/utt000.ncft", 6),
+    ("diagnose", "fir/utt002_estimate.ncsp", 4),
+])
+def test_truncated_artifact_is_data_error(fitted_all, tmp_path, capsys, command,
+                                          artifact, size):
+    config_path, workdir = _copy_of(fitted_all, tmp_path)
+    path = workdir / artifact
+    path.write_bytes(path.read_bytes()[:size])
+    assert cli.main([command, "--config", str(config_path)]) == 3
+    assert f"truncated {path.suffix[1:].upper()} file {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing column", "short row"])
+def test_malformed_manifest_is_data_error(fitted_all, tmp_path, capsys, damage):
+    config_path, workdir = _copy_of(fitted_all, tmp_path)
+    path = workdir / "manifest.csv"
+    lines = path.read_text().splitlines()
+    damaged = range(len(lines)) if damage == "missing column" else [2]
+    for i in damaged:  # rir_path is the last column
+        lines[i] = lines[i].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["fit-fir", "--config", str(config_path)]) == 3
+    assert f"data error: {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["derev", "mix-sweep"])
+@pytest.mark.parametrize("override", [{"p": 1, "q": 3}, {"n_mels": 30}],
+                         ids=["p1-q3", "n_mels30"])
+def test_model_serves_only_its_training_context(trained, tmp_path, capsys, command,
+                                                override):
+    # (1, 3) feeds the (2, 2) model an input of the same width, 5 frames
+    config_path, _ = trained
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()), **override)))
+    assert cli.main([command, "--config", str(cfg)]) == 3
+    key = next(iter(override))
+    assert f"train-mlp ran with {key} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["derev", "mix-sweep"])
+def test_model_without_train_mlp_run_is_data_error(trained, tmp_path, capsys, command):
+    config_path, workdir = _copy_of(trained, tmp_path)
+    (workdir / "runs" / "train-mlp.json").unlink()
+    assert cli.main([command, "--config", str(config_path)]) == 3
+    assert "train-mlp.json; run train-mlp first" in capsys.readouterr().err
 
 
 def test_fit_fir_records_the_manifest_digest(fitted_all):

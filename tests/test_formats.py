@@ -71,6 +71,28 @@ def test_rir_calibration_record_roundtrip(tmp_path):
                           "images=123456"]
 
 
+BLOCKS = {  # writer of a small file, reader, header bytes
+    "NCSP": (lambda path: ff.write_spectrogram(np.ones((3, 2)) * 1j, path),
+             ff.read_spectrogram, 12),
+    "NCFT": (lambda path: ff.write_features(np.ones((3, 2)), path), ff.read_features, 12),
+    "NCIR": (lambda path: ff.write_rir(Rir(np.ones(3), 16000, RoomSpec(
+        (7.0, 5.0, 4.0), (2.0, 2.0, 1.5), (3.0, 3.0, 1.5), 0.75, 16000)), path),
+        ff.read_rir, 8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKS))
+@pytest.mark.parametrize("part", ["header", "payload"])
+def test_truncated_block_is_value_error_naming_the_file(tmp_path, kind, part):
+    write, read, header = BLOCKS[kind]
+    path = tmp_path / f"x.{kind.lower()}"
+    write(path)
+    # the header loses its last 2 bytes, or the payload keeps 1 value of 3+
+    path.write_bytes(path.read_bytes()[:header - 2 if part == "header" else header + 4])
+    with pytest.raises(ValueError, match=f"truncated {kind} file .*x.{kind.lower()}"):
+        read(path)
+
+
 def test_filters_csv_tap_indexing(tmp_path):
     taps = np.array([[1.0, 2.0, 3.0, 4.0], [0.5j, 0, 0, -1.5]])
     path = tmp_path / "filters.csv"

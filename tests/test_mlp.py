@@ -335,6 +335,17 @@ class TestDereverberateFeatures:
         out = mlp.dereverberate_features(trained, feats, 2, 2)
         assert mlp.mse_loss(out, feats) <= 0.05
 
+    @pytest.mark.parametrize("frames", [511, 512, 513, 1500])
+    def test_equals_the_forward_of_the_stacked_matrix(self, frames):
+        # rows are forwarded LOSS_CHUNK at a time, as in train's loss pass
+        from conftest import hstack_context
+
+        rng = np.random.default_rng(frames)
+        feats = rng.normal(size=(frames, 40))
+        model = mlp.init_model([840, 32, 40], seed=frames)
+        want = mlp.forward(model, hstack_context(feats, 10, 10))
+        assert np.array_equal(mlp.dereverberate_features(model, feats, 10, 10), want)
+
     def test_output_shape(self):
         model = mlp.init_model([40, 8, 8, 8, 8], seed=0)
         out = mlp.dereverberate_features(model, np.zeros((33, 8)), 2, 2)
