@@ -367,13 +367,20 @@ def cmd_sweep_context(cfg) -> int:
 
 def _dataset_from_rows(cfg, rows):
     """The rows' reverberant features as (p, q) ContextFrames, which hold
-    them unstacked, and their clean features concatenated as targets."""
-    inputs = []
-    targets = []
-    for row in rows:
-        inputs.append(_require_features(cfg, "reverb", row.utterance))
-        targets.append(_require_features(cfg, "clean", row.utterance))
-    return features.ContextFrames(inputs, cfg.p, cfg.q), np.concatenate(targets)
+    them unstacked, and their clean features concatenated as targets.
+
+    The frame counts come from the file headers first, so each file is
+    read straight into its place and released.
+    """
+    def frames(kind, p, q):
+        paths = [_upstream(_features_path(cfg, kind, row.utterance), "featurize")
+                 for row in rows]
+        return features.ContextFrames(
+            (fileformats.read_features(path) for path in paths), p, q,
+            shapes=[fileformats.features_shape(path) for path in paths])
+
+    # with p = q = 0 the padded block is the blocks concatenated
+    return frames("reverb", cfg.p, cfg.q), frames("clean", 0, 0).padded
 
 
 def cmd_train_mlp(cfg) -> int:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import ComplexSpectrogram
+from .mlp import mse_loss
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ def mse_row(utt_id, est, ref):
         raise ValueError(
             f"{utt_id}: misaligned pair {est.shape} vs {ref.shape}"
         )
-    return utt_id, est.shape[0], float(np.mean((est - ref) ** 2))
+    return utt_id, est.shape[0], mse_loss(est, ref)
 
 
 def corpus_mse(mses) -> float:

@@ -119,24 +119,33 @@ class ContextFrames:
     the stacked matrix's rows ``idx``, bit for bit.
     """
 
-    def __init__(self, blocks, p: int, q: int):
+    def __init__(self, blocks, p: int, q: int, shapes=None):
+        """``blocks`` are (frames, d) arrays. Given their ``shapes``, they
+        may be any iterable, drawn one at a time and copied into place,
+        so that only one of them need be in memory besides the set."""
         if p < 0 or q < 0:
             raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
-        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-        if not blocks or any(b.ndim != 2 or b.shape[1] != blocks[0].shape[1]
-                             for b in blocks):
+        if shapes is None:
+            blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+            shapes = [b.shape for b in blocks]
+        shapes = [tuple(shape) for shape in shapes]
+        if not shapes or any(len(shape) != 2 or shape[1] != shapes[0][1]
+                             for shape in shapes):
             raise ValueError(f"features must be 2-D blocks of one width, got shapes "
-                             f"{[b.shape for b in blocks]}")
-        lengths = [b.shape[0] for b in blocks]
+                             f"{shapes}")
+        lengths = [n for n, _ in shapes]
         # frame i of block u starts its context at padded row i + u·(p+q)
         self.starts = (np.arange(sum(lengths))
-                       + (p + q) * np.repeat(np.arange(len(blocks)), lengths))
-        d = blocks[0].shape[1]
-        self.padded = np.zeros((len(self.starts) + (p + q) * len(blocks), d))
+                       + (p + q) * np.repeat(np.arange(len(shapes)), lengths))
+        d = shapes[0][1]
+        self.padded = np.zeros((len(self.starts) + (p + q) * len(shapes), d))
         first = p
-        for b in blocks:
-            self.padded[first:first + b.shape[0]] = b
-            first += b.shape[0] + p + q
+        for shape, b in zip(shapes, blocks, strict=True):
+            if np.shape(b) != shape:
+                raise ValueError(f"features block of shape {np.shape(b)}, "
+                                 f"expected {shape}")
+            self.padded[first:first + shape[0]] = b
+            first += shape[0] + p + q
         # padded rows s..s+p+q are one contiguous run of floats, so row s of
         # this read-only view is the context vector that starts at row s
         self.windows = np.lib.stride_tricks.as_strided(

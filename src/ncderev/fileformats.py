@@ -15,6 +15,7 @@ rerun outputs byte-identical.
 import contextlib
 import csv
 import math
+import os
 import struct
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -65,27 +66,34 @@ def _write_block(path, magic: bytes, values, ndims: int, tail: bytes = b"") -> N
         fh.write(tail)
 
 
-def _read_block(path, magic: bytes, ndims: int, cell=()):
-    """Read what ``_write_block`` wrote: (values of shape dims + ``cell``, tail).
+def _block_layout(path, head: bytes, size: int, magic: bytes, ndims: int, cell=()):
+    """(shape, payload start, payload stop) of a block file of ``size``
+    bytes whose first bytes are ``head``.
 
     Raises ValueError naming the file for another magic or a header or
     payload shorter than it declares.
     """
-    raw = Path(path).read_bytes()
     kind = magic.decode("ascii")
-    if raw[:4] != magic:
-        raise ValueError(f"not an {kind} file: magic {raw[:4]!r} ({path})")
+    if head[:4] != magic:
+        raise ValueError(f"not an {kind} file: magic {head[:4]!r} ({path})")
     start = 4 + 4 * ndims
-    if len(raw) < start:
-        raise ValueError(f"truncated {kind} file {path}: {len(raw)} bytes, "
+    if size < start:
+        raise ValueError(f"truncated {kind} file {path}: {size} bytes, "
                          f"the header needs {start}")
-    shape = struct.unpack_from(f"<{ndims}I", raw, 4) + tuple(cell)
-    count = math.prod(shape)
-    stop = start + 4 * count
-    if len(raw) < stop:
-        raise ValueError(f"truncated {kind} file {path}: {len(raw)} bytes, "
+    shape = struct.unpack_from(f"<{ndims}I", head, 4) + tuple(cell)
+    stop = start + 4 * math.prod(shape)
+    if size < stop:
+        raise ValueError(f"truncated {kind} file {path}: {size} bytes, "
                          f"{shape} f32 values need {stop}")
-    return np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(shape), raw[stop:]
+    return shape, start, stop
+
+
+def _read_block(path, magic: bytes, ndims: int, cell=()):
+    """Read what ``_write_block`` wrote: (values of shape dims + ``cell``, tail)."""
+    raw = Path(path).read_bytes()
+    shape, start, stop = _block_layout(path, raw, len(raw), magic, ndims, cell)
+    values = np.frombuffer(raw, dtype="<f4", count=math.prod(shape), offset=start)
+    return values.reshape(shape), raw[stop:]
 
 
 def write_spectrogram(values, path) -> None:
@@ -115,6 +123,15 @@ def write_features(feats, path) -> None:
 
 def read_features(path) -> np.ndarray:
     return _read_block(path, b"NCFT", 2)[0].astype(np.float64)
+
+
+def features_shape(path) -> tuple:
+    """(rows, cols) of an NCFT file from its header alone, checked
+    against the file's size as by ``read_features``."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        size = os.fstat(fh.fileno()).st_size
+    return _block_layout(path, head, size, b"NCFT", 2)[0]
 
 
 # Rir's calibration record: its fields after taps, sample_rate and spec
@@ -149,10 +166,14 @@ def write_filters_csv(taps, q, path) -> None:
     taps is the (bins, p+q+1) complex array of a spectrogram fit; tap
     index j = i - q of column i multiplies x(n - j).
     """
-    write_csv(path, ["bin", "tap_index", "g_real", "g_imag"],
-              ((k, i - q, g.real, g.imag)
-               for k, row in enumerate(np.asarray(taps).tolist())
-               for i, g in enumerate(row)))
+    taps = np.asarray(taps)
+    lags = [str(i - q) for i in range(taps.shape[1])]
+    # every field is a number, so no field needs csv quoting
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write("bin,tap_index,g_real,g_imag\n")
+        fh.writelines(f"{k},{lag},{g.real!r},{g.imag!r}\n"
+                      for k, row in enumerate(taps.tolist())
+                      for lag, g in zip(lags, row))
 
 
 def write_sweep_csv(rows, path) -> None:

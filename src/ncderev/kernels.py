@@ -1,16 +1,21 @@
 """Hot numerical kernels, vectorized with numpy.
 
-Three kernels dominate the toolkit's runtime: the one image-lattice pass
-per room impulse response, which tabulates arrivals by reflection order
-so that every calibration step is one matrix-vector render, per-bin
-construction of the complex normal equations (ZᴴZ) g = Zᴴy of the FIR
-fits, and batched filter application over all frequency bins. The two
-FIR kernels take bin trajectories only as (frames, bins) arrays; one
-bin is a one-column array.
+Three kernels dominate the toolkit's runtime. The first is the one
+image-lattice pass per room impulse response. It tabulates arrivals by
+reflection order, so that every calibration step is one matrix-vector
+render, and it walks the candidate images in blocks of at most BLOCK,
+so that it holds about the table plus one block. The second builds the
+per-bin complex normal equations (ZᴴZ) g = Zᴴy of the FIR fits, and the
+third applies filters to all frequency bins at once. The two FIR
+kernels take bin trajectories only as (frames, bins) arrays; one bin is
+a one-column array.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+# most image candidates rir_order_table holds at once
+BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +34,17 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
 
     Per axis and parity, the lattice offsets are pruned to those within
     reach of n_taps alone; per parity u, the x-y pairs are pruned to
-    those within reach together, and only then broadcast against z. The
-    in-range images are added into one zeroed buffer sized for the
-    highest order the kept offsets could sum to. Rows past the highest
-    order present are never written, so pages the allocator maps lazily
-    stay untouched, and the returned table is trimmed to that order.
+    those within reach together. Each kept pair then takes only the
+    contiguous run of z offsets inside the reach sphere, found by two
+    searchsorted calls on the sorted z offsets. These candidates are
+    walked in blocks of at most BLOCK, pair by pair and z by z, and the
+    images in range are added into one zeroed buffer sized for the
+    highest order the kept offsets could sum to. The additions happen
+    in the same order as one broadcast over every candidate, so the
+    table is the same to the bit, while memory stays at about the table
+    plus one block of temporaries. Rows past the highest order present
+    are never written, so pages the allocator maps lazily stay
+    untouched, and the returned table is trimmed to that order.
 
     Args:
         n_taps: response length in samples.
@@ -52,7 +63,8 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
     fs, c = float(fs), float(c)
     d_max = c * n_taps / fs
     reach = (d_max / (2.0 * dims)).astype(int) + 1
-    # axes[a][ua]: squared offsets and reflection counts along axis a
+    # axes[a][ua]: ascending signed offsets, their squares and reflection
+    # counts along axis a
     axes = []
     for a in range(3):
         n = np.arange(-reach[a], reach[a] + 1)
@@ -60,25 +72,43 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
         for ua in (0, 1):
             offset = (1.0 - 2.0 * ua) * src[a] + 2.0 * n * dims[a] - mic[a]
             near = np.abs(offset) <= d_max
-            axis.append((offset[near] ** 2, (np.abs(n - ua) + np.abs(n))[near]))
+            axis.append((offset[near], offset[near] ** 2,
+                         (np.abs(n - ua) + np.abs(n))[near]))
         axes.append(axis)
     # no image reflects more often than the per-axis maxima summed
-    bound = 1 + sum(max(int(k.max(initial=0)) for _, k in axis) for axis in axes)
+    bound = 1 + sum(max(int(k.max(initial=0)) for _, _, k in axis) for axis in axes)
     table = np.zeros(bound * n_taps)
     rows, images = 1, 0
     for u in range(8):
-        (sx, kx), (sy, ky), (sz, kz) = (axes[a][(u >> a) & 1] for a in range(3))
+        (_, sx, kx), (_, sy, ky), (oz, sz, kz) = (axes[a][(u >> a) & 1] for a in range(3))
         sq = sx[:, None] + sy[None, :]
         near = sq <= d_max * d_max
-        sq = sq[near][:, None] + sz[None, :]
-        order = (kx[:, None] + ky[None, :])[near][:, None] + kz[None, :]
-        d = np.sqrt(sq)
-        idx = np.round(d / c * fs).astype(np.int64)
-        sel = (d > 1e-12) & (idx < n_taps)
-        order, idx, d = order[sel], idx[sel], d[sel]
-        images += order.size
-        rows = max(rows, int(order.max(initial=0)) + 1)
-        np.add.at(table, order * n_taps + idx, 1.0 / (4.0 * np.pi * d))
+        pair_sq = sq[near]
+        pair_order = (kx[:, None] + ky[None, :])[near]
+        # pair i takes the run of z offsets inside the sphere, from lo[i]
+        # on, as candidates starts[i]:ends[i] of this parity
+        r = np.sqrt(d_max * d_max - pair_sq)
+        lo = np.searchsorted(oz, -r, side="left")
+        counts = np.searchsorted(oz, r, side="right") - lo
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        shift = lo - starts  # candidate j of pair i reads z offset j + shift[i]
+        total = int(counts.sum())
+        for first in range(0, total, BLOCK):
+            last = min(first + BLOCK, total)
+            # pairs p0..p1-1 overlap candidates first:last
+            p0 = int(np.searchsorted(ends, first, side="right"))
+            p1 = int(np.searchsorted(starts, last, side="left"))
+            run = np.minimum(ends[p0:p1], last) - np.maximum(starts[p0:p1], first)
+            z = np.arange(first, last) + np.repeat(shift[p0:p1], run)
+            d = np.sqrt(np.repeat(pair_sq[p0:p1], run) + sz[z])
+            idx = np.round(d / c * fs).astype(np.int64)
+            sel = (d > 1e-12) & (idx < n_taps)
+            order = (np.repeat(pair_order[p0:p1], run) + kz[z])[sel]
+            idx, d = idx[sel], d[sel]
+            images += order.size
+            rows = max(rows, int(order.max(initial=0)) + 1)
+            np.add.at(table, order * n_taps + idx, 1.0 / (4.0 * np.pi * d))
     return table[:rows * n_taps].reshape(rows, n_taps), images
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import fir, kernels
 from .dsp import ComplexSpectrogram
+from .mlp import mse_loss
 
 STREAMS = ("reverb", "ref_enhanced", "derev_of_reverb", "derev_of_ref_enhanced")
 
@@ -132,7 +133,7 @@ def lambda_sweep(subsets, grid, config_id: int):
                         f"subset {name!r}: clean reference shape {clean.shape} "
                         f"does not match streams {mixed.shape}"
                     )
-                total += float(np.mean((mixed - clean) ** 2))
+                total += mse_loss(mixed, clean)
                 count += 1
             mse = total / count
             cells.append(SweepCell(name, config_id, lam, mse))

@@ -152,7 +152,8 @@ def forward(model: MlpModel, x) -> np.ndarray:
 
 
 def mse_loss(outputs, targets) -> float:
-    """Mean over batch and feature dimensions of squared differences."""
+    """Mean over batch and feature dimensions of squared differences: the
+    one log-Mel MSE of training, derev's reports and the mix-sweep."""
     outputs = np.asarray(outputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if outputs.shape != targets.shape:

@@ -550,6 +550,29 @@ def test_train_mlp_allocates_no_stacked_matrix(built_corpus, tmp_path, monkeypat
     assert peak < stacked_bytes
 
 
+def test_train_mlp_dataset_holds_one_feature_file_beside_the_set(built_corpus, monkeypatch):
+    config_path, workdir = built_corpus
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["train-mlp", "--config", str(config_path)]))
+    rows = cli._manifest_rows(cfg, "train")
+    x, y = _stacked_split(workdir, "train", cfg.p, cfg.q)
+    read = fileformats.read_features
+    largest = max(read(workdir / "features" / kind / f"{r.utterance}.ncft").nbytes
+                  for r in rows for kind in ("reverb", "clean"))
+    assert len(rows) >= 3 and largest < y.nbytes / 2  # one file is a small share
+    tracemalloc.start()
+    try:
+        inputs, targets = cli._dataset_from_rows(cfg, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(inputs.rows(slice(None)), x)
+    assert np.array_equal(targets, y)
+    kept = inputs.padded.nbytes + inputs.starts.nbytes + targets.nbytes
+    # one file's float64 matrix and its f32 bytes, beside what is kept
+    assert peak <= kept + 1.5 * largest + 64 * 1024
+
+
 def test_train_mlp_missing_dev_features_is_data_error(built_corpus, tmp_path, capsys):
     config_path, workdir = _copy_of(built_corpus, tmp_path)
     (workdir / "features" / "reverb" / "utt001.ncft").unlink()  # utt001 is dev

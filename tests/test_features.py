@@ -185,6 +185,33 @@ class TestContextFrames:
             rows = frames.rows(np.arange(start, start + len(block)))
             assert np.array_equal(rows, hstack_context(block, 4, 6))
 
+    @pytest.mark.parametrize("p, q", [(10, 10), (2, 5), (0, 0)])
+    def test_blocks_drawn_one_at_a_time_given_their_shapes(self, p, q):
+        blocks = self.blocks([25, 3, 40, 12], seed=5)
+
+        def draw():
+            for b in blocks:
+                b = b.copy()
+                yield b
+                b[:] = np.nan  # the set has copied it before drawing the next
+
+        frames = features.ContextFrames(draw(), p, q, shapes=[b.shape for b in blocks])
+        want = features.ContextFrames(blocks, p, q)
+        assert np.array_equal(frames.padded, want.padded)
+        assert np.array_equal(frames.rows(slice(None)), self.oracle(blocks, p, q))
+        if p == q == 0:  # the padded block is the blocks concatenated
+            assert np.array_equal(frames.padded, np.concatenate(blocks))
+
+    @pytest.mark.parametrize("shapes", [
+        [(25, 40), (4, 40)],            # a block longer than its shape says
+        [(25, 40), (3, 40), (1, 40)],   # more shapes than blocks
+        [(25, 40)],                     # more blocks than shapes
+    ])
+    def test_blocks_that_disagree_with_their_shapes_rejected(self, shapes):
+        blocks = self.blocks([25, 3], seed=6)
+        with pytest.raises(ValueError):
+            features.ContextFrames(iter(blocks), 2, 2, shapes=shapes)
+
     def test_stack_context_is_the_gather_of_one_utterance(self):
         (x,) = self.blocks([45], d=8, seed=4)
         for p, q in [(0, 0), (10, 10), (2, 0), (0, 5)]:

@@ -93,6 +93,43 @@ def test_truncated_block_is_value_error_naming_the_file(tmp_path, kind, part):
         read(path)
 
 
+@pytest.mark.parametrize("size", [None, 10, 12 + 4 * 5])
+def test_features_shape_from_the_header(tmp_path, size):
+    path = tmp_path / "x.ncft"
+    ff.write_features(np.ones((4, 3)), path)
+    if size is None:
+        assert ff.features_shape(path) == ff.read_features(path).shape == (4, 3)
+        return
+    # a header cut short, or a payload shorter than the header declares
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValueError, match=r"truncated NCFT file .*x\.ncft"):
+        ff.features_shape(path)
+
+
+def test_features_shape_rejects_another_magic(tmp_path):
+    path = tmp_path / "x.ncsp"
+    ff.write_spectrogram(np.ones((2, 2)), path)
+    with pytest.raises(ValueError, match="not an NCFT file"):
+        ff.features_shape(path)
+
+
+def test_filters_csv_matches_the_csv_module_writer(tmp_path):
+    # the rows as csv.writer wrote them field by field through fmt()
+    rng = np.random.default_rng(5)
+    taps = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+    taps[0, 1] = complex(np.nan, -0.0)
+    taps[2, 3] = complex(np.inf, -np.inf)
+    taps[4, 0] = 1e-310 + 3e300j
+    for q in (0, 2, 4):
+        want = tmp_path / f"want{q}.csv"
+        ff.write_csv(want, ["bin", "tap_index", "g_real", "g_imag"],
+                     [(k, i - q, g.real, g.imag) for k, row in enumerate(taps)
+                      for i, g in enumerate(row)])
+        got = tmp_path / f"got{q}.csv"
+        ff.write_filters_csv(taps, q, got)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_filters_csv_tap_indexing(tmp_path):
     taps = np.array([[1.0, 2.0, 3.0, 4.0], [0.5j, 0, 0, -1.5]])
     path = tmp_path / "filters.csv"

@@ -1,5 +1,7 @@
 """Every kernel checked against an independent plain-loop oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,49 @@ def direct_image_sum(n_taps, dims, src, mic, beta, fs, c):
     return h, images
 
 
+def broadcast_order_table(n_taps, dims, src, mic, fs, c=343.0):
+    """rir_order_table in one shot: every parity's kept x-y pairs broadcast
+    against all of its z offsets at once, with no blocks and no sphere runs."""
+    dims, src, mic = (np.asarray(v, dtype=float) for v in (dims, src, mic))
+    d_max = c * n_taps / fs
+    reach = (d_max / (2.0 * dims)).astype(int) + 1
+    axes = []
+    for a in range(3):
+        n = np.arange(-reach[a], reach[a] + 1)
+        axis = []
+        for ua in (0, 1):
+            offset = (1.0 - 2.0 * ua) * src[a] + 2.0 * n * dims[a] - mic[a]
+            near = np.abs(offset) <= d_max
+            axis.append((offset[near] ** 2, (np.abs(n - ua) + np.abs(n))[near]))
+        axes.append(axis)
+    bound = 1 + sum(max(int(k.max(initial=0)) for _, k in axis) for axis in axes)
+    table = np.zeros(bound * n_taps)
+    rows, images = 1, 0
+    for u in range(8):
+        (sx, kx), (sy, ky), (sz, kz) = (axes[a][(u >> a) & 1] for a in range(3))
+        sq = sx[:, None] + sy[None, :]
+        near = sq <= d_max * d_max
+        sq = sq[near][:, None] + sz[None, :]
+        order = (kx[:, None] + ky[None, :])[near][:, None] + kz[None, :]
+        d = np.sqrt(sq)
+        idx = np.round(d / c * fs).astype(np.int64)
+        sel = (d > 1e-12) & (idx < n_taps)
+        order, idx, d = order[sel], idx[sel], d[sel]
+        images += order.size
+        rows = max(rows, int(order.max(initial=0)) + 1)
+        np.add.at(table, order * n_taps + idx, 1.0 / (4.0 * np.pi * d))
+    return table[:rows * n_taps].reshape(rows, n_taps), images
+
+
+ROOMS = {  # n_taps, dims, src, mic
+    "small": (300, [2.1, 1.8, 1.6], [0.6, 0.7, 0.5], [1.4, 1.1, 0.9]),
+    "oblong": (2000, [5.3, 2.2, 3.0], [1.2, 0.8, 1.1], [4.1, 1.5, 2.2]),
+    # the source on the microphone: the zero-distance image is left out
+    "coincident": (1500, [4.0, 3.5, 2.7], [1.3, 2.1, 1.2], [1.3, 2.1, 1.2]),
+    "tall": (2500, [3.1, 2.6, 6.4], [0.4, 2.2, 5.9], [2.8, 0.3, 0.6]),
+}
+
+
 def explicit_design(x, q, taps, rows):
     """Column i holds x[n + q - i], zero outside x's support."""
     z = np.zeros((rows, taps), dtype=complex)
@@ -81,6 +126,32 @@ class TestRirAccumulate:
         # beyond it on their own, so the per-axis pruning drops cells
         self.check_renders(2000, np.array([5.3, 2.2, 3.0]),
                            np.array([1.2, 0.8, 1.1]), np.array([4.1, 1.5, 2.2]))
+
+
+    @pytest.mark.parametrize("block", [7, 1000, None])
+    @pytest.mark.parametrize("room", sorted(ROOMS))
+    def test_blocks_match_the_one_shot_broadcast(self, monkeypatch, room, block):
+        # outside the small room, the pairs near the z axis take runs of more
+        # than 7 z offsets, so at block 7 those runs span several blocks
+        if block:
+            monkeypatch.setattr(kernels, "BLOCK", block)
+        table, images = kernels.rir_order_table(*ROOMS[room], 16000)
+        want, want_images = broadcast_order_table(*ROOMS[room], 16000)
+        assert np.array_equal(table, want)
+        assert images == want_images
+
+    def test_memory_is_the_table_and_one_block(self):
+        # 20 000 taps: 3.5 M images among 5.3 M candidates; the one-shot
+        # broadcast holds over 30 MB of candidate temporaries beside the table
+        tracemalloc.start()
+        try:
+            table, _ = kernels.rir_order_table(20000, [6.2, 4.9, 3.1], [1.1, 2.3, 1.4],
+                                               [4.0, 1.9, 1.6], 16000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # table is a view of the zeroed buffer sized for the bound on the order
+        assert peak - table.base.nbytes <= 8e6
 
 
 class TestApplyFir:
