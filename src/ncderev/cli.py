@@ -119,7 +119,8 @@ class ExperimentConfig:
                 f"context_grid must be a non-empty list of [p, q] pairs of ints "
                 f">= 0, got {self.context_grid}")
         if not self.lambda_grid or not all(
-                isinstance(v, (int, float)) and 0.0 <= v <= 1.0
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and 0.0 <= v <= 1.0
                 for v in self.lambda_grid):
             raise ConfigError(
                 f"lambda_grid must be a non-empty list of values in [0, 1], "
@@ -339,7 +340,8 @@ def cmd_fit_fir(cfg) -> int:
         estimate, taps, errors = fir.dereverberate_spectrogram(
             reverb_spec, clean_spec, cfg.p, cfg.q, ridge=cfg.ridge
         )
-        fileformats.write_filters_csv(taps, cfg.q, out_dir / f"{row.utterance}_filters.csv")
+        # row i holds tap i of every bin, which multiplies x(n + q - i)
+        fileformats.write_spectrogram(taps.T, out_dir / f"{row.utterance}_filters.ncsp")
         fileformats.write_spectrogram(estimate, _estimate_path(cfg, row.utterance))
         dsp.write_wav(dsp.istft(estimate), out_dir / f"{row.utterance}_estimate.wav")
         denom = float(np.sum(np.abs(clean_spec.values) ** 2))
@@ -464,6 +466,9 @@ def _stream_override(cfg, utt, name):
 def cmd_mix_sweep(cfg) -> int:
     workdir = _workdir(cfg)
     model = _load_model(cfg)
+    # the reverb and clean streams are featurize's; ref_enhanced is made here
+    _require_run(cfg, "featurize", ("sample_rate", "frame_ms", "shift_ms", "fft_size",
+                                    "n_mels"))
     rows = _manifest_rows(cfg, "dev")
     bank = _mel_bank(cfg)
     enhancer = _fit_enhancer(cfg)

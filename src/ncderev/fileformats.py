@@ -2,7 +2,8 @@
 
 Binary formats (all little-endian) open with one block: the 4-byte magic
 that names the format, u32 dims, then the row-major f32 payload they declare.
-    NCSP: complex spectrogram; dims frames, bins; (re, im) pairs per cell.
+    NCSP: complex matrix; dims rows, bins; (re, im) pairs per cell. The
+          rows are frames for spectrograms and taps for fit-fir's filters.
     NCIR: impulse response; dims tap count; then the room spec and what
           calibration measured (measured_rt60, renders, images) as a
           trailing key=value text block.
@@ -97,7 +98,7 @@ def _read_block(path, magic: bytes, ndims: int, cell=()):
 
 
 def write_spectrogram(values, path) -> None:
-    """Dump complex frame-by-bin values in NCSP format."""
+    """Dump a complex (frames or taps, bins) matrix in NCSP format."""
     values = np.asarray(getattr(values, "values", values), dtype=np.complex128)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
@@ -108,7 +109,7 @@ def write_spectrogram(values, path) -> None:
 
 
 def read_spectrogram(path) -> np.ndarray:
-    """Read an NCSP dump back as a complex128 (frames, bins) matrix."""
+    """Read an NCSP dump back as a complex128 (rows, bins) matrix."""
     data = _read_block(path, b"NCSP", 2, (2,))[0].astype(np.float64)
     return data[:, :, 0] + 1j * data[:, :, 1]
 
@@ -158,22 +159,6 @@ def read_rir(path) -> Rir:
                        for f in fields(RoomSpec)})
     return Rir(taps.astype(np.float64), spec.sample_rate, spec,
                **{f.name: f.type(text[f.name]) for f in _CALIBRATION if f.name in text})
-
-
-def write_filters_csv(taps, q, path) -> None:
-    """Per-bin filter dump: bin, tap_index (-q..p), g_real, g_imag.
-
-    taps is the (bins, p+q+1) complex array of a spectrogram fit; tap
-    index j = i - q of column i multiplies x(n - j).
-    """
-    taps = np.asarray(taps)
-    lags = [str(i - q) for i in range(taps.shape[1])]
-    # every field is a number, so no field needs csv quoting
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("bin,tap_index,g_real,g_imag\n")
-        fh.writelines(f"{k},{lag},{g.real!r},{g.imag!r}\n"
-                      for k, row in enumerate(taps.tolist())
-                      for lag, g in zip(lags, row))
 
 
 def write_sweep_csv(rows, path) -> None:

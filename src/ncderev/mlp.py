@@ -338,7 +338,12 @@ def save_model(model: MlpModel, path, seed=None) -> None:
 def load_model(path) -> MlpModel:
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or not {"layer_dims", "layers"} <= payload.keys():
+        raise ValueError(f"model file {path} needs the keys layer_dims and layers")
     dims = payload["layer_dims"]
+    if len(payload["layers"]) != len(dims) - 1:
+        raise ValueError(f"model file {path} holds {len(payload['layers'])} layers "
+                         f"for layer_dims {dims}")
     weights = []
     biases = []
     for i, layer in enumerate(payload["layers"]):

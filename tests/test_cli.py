@@ -211,6 +211,7 @@ class TestConfigHandling:
         ("jobs", 0),
         ("jobs", -2),
         ("improvement_threshold", float("nan")),
+        ("lambda_grid", [True, False]),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.json"
@@ -267,30 +268,34 @@ class TestPipeline:
             assert clean.shape == reverb.shape
             assert clean.shape[1] == 40
 
-    def test_fit_fir(self, built_corpus):
+    def test_fit_fir(self, built_corpus, fitted_all):
         config_path, workdir = built_corpus
         assert cli.main(["fit-fir", "--config", str(config_path)]) == 0
-        out = workdir / "fir"
-        assert (out / "utt003_filters.csv").is_file()
-        assert (out / "utt003_estimate.ncsp").is_file()
-        assert (out / "utt003_estimate.wav").is_file()
-        errs = (out / "errors.csv").read_text().splitlines()
+        errs = (workdir / "fir" / "errors.csv").read_text().splitlines()
         assert errs[0] == "utterance,total_err,normalized_err"
         assert float(errs[1].split(",")[2]) < 1.0  # beats predicting zero
 
-        # the dumped taps, applied to the reverberant STFT, give the estimate
-        lines = (out / "utt003_filters.csv").read_text().splitlines()
-        assert lines[0] == "bin,tap_index,g_real,g_imag"
-        rows = [line.split(",") for line in lines[1:]]
-        assert [int(r[1]) for r in rows[:5]] == [-2, -1, 0, 1, 2]  # -q..p
-        taps = np.array([float(r[2]) + 1j * float(r[3]) for r in rows]).reshape(-1, 5)
-        assert [int(r[0]) for r in rows[::5]] == list(range(len(taps)))
-        row = next(r for r in corpus.read_manifest(workdir / "manifest.csv")
-                   if r.utterance == "utt003")
-        reverb = dsp.stft(dsp.read_wav(workdir / row.reverb_path), dsp.StftConfig())
-        stored = fileformats.read_spectrogram(out / "utt003_estimate.ncsp")
-        applied = kernels.apply_fir(taps, reverb.values, 2, stored.shape[0])
-        assert np.all(np.abs(stored - applied) <= 2.0 ** -23 * np.abs(applied) + 1e-30)
+        # the fixture config's split, then every utterance of the corpus
+        for split, (_, workdir) in (("test", built_corpus), ("all", fitted_all)):
+            out = workdir / "fir"
+            rows = [r for r in corpus.read_manifest(workdir / "manifest.csv")
+                    if split in ("all", r.split)]
+            assert sorted(path.name for path in out.iterdir()) == sorted(
+                ["errors.csv"] + [f"{r.utterance}_{name}" for r in rows for name in
+                                  ("filters.ncsp", "estimate.ncsp", "estimate.wav")])
+            for row in rows:
+                # row i holds tap i of every bin, which multiplies x(n + q - i)
+                taps = fileformats.read_spectrogram(out / f"{row.utterance}_filters.ncsp")
+                assert taps.shape == (2 + 2 + 1, 257)
+                x = dsp.stft(dsp.read_wav(workdir / row.reverb_path), dsp.StftConfig()).values
+                stored = fileformats.read_spectrogram(out / f"{row.utterance}_estimate.ncsp")
+                applied = kernels.apply_fir(taps.T, x, 2, stored.shape[0])
+                # f32 storage moves the estimate by up to 2^-24 |yhat| and each
+                # tap g_i by up to 2^-24 |g_i|, so the two differ by at most
+                # 2^-24 (|yhat| + sum_i |g_i| |x(n + q - i)|); 2^-23 allows 2x
+                spread = kernels.apply_fir(np.abs(taps.T), np.abs(x), 2, stored.shape[0])
+                bound = 2.0 ** -23 * (np.abs(applied) + spread.real)
+                assert np.all(np.abs(stored - applied) <= bound), row.utterance
 
     def test_sweep_context(self, built_corpus):
         config_path, workdir = built_corpus
@@ -702,6 +707,34 @@ def test_model_without_train_mlp_run_is_data_error(trained, tmp_path, capsys, co
     (workdir / "runs" / "train-mlp.json").unlink()
     assert cli.main([command, "--config", str(config_path)]) == 3
     assert "train-mlp.json; run train-mlp first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fft_size", 1024), ("frame_ms", 24.0), ("shift_ms", 12.0), ("sample_rate", 8000),
+])
+def test_mix_sweep_rejects_features_of_other_settings(trained, tmp_path, capsys, key,
+                                                      value):
+    # the reverb and clean streams would come from featurize's STFT and the
+    # ref_enhanced stream from this config's
+    config_path, _ = trained
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()), **{key: value})))
+    assert cli.main(["mix-sweep", "--config", str(cfg)]) == 3
+    assert f"featurize ran with {key} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["no layers", "no layer_dims", "one layer short"])
+def test_malformed_model_json_is_data_error(trained, tmp_path, capsys, damage):
+    config_path, workdir = _copy_of(trained, tmp_path)
+    path = workdir / "mlp_model.json"
+    payload = json.loads(path.read_text())
+    if damage == "one layer short":
+        payload["layers"].pop()
+    else:
+        del payload[damage[3:]]
+    path.write_text(json.dumps(payload))
+    assert cli.main(["derev", "--config", str(config_path)]) == 3
+    assert f"data error: model file {path}" in capsys.readouterr().err
 
 
 def test_fit_fir_records_the_manifest_digest(fitted_all):

@@ -113,37 +113,6 @@ def test_features_shape_rejects_another_magic(tmp_path):
         ff.features_shape(path)
 
 
-def test_filters_csv_matches_the_csv_module_writer(tmp_path):
-    # the rows as csv.writer wrote them field by field through fmt()
-    rng = np.random.default_rng(5)
-    taps = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-    taps[0, 1] = complex(np.nan, -0.0)
-    taps[2, 3] = complex(np.inf, -np.inf)
-    taps[4, 0] = 1e-310 + 3e300j
-    for q in (0, 2, 4):
-        want = tmp_path / f"want{q}.csv"
-        ff.write_csv(want, ["bin", "tap_index", "g_real", "g_imag"],
-                     [(k, i - q, g.real, g.imag) for k, row in enumerate(taps)
-                      for i, g in enumerate(row)])
-        got = tmp_path / f"got{q}.csv"
-        ff.write_filters_csv(taps, q, got)
-        assert got.read_bytes() == want.read_bytes()
-
-
-def test_filters_csv_tap_indexing(tmp_path):
-    taps = np.array([[1.0, 2.0, 3.0, 4.0], [0.5j, 0, 0, -1.5]])
-    path = tmp_path / "filters.csv"
-    ff.write_filters_csv(taps, 1, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "bin,tap_index,g_real,g_imag"
-    # tap indices run -q..p within each bin
-    assert [line.split(",")[:2] for line in lines[1:]] == [
-        [k, j] for k in ("0", "1") for j in ("-1", "0", "1", "2")]
-    assert lines[1] == "0,-1,1.0,0.0"
-    assert lines[5] == "1,-1,0.0,0.5"
-    assert lines[8] == "1,2,-1.5,0.0"
-
-
 def test_sweep_csv(tmp_path):
     rows = [SweepRow(p=2, q=2, taps=5, ratio_percent=50.0, mean_err=0.125,
                      utterance_count=3)]
