@@ -180,8 +180,8 @@ def export_spectrogram(data, path, fmt: str = "csv") -> None:
     data = data.astype(np.float64)
     if fmt == "csv":
         with open(path, "w", encoding="ascii", newline="") as fh:
-            for row in data:
-                fh.write(",".join(repr(float(v)) for v in row))
+            for row in data.tolist():
+                fh.write(",".join(map(repr, row)))
                 fh.write("\n")
     elif fmt == "pgm":
         lo = float(data.min())

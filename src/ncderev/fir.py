@@ -29,11 +29,18 @@ fits (``fit_pooled_filters``, ``dereverberate_spectrogram``) return the
 taps as one complex array of shape (bins, p+q+1), row k holding bin k's
 g; ``kernels.apply_fir`` applies it. ``NcFirFilter`` holds one bin's taps.
 
+Every Gram comes from ``kernels.normal_blocks``, which never forms Z:
+column i + 1 of Z is column i one frame later, so per bin two lag
+correlations give Zᴴy and the Gram's first row, and a rank-2 recursion
+along the diagonals gives the rest.
+
 ``context_sweep`` consumes its iterable of pairs once and builds one Gram
 per utterance at (max p, max q) of its grid. Column s of that design is
 x(n + Q - s) whatever the cell, so every cell's Gram and Zᴴy are a
 principal block and subvector of it, and each cell's error comes from
 the quadratic form ‖y‖² - 2 Re(gᴴr) + gᴴGg without applying the filter.
+With the recursion the wide Gram costs O(taps²) per bin beyond its two
+correlations, so the entries no cell reads cost little.
 """
 
 import warnings

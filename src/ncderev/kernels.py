@@ -5,17 +5,21 @@ image-lattice pass per room impulse response. It tabulates arrivals by
 reflection order, so that every calibration step is one matrix-vector
 render, and it walks the candidate images in blocks of at most BLOCK,
 so that it holds about the table plus one block. The second builds the
-per-bin complex normal equations (ZᴴZ) g = Zᴴy of the FIR fits, and the
-third applies filters to all frequency bins at once. The two FIR
-kernels take bin trajectories only as (frames, bins) arrays; one bin is
-a one-column array.
+per-bin complex normal equations (ZᴴZ) g = Zᴴy of the FIR fits without
+forming Z: each bin's Zᴴy and first Gram row are two lag correlations
+of its zero-padded trajectory, and a rank-2 recursion along the Gram's
+diagonals fills the rest in O(taps²) per bin. The third applies
+filters to all frequency bins at once. The two FIR kernels take bin
+trajectories only as (frames, bins) arrays; one bin is a one-column
+array.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # most image candidates rir_order_table holds at once
 BLOCK = 1 << 16
+# bins normal_blocks mirrors into its lower triangles at once
+MIRROR = 8
 
 
 # ---------------------------------------------------------------------------
@@ -120,40 +124,75 @@ def normal_blocks(x, y, q, taps):
     """Per-bin complex normal equations (ZᴴZ) g = Zᴴy of the FIR fit.
 
     Row n of bin k's design Z holds x[n + q - i, k] in column i, with x
-    zero outside its support; the regression range is n = 0..Nc-1. Each
-    bin's Z is a window view of one zero-padded row, so no (K, Nc, taps)
-    design is ever materialized.
+    zero outside its support; the regression range is n = 0..Nc-1.
+    Column i of Z is the window of one zero-padded row that starts at
+    taps - 1 - i, so Zᴴy and the Gram's first row are two lag
+    correlations of that row, one against y and one against column 0.
+    Column i + 1 is column i shifted down one frame, which gives every
+    other entry by the rank-2 recursion
+
+        G[i+1, j+1] = G[i, j] + conj(a_i) a_j - conj(b_i) b_j,
+
+    where a_i = Z[-1, i] enters the range and b_i = Z[Nc-1, i] leaves
+    it. The recursion fills the upper triangle row by row with bins on
+    the fast axis, and the lower triangle is its conjugate mirror, so
+    the Gram is exactly Hermitian with a real diagonal. No design,
+    window copy or (K, taps²) temporary is built.
 
     Args:
         x: complex reverberant trajectories, shape (Lx, K).
-        y: complex clean trajectories, shape (Nc, K); Nc <= Lx is not
-           required, the regression range is always 0..Nc-1.
-        q: non-causal context (frames of lead).
+        y: complex clean trajectories, shape (Nc, K), Nc >= 1; Nc <= Lx
+           is not required, the regression range is always 0..Nc-1.
+        q: non-causal context (frames of lead); a negative q delays
+           every tap by -q frames.
         taps: filter length p + q + 1.
 
     Returns:
         (gram, corr): the Hermitian Gram ZᴴZ, shape (K, taps, taps), and
-        Zᴴy, shape (K, taps).
+        Zᴴy, shape (K, taps), both C-contiguous.
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
     q, taps = int(q), int(taps)
     n_c, n_bins = y.shape
-    # padded[k, j] = x[j - lead, k], so window j of a row reads
-    # x[n + j - lead]: tap i is window taps - 1 - i, and windows[k] is Zᵀ
+    # padded[k, j] = x[j - lead, k], so Z[n, i] = padded[k, n + taps - 1 - i]
     lead = taps - 1 - q
     lo, hi = max(0, -lead), min(x.shape[0], n_c + q)
     padded = np.zeros((n_bins, n_c + taps - 1), dtype=np.complex128)
     if lo < hi:
         padded[:, lo + lead:hi + lead] = x[lo:hi].T
-    windows = sliding_window_view(padded, n_c, axis=1)[:, ::-1]
     gram = np.empty((n_bins, taps, taps), dtype=np.complex128)
     corr = np.empty((n_bins, taps), dtype=np.complex128)
+    # row[w, k] holds G[i, i + w] of bin k while the recursion is at row i
+    row = np.empty((taps, n_bins), dtype=np.complex128)
     for k in range(n_bins):
-        zt = np.ascontiguousarray(windows[k])
-        zh = zt.conj()
-        gram[k] = zh @ zt.T
-        corr[k] = zh @ y[:, k]
+        # np.correlate conjugates its second argument, and its lag w is
+        # tap taps - 1 - w
+        corr[k] = np.correlate(padded[k], y[:, k], "valid")[::-1]
+        row[::-1, k] = np.correlate(padded[k], padded[k, taps - 1:], "valid")
+    np.conjugate(corr, out=corr)
+    a = padded[:, :taps - 1][:, ::-1].T  # a[i] = Z[-1, i], shape (taps-1, K)
+    b = padded[:, n_c:][:, ::-1].T  # b[i] = Z[Nc-1, i]
+    term = np.empty_like(row)
+    row[0].imag = 0.0
+    gram[:, 0] = row.T
+    for i in range(taps - 1):
+        nxt, t = row[:taps - 1 - i], term[:taps - 1 - i]
+        np.multiply(a[i].conj(), a[i:], out=t)
+        nxt += t
+        np.multiply(b[i].conj(), b[i:], out=t)
+        nxt -= t
+        nxt[0].imag = 0.0
+        gram[:, i + 1, i + 1:] = nxt.T
+    # the lower triangle, MIRROR bins at a time: one column write per
+    # row would revisit every cache line of the Gram
+    lower = np.tri(taps, k=-1, dtype=bool)
+    buf = np.empty((min(MIRROR, n_bins), taps, taps), dtype=np.complex128)
+    for s in range(0, n_bins, MIRROR):
+        block = gram[s:s + MIRROR]
+        flipped = buf[:len(block)]
+        np.conjugate(block.transpose(0, 2, 1), out=flipped)
+        np.copyto(block, flipped, where=lower)
     return gram, corr
 
 

@@ -335,20 +335,39 @@ def save_model(model: MlpModel, path, seed=None) -> None:
         fh.write("\n")
 
 
+def _layer_block(path, i, layer, key, shape):
+    """Layer i's base64 little-endian f32 block under key, of the given shape."""
+    if not isinstance(layer, dict) or key not in layer:
+        raise ValueError(f"model file {path}: layer {i} has no {key}")
+    try:
+        raw = base64.b64decode(layer[key], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path}: layer {i} {key} is not base64: {exc}") from None
+    size = 4 * int(np.prod(shape))
+    if len(raw) != size:
+        raise ValueError(f"model file {path}: layer {i} {key} holds {len(raw)} bytes, "
+                         f"{size} for shape {shape}")
+    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+
+
 def load_model(path) -> MlpModel:
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or not {"layer_dims", "layers"} <= payload.keys():
         raise ValueError(f"model file {path} needs the keys layer_dims and layers")
-    dims = payload["layer_dims"]
-    if len(payload["layers"]) != len(dims) - 1:
-        raise ValueError(f"model file {path} holds {len(payload['layers'])} layers "
+    try:
+        dims = _checked_dims(payload["layer_dims"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path}: {exc}") from None
+    layers = payload["layers"]
+    if not isinstance(layers, list):
+        raise ValueError(f"model file {path}: layers must be a list")
+    if len(layers) != len(dims) - 1:
+        raise ValueError(f"model file {path} holds {len(layers)} layers "
                          f"for layer_dims {dims}")
     weights = []
     biases = []
-    for i, layer in enumerate(payload["layers"]):
-        w = np.frombuffer(base64.b64decode(layer["weights"]), dtype="<f4")
-        b = np.frombuffer(base64.b64decode(layer["bias"]), dtype="<f4")
-        weights.append(w.astype(np.float64).reshape(dims[i], dims[i + 1]))
-        biases.append(b.astype(np.float64))
+    for i, layer in enumerate(layers):
+        weights.append(_layer_block(path, i, layer, "weights", (dims[i], dims[i + 1])))
+        biases.append(_layer_block(path, i, layer, "bias", (dims[i + 1],)))
     return MlpModel(dims, weights, biases)

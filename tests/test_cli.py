@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import json
@@ -735,6 +736,33 @@ def test_malformed_model_json_is_data_error(trained, tmp_path, capsys, damage):
     path.write_text(json.dumps(payload))
     assert cli.main(["derev", "--config", str(config_path)]) == 3
     assert f"data error: model file {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["derev", "mix-sweep"])
+@pytest.mark.parametrize("damage, message", [
+    ("no weights", "layer 1 has no weights"),
+    ("no bias", "layer 1 has no bias"),
+    ("not base64", "layer 1 weights is not base64"),
+    ("short weights", "layer 1 weights holds"),
+    ("long bias", "layer 1 bias holds"),
+])
+def test_malformed_model_layer_is_data_error(trained, tmp_path, capsys, command,
+                                             damage, message):
+    config_path, workdir = _copy_of(trained, tmp_path)
+    path = workdir / "mlp_model.json"
+    payload = json.loads(path.read_text())
+    layer = payload["layers"][1]
+    if damage.startswith("no "):
+        del layer[damage[3:]]
+    elif damage == "not base64":
+        layer["weights"] = "not base64!"
+    elif damage == "short weights":  # one float fewer
+        layer["weights"] = base64.b64encode(base64.b64decode(layer["weights"])[:-4]).decode()
+    else:  # one float more
+        layer["bias"] = base64.b64encode(base64.b64decode(layer["bias"]) + bytes(4)).decode()
+    path.write_text(json.dumps(payload))
+    assert cli.main([command, "--config", str(config_path)]) == 3
+    assert f"data error: model file {path}: {message}" in capsys.readouterr().err
 
 
 def test_fit_fir_records_the_manifest_digest(fitted_all):

@@ -193,6 +193,19 @@ class TestExportSpectrogram:
         diagnostics.export_spectrogram(data, path, "csv")
         assert path.read_text() == "1.5,-2.25\n0.0,42.0\n"
 
+    def test_csv_matches_per_value_float_repr(self, tmp_path):
+        # the special values plus random values of every magnitude: each
+        # field is repr of the value as a Python float
+        rng = np.random.default_rng(0)
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.1, -1e-5]
+        data = np.concatenate(
+            [special, rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)]
+        ).reshape(6, 8)
+        path = tmp_path / "m.csv"
+        diagnostics.export_spectrogram(data, path, "csv")
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in data)
+        assert path.read_bytes() == want.encode("ascii")
+
     def test_constant_matrix_uniform_gray(self, tmp_path):
         data = np.full((4, 3), 7.0)
         path = tmp_path / "m.pgm"

@@ -185,6 +185,31 @@ class TestApplyFir:
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def check_normal_blocks(x, y, q, taps):
+    """normal_blocks against the explicit product of fir.design_matrix, bin
+    by bin within 1e-12 of the bin's largest Gram entry; the Gram must be
+    its own conjugate transpose to the bit, with a real diagonal."""
+    gram, corr = kernels.normal_blocks(x, y, q, taps)
+    n_c, n_bins = y.shape
+    assert gram.shape == (n_bins, taps, taps) and corr.shape == (n_bins, taps)
+    assert gram.flags.c_contiguous and corr.flags.c_contiguous
+    assert np.array_equal(gram, gram.transpose(0, 2, 1).conj())
+    assert np.all(np.diagonal(gram, axis1=1, axis2=2).imag == 0.0)
+    for k in range(n_bins):
+        z = fir.design_matrix(x[:, k], taps - 1 - q, q, n_c)
+        want = z.conj().T @ z
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(gram[k] - want)) <= 1e-12 * scale
+        assert np.max(np.abs(corr[k] - z.conj().T @ y[:, k])) <= 1e-12 * scale
+    return gram, corr
+
+
+def random_pair(rng, lx, n_c, bins):
+    x = rng.normal(size=(lx, bins)) + 1j * rng.normal(size=(lx, bins))
+    y = rng.normal(size=(n_c, bins)) + 1j * rng.normal(size=(n_c, bins))
+    return x, y
+
+
 class TestNormalBlocks:
     def test_matches_explicit_design(self):
         rng = np.random.default_rng(2)
@@ -212,6 +237,28 @@ class TestNormalBlocks:
         assert np.max(np.abs(gram[0] - z.conj().T @ z)) <= 1e-12 * scale
         assert np.max(np.abs(corr[0] - z.conj().T @ y)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("lx, n_c, q, taps", [
+        (30, 25, 0, 1),  # one tap: the first row is the whole Gram
+        (30, 25, 0, 6),  # causal
+        (30, 25, 7, 4),  # pure lead: every tap reads ahead
+        (30, 25, 4, 4),  # q = taps: the last tap reads one frame ahead
+        (30, 25, -1, 4),  # delayed taps, as in WPE
+        (30, 25, -2, 4),
+        (30, 25, -3, 5),
+        (18, 25, 3, 6),  # x ends before the regression range does
+        (10, 25, 20, 4),  # x ends before the first frame any tap reads
+        (60, 40, 20, 41),  # the sweep's wide tap count
+    ])
+    def test_matches_design_product(self, lx, n_c, q, taps):
+        x, y = random_pair(np.random.default_rng(lx * 100 + taps), lx, n_c, 3)
+        check_normal_blocks(x, y, q, taps)
+
+    def test_zero_bin_gives_zero_equations(self):
+        x, y = random_pair(np.random.default_rng(5), 30, 25, 3)
+        x[:, 1] = 0.0
+        gram, corr = check_normal_blocks(x, y, 2, 5)
+        assert not np.any(gram[1]) and not np.any(corr[1])
+
     @pytest.mark.parametrize("n_c", [30, 5])
     def test_wide_blocks_hold_every_cell(self, n_c):
         # column s of the wide design is x[n + Q - s], so cell (p, q) is the
@@ -222,7 +269,7 @@ class TestNormalBlocks:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(n_c + 2, 3)) + 1j * rng.normal(size=(n_c + 2, 3))
         y = rng.normal(size=(n_c, 3)) + 1j * rng.normal(size=(n_c, 3))
-        gram, corr = kernels.normal_blocks(x, y, wide_q, wide_p + wide_q + 1)
+        gram, corr = check_normal_blocks(x, y, wide_q, wide_p + wide_q + 1)
         for p, q in grid:
             rows = slice(wide_q - q, wide_q + p + 1)
             for k in range(3):
@@ -231,6 +278,20 @@ class TestNormalBlocks:
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(gram[k, rows, rows] - want)) <= 1e-12 * scale
                 assert np.max(np.abs(corr[k, rows] - z.conj().T @ y[:, k])) <= 1e-12 * scale
+
+    def test_memory_is_the_outputs_and_the_padded_trajectories(self):
+        # the sweep's 41-tap Gram over 257 bins: 6.9 MB of output, and no
+        # design, window copy or (K, taps²) temporary beside it
+        n_c, taps, bins = 248, 41, 257
+        x, y = random_pair(np.random.default_rng(7), n_c + 4, n_c, bins)
+        tracemalloc.start()
+        try:
+            gram, corr = kernels.normal_blocks(x, y, 20, taps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded = bins * (n_c + taps - 1) * 16
+        assert peak <= gram.nbytes + corr.nbytes + padded + 1e6
 
 
 def test_dereverberate_spectrogram_matches_oracle_per_bin():
