@@ -154,7 +154,11 @@ def _solve(gram, corr, ridge):
         ridge = 1e-8 * np.trace(gram, axis1=1, axis2=2).real / taps
     elif ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    a = gram + np.reshape(ridge, (-1, 1, 1)) * np.eye(taps)
+    # one copy, loaded on its diagonal in place, for gram may be a view;
+    # adding 0.0 turns -0.0 entries into +0.0 as adding ridge * I does
+    a = gram + 0.0
+    diagonal = np.arange(taps)
+    a[:, diagonal, diagonal] += np.reshape(ridge, (-1, 1))
     try:
         g = np.linalg.solve(a, corr[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:

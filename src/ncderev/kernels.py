@@ -2,23 +2,26 @@
 
 Three kernels dominate the toolkit's runtime. The first is the one
 image-lattice pass per room impulse response. It tabulates arrivals by
-reflection order, so that every calibration step is one matrix-vector
-render, and it walks the candidate images in blocks of at most BLOCK,
-so that it holds about the table plus one block. The second builds the
-per-bin complex normal equations (ZᴴZ) g = Zᴴy of the FIR fits without
-forming Z: each bin's Zᴴy and first Gram row are two lag correlations
-of its zero-padded trajectory, and a rank-2 recursion along the Gram's
-diagonals fills the rest in O(taps²) per bin. The third applies
-filters to all frequency bins at once. The two FIR kernels take bin
-trajectories only as (frames, bins) arrays; one bin is a one-column
-array.
+reflection order, keeping for each window of WINDOW taps only the orders
+an arrival there can have, so that every calibration step is one
+matrix-vector render per window. It walks the candidate images in
+blocks of at most BLOCK, so that it holds those windows plus one block.
+The second builds the per-bin complex normal equations (ZᴴZ) g = Zᴴy
+of the FIR fits without forming Z: each bin's Zᴴy and first Gram row
+are two lag correlations of its zero-padded trajectory, and a rank-2
+recursion along the Gram's diagonals fills the rest in O(taps²) per
+bin. The third applies filters to all frequency bins at once. The two
+FIR kernels take bin trajectories only as (frames, bins) arrays; one
+bin is a one-column array.
 """
 
 import numpy as np
 
 # most image candidates rir_order_table holds at once
 BLOCK = 1 << 16
-# bins normal_blocks mirrors into its lower triangles at once
+# taps per window of rir_order_table, each of which stores its own rows
+WINDOW = 1 << 10
+# bins normal_blocks transposes, and mirrors into its lower triangles, at once
 MIRROR = 8
 
 
@@ -34,7 +37,8 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
     reflects |n-u|+|n| times per axis and arrives at the nearest sample
     of distance/c. Row k of the table sums 1/(4*pi*distance) over the
     images of total order k, so with one reflection coefficient beta for
-    all six surfaces the response is sum_k beta**k * table[k].
+    all six surfaces the response is sum_k beta**k * table[k], which
+    ``render_orders`` computes.
 
     Per axis and parity, the lattice offsets are pruned to those within
     reach of n_taps alone; per parity u, the x-y pairs are pruned to
@@ -42,13 +46,24 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
     contiguous run of z offsets inside the reach sphere, found by two
     searchsorted calls on the sorted z offsets. These candidates are
     walked in blocks of at most BLOCK, pair by pair and z by z, and the
-    images in range are added into one zeroed buffer sized for the
-    highest order the kept offsets could sum to. The additions happen
-    in the same order as one broadcast over every candidate, so the
-    table is the same to the bit, while memory stays at about the table
-    plus one block of temporaries. Rows past the highest order present
-    are never written, so pages the allocator maps lazily stay
-    untouched, and the returned table is trimmed to that order.
+    images in range are added in the same order as one broadcast over
+    every candidate, so every cell of the table is the same to the bit.
+
+    Only the rows an arrival time can reach are stored. Let o be an
+    image's offset from the microphone and L the room dimensions. Along
+    axis a its order is exactly |o_a + e_a| / L_a, with
+    e_a = mic_a - src_a for u_a = 0 and src_a + mic_a - L_a for
+    u_a = 1: both give |2n - u_a|. By the triangle inequality the order
+    lies within E = sum_a max(|e_a|) / L_a of S = sum_a |o_a| / L_a.
+    The 1-norm of o is at least its 2-norm, and Cauchy-Schwarz bounds
+    the weighted sum from above, so |o| / max(L) <= S <= |o| * |1/L|.
+    An image that lands in tap t has |o| within half a sample of
+    t * c / fs. So the taps are cut into windows of WINDOW, and window w
+    holds only the rows lo_w..hi_w that its distances allow, as one
+    (rows, WINDOW) block of a single flat buffer. The bound holds for
+    any positions, and an image's cell is base[t] + order * WINDOW,
+    where base[t] folds in the window's place in the buffer and lo_w.
+    Memory stays at about the blocks plus one walk block of temporaries.
 
     Args:
         n_taps: response length in samples.
@@ -57,8 +72,10 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
         c: speed of sound in m/s.
 
     Returns:
-        (table, images): float64 table of shape (highest order + 1,
-        n_taps), and the number of images that arrive inside n_taps.
+        (bands, images): bands lists (lo_w, block_w) per window in tap
+        order, where row r of the float64 (rows, taps) view block_w is
+        order lo_w + r over the window's taps; images is the number of
+        images that arrive inside n_taps.
     """
     n_taps = int(n_taps)
     dims = np.asarray(dims, dtype=np.float64)
@@ -80,9 +97,24 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
                          (np.abs(n - ua) + np.abs(n))[near]))
         axes.append(axis)
     # no image reflects more often than the per-axis maxima summed
-    bound = 1 + sum(max(int(k.max(initial=0)) for _, _, k in axis) for axis in axes)
-    table = np.zeros(bound * n_taps)
-    rows, images = 1, 0
+    top = sum(max(int(k.max(initial=0)) for _, _, k in axis) for axis in axes)
+    # each window's reachable rows, widened by far more than rounding moves
+    # a distance
+    width = max(1, min(WINDOW, n_taps))
+    win_start = np.arange(0, n_taps, width)
+    spread = np.sum(np.maximum(np.abs(mic - src), np.abs(src + mic - dims)) / dims)
+    nearest = np.maximum(win_start - 0.5, 0.0) * (c / fs) / dims.max()
+    farthest = (win_start + width - 0.5) * (c / fs) * np.sqrt(np.sum(dims ** -2.0))
+    row_lo = np.clip(np.ceil(nearest - spread - 1e-6), 0, top).astype(np.int64)
+    row_hi = np.clip(np.floor(farthest + spread + 1e-6), 0, top).astype(np.int64)
+    sizes = (row_hi - row_lo + 1) * width
+    block_end = np.cumsum(sizes)
+    block_start = block_end - sizes
+    store = np.zeros(int(sizes.sum()))
+    # order k of tap t is cell base[t] + k * width
+    base = np.repeat(block_start - row_lo * width - win_start, width)[:n_taps]
+    base += np.arange(n_taps)
+    images = 0
     for u in range(8):
         (_, sx, kx), (_, sy, ky), (oz, sz, kz) = (axes[a][(u >> a) & 1] for a in range(3))
         sq = sx[:, None] + sy[None, :]
@@ -111,9 +143,17 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
             order = (np.repeat(pair_order[p0:p1], run) + kz[z])[sel]
             idx, d = idx[sel], d[sel]
             images += order.size
-            rows = max(rows, int(order.max(initial=0)) + 1)
-            np.add.at(table, order * n_taps + idx, 1.0 / (4.0 * np.pi * d))
-    return table[:rows * n_taps].reshape(rows, n_taps), images
+            np.add.at(store, base[idx] + order * width, 1.0 / (4.0 * np.pi * d))
+    bands = [(int(first), store[s:e].reshape(-1, width)[:, :n_taps - t])
+             for t, first, s, e in zip(win_start, row_lo, block_start, block_end)]
+    return bands, images
+
+
+def render_orders(bands, beta):
+    """The response sum_k beta**k * table[k] of rir_order_table's bands,
+    one window at a time (empty when there are none)."""
+    return np.concatenate([np.zeros(0)] + [
+        beta ** np.arange(lo, lo + len(block)) @ block for lo, block in bands])
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +205,15 @@ def normal_blocks(x, y, q, taps):
     corr = np.empty((n_bins, taps), dtype=np.complex128)
     # row[w, k] holds G[i, i + w] of bin k while the recursion is at row i
     row = np.empty((taps, n_bins), dtype=np.complex128)
+    # the clean trajectories, transposed MIRROR bins at a time so that
+    # np.correlate reads contiguous rows instead of copying each column
+    clean = np.empty((min(MIRROR, n_bins), n_c), dtype=np.complex128)
     for k in range(n_bins):
+        if k % MIRROR == 0:
+            np.copyto(clean[:min(MIRROR, n_bins - k)], y[:, k:k + MIRROR].T)
         # np.correlate conjugates its second argument, and its lag w is
         # tap taps - 1 - w
-        corr[k] = np.correlate(padded[k], y[:, k], "valid")[::-1]
+        corr[k] = np.correlate(padded[k], clean[k % MIRROR], "valid")[::-1]
         row[::-1, k] = np.correlate(padded[k], padded[k, taps - 1:], "valid")
     np.conjugate(corr, out=corr)
     a = padded[:, :taps - 1][:, ::-1].T  # a[i] = Z[-1, i], shape (taps-1, K)

@@ -7,9 +7,10 @@ time drawn from U(0.4, 1.99) s sets one reflection coefficient for all
 six surfaces. ``estimate_rt60`` measures a response's RT60 through
 Schroeder backward integration, and ``image_method_rir`` calibrates the
 coefficient with it. One pass over the image lattice tabulates the
-arrivals by reflection order; then, from an Eyring seed, each secant
-step renders the table at a new coefficient and measures its RT60, up to
-four renders or until it lies within 4% of the target.
+arrivals by reflection order, keeping for each window of taps only the
+orders that can arrive in it; then, from an Eyring seed, each secant
+step renders those windows at a new coefficient and measures the RT60,
+up to four renders or until it lies within 4% of the target.
 """
 
 import math
@@ -102,25 +103,43 @@ def default_rir_len(rt60: float, sample_rate: int) -> int:
     return int(math.ceil(1.2 * rt60 * sample_rate))
 
 
+def placement_rules(dims, src, mic):
+    """Which placement rules hold, for positions of shape (..., 3).
+
+    Returns boolean arrays (inside, margin, height, distance). The first
+    three have a last axis of 2, for src and mic: strictly inside the
+    room, WALL_MARGIN from every wall but the floor, and a height inside
+    HEIGHT_BAND. distance is a source-microphone distance inside
+    [MIN_SRC_MIC_DIST, MAX_SRC_MIC_DIST].
+    """
+    dims = np.asarray(dims, dtype=np.float64)
+    pos = np.stack([np.asarray(src, dtype=np.float64),
+                    np.asarray(mic, dtype=np.float64)], axis=-2)
+    # the floor has no margin: the height band keeps positions off it
+    near, far = np.array([WALL_MARGIN, WALL_MARGIN, -np.inf]), dims - WALL_MARGIN
+    inside = np.all((pos > 0) & (pos < dims), axis=-1)
+    margin = np.all((pos >= near) & (pos <= far), axis=-1)
+    height = (pos[..., 2] >= HEIGHT_BAND[0]) & (pos[..., 2] <= HEIGHT_BAND[1])
+    with np.errstate(invalid="ignore"):  # inf - inf: the distance fails as nan
+        d = np.linalg.norm(pos[..., 0, :] - pos[..., 1, :], axis=-1)
+    return inside, margin, height, (d >= MIN_SRC_MIC_DIST) & (d <= MAX_SRC_MIC_DIST)
+
+
 def placement_problems(dims, src, mic):
     """List of violated source/microphone placement constraints (empty if valid)."""
+    inside, margin, height, distance = placement_rules(dims, src, mic)
     problems = []
-    for name, pos in (("src", src), ("mic", mic)):
-        x, y, z = pos
-        lx, ly, lz = dims
-        if not (0 < x < lx and 0 < y < ly and 0 < z < lz):
+    for i, (name, pos) in enumerate((("src", src), ("mic", mic))):
+        if not inside[i]:
             problems.append(f"{name} not strictly inside the room")
             continue
-        if (x < WALL_MARGIN or x > lx - WALL_MARGIN
-                or y < WALL_MARGIN or y > ly - WALL_MARGIN
-                or z > lz - WALL_MARGIN):
+        if not margin[i]:
             problems.append(f"{name} closer than {WALL_MARGIN} m to a wall")
-        if not HEIGHT_BAND[0] <= z <= HEIGHT_BAND[1]:
-            problems.append(f"{name} height {z:.3f} outside {HEIGHT_BAND} m band")
-    d = math.dist(src, mic)
-    if not MIN_SRC_MIC_DIST <= d <= MAX_SRC_MIC_DIST:
+        if not height[i]:
+            problems.append(f"{name} height {pos[2]:.3f} outside {HEIGHT_BAND} m band")
+    if not distance:
         problems.append(
-            f"src-mic distance {d:.3f} outside "
+            f"src-mic distance {math.dist(src, mic):.3f} outside "
             f"[{MIN_SRC_MIC_DIST}, {MAX_SRC_MIC_DIST}] m"
         )
     return problems
@@ -163,15 +182,8 @@ def sample_room(rng, nominal_dims=NOMINAL_DIMS, sample_rate=16000,
     for _ in range(0, MAX_POSITION_DRAWS, batch):
         src = rng.uniform(0.0, 1.0, size=(batch, 3)) * dims
         mic = rng.uniform(0.0, 1.0, size=(batch, 3)) * dims
-        zhi = min(HEIGHT_BAND[1], dims[2] - WALL_MARGIN)
-        ok = np.ones(batch, dtype=bool)
-        for pos in (src, mic):
-            ok &= (pos[:, 0] >= WALL_MARGIN) & (pos[:, 0] <= dims[0] - WALL_MARGIN)
-            ok &= (pos[:, 1] >= WALL_MARGIN) & (pos[:, 1] <= dims[1] - WALL_MARGIN)
-            ok &= (pos[:, 2] >= HEIGHT_BAND[0]) & (pos[:, 2] <= zhi)
-        d = np.linalg.norm(src - mic, axis=1)
-        ok &= (d >= MIN_SRC_MIC_DIST) & (d <= MAX_SRC_MIC_DIST)
-        hits = np.flatnonzero(ok)
+        inside, margin, height, distance = placement_rules(dims, src, mic)
+        hits = np.flatnonzero(np.all(inside & margin & height, axis=-1) & distance)
         if hits.size:
             i = hits[0]
             return RoomSpec(
@@ -217,8 +229,10 @@ def image_method_rir(spec: RoomSpec) -> Rir:
     All six surfaces share one reflection coefficient; reflections are
     summed up to the order that fits inside ``spec.max_rir_len``, each
     arriving at the nearest sample. The image lattice is walked once
-    into a per-reflection-order table, so a response for any coefficient
-    beta is one render ``beta**arange(K) @ table``.
+    into a per-reflection-order table that keeps, for each window of
+    ``kernels.WINDOW`` taps, only the orders lo..hi that can arrive in
+    it. A response for any coefficient beta is one render
+    ``beta**arange(lo, hi + 1) @ block`` per window.
 
     The coefficient is calibrated against the measured Schroeder RT60 of
     the rendered response. The Eyring value seeds kappa = -ln(1 - alpha);
@@ -228,16 +242,15 @@ def image_method_rir(spec: RoomSpec) -> Rir:
     the response closest to the target together with its measured RT60,
     the renders taken and the number of in-range images.
     """
-    table, images = kernels.rir_order_table(
+    bands, images = kernels.rir_order_table(
         spec.max_rir_len, spec.dims, spec.src, spec.mic, spec.sample_rate,
         c=SPEED_OF_SOUND,
     )
-    orders = np.arange(len(table))
     kappa = -math.log(1.0 - absorption_for_rt60(spec.dims, spec.rt60))
     best_taps = best_rt60 = None
     best_gap = np.inf
     for renders in range(1, 5):
-        taps = math.exp(-0.5 * kappa) ** orders @ table
+        taps = kernels.render_orders(bands, math.exp(-0.5 * kappa))
         measured = estimate_rt60(taps, spec.sample_rate)
         gap = abs(measured / spec.rt60 - 1.0)
         if gap < best_gap:

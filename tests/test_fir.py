@@ -146,6 +146,26 @@ class TestFitFilter:
         assert np.linalg.norm(a.taps - b.taps) <= 1e-6 * np.linalg.norm(a.taps)
 
 
+class TestSolve:
+    @pytest.mark.parametrize("ridge", [0.0, 0.5, "auto"])
+    def test_loads_a_copy_of_a_principal_block(self, ridge):
+        # a principal block of a wider Gram, as the context sweep passes it;
+        # the solve equals one of ridge * I added to the block, to the bit
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(6, 40, 9)) + 1j * rng.normal(size=(6, 40, 9))
+        wide = np.einsum("kni,knj->kij", z.conj(), z)
+        wide[:, 2, 5] = -0.0
+        corr = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+        before = wide.copy()
+        block, r = wide[:, 2:7, 2:7], corr[:, 2:7]
+        g = fir._solve(block, r, ridge)
+        assert np.array_equal(wide, before) and np.signbit(wide[0, 2, 5].real)
+        load = (1e-8 * np.trace(block, axis1=1, axis2=2).real / 5 if ridge == "auto"
+                else np.full(6, ridge))
+        want = np.linalg.solve(block + load[:, None, None] * np.eye(5), r[:, :, None])
+        assert np.array_equal(g, want[:, :, 0])
+
+
 class TestClosedForm:
     def test_agrees_with_stacked_solve_even_taps(self):
         rng = np.random.default_rng(9)

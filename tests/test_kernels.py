@@ -103,15 +103,40 @@ def explicit_design(x, q, taps, rows):
     return z
 
 
+def dense_table(bands, n_taps):
+    """rir_order_table's bands written out as one (rows, n_taps) table,
+    rows running to the last order that holds a nonzero cell."""
+    rows = 1 + max((lo + int(np.flatnonzero(block.any(axis=1)).max(initial=-1))
+                    for lo, block in bands), default=0)
+    table = np.zeros((max(rows, 1), n_taps))
+    start = 0
+    for lo, block in bands:
+        stop = start + block.shape[1]
+        kept = block[:max(rows - lo, 0)]
+        table[lo:lo + len(kept), start:stop] = kept
+        start = stop
+    assert start == n_taps
+    return table
+
+
+def check_bands(n_taps, dims, src, mic):
+    """The bands hold the broadcast oracle's table to the bit, with the
+    same image count."""
+    bands, images = kernels.rir_order_table(n_taps, dims, src, mic, 16000)
+    want, want_images = broadcast_order_table(n_taps, dims, src, mic, 16000)
+    assert images == want_images
+    assert np.array_equal(dense_table(bands, n_taps), want)
+    return bands, want
+
+
 class TestRirAccumulate:
     """One lattice pass into the per-order table, rendered at several betas."""
 
     def check_renders(self, n_taps, dims, src, mic):
-        table, images = kernels.rir_order_table(n_taps, dims, src, mic, 16000)
-        assert table.shape[1] == n_taps
-        assert np.any(table[-1] != 0)  # trimmed to the highest order present
+        bands, images = kernels.rir_order_table(n_taps, dims, src, mic, 16000)
         for beta in (0.3, 0.7, 0.95):
-            got = beta ** np.arange(len(table)) @ table
+            got = kernels.render_orders(bands, beta)
+            assert got.shape == (n_taps,)
             want, want_images = direct_image_sum(n_taps, dims, src, mic, beta,
                                                  16000, 343.0)
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -127,31 +152,72 @@ class TestRirAccumulate:
         self.check_renders(2000, np.array([5.3, 2.2, 3.0]),
                            np.array([1.2, 0.8, 1.1]), np.array([4.1, 1.5, 2.2]))
 
-
     @pytest.mark.parametrize("block", [7, 1000, None])
     @pytest.mark.parametrize("room", sorted(ROOMS))
     def test_blocks_match_the_one_shot_broadcast(self, monkeypatch, room, block):
         # outside the small room, the pairs near the z axis take runs of more
-        # than 7 z offsets, so at block 7 those runs span several blocks
+        # than 7 z offsets, so at block 7 those runs span several blocks;
+        # a window of one tap holds the tightest rows the bound allows
         if block:
             monkeypatch.setattr(kernels, "BLOCK", block)
-        table, images = kernels.rir_order_table(*ROOMS[room], 16000)
         want, want_images = broadcast_order_table(*ROOMS[room], 16000)
-        assert np.array_equal(table, want)
-        assert images == want_images
+        for window in (1, 7, kernels.WINDOW):
+            monkeypatch.setattr(kernels, "WINDOW", window)
+            bands, images = kernels.rir_order_table(*ROOMS[room], 16000)
+            assert np.array_equal(dense_table(bands, ROOMS[room][0]), want)
+            assert images == want_images
+
+    @pytest.mark.parametrize("window", [1, 7, None])
+    def test_sampled_rooms_match_the_one_shot_broadcast(self, monkeypatch, window):
+        # the order bound assumes nothing of the positions: positions on a
+        # wall or in a corner, coincident ones and aspect ratios of 4 or
+        # more all keep every image inside its window's rows
+        if window:
+            monkeypatch.setattr(kernels, "WINDOW", window)
+        rng = np.random.default_rng(5)
+        rooms = []
+        for i in range(200):
+            dims = rng.uniform(1.0, 4.0, size=3)
+            if i % 4 == 0:
+                dims[i % 3] *= 4.0
+            src, mic = (rng.uniform(0.0, 1.0, size=3) * dims for _ in range(2))
+            rooms.append((int(rng.integers(20, 400)), dims, src, mic))
+        dims = np.array([6.0, 1.5, 1.2])
+        rooms += [
+            (300, dims, np.array([0.0, 0.7, 0.3]), np.array([6.0, 1.5, 0.0])),  # walls
+            (300, dims, np.zeros(3), dims.copy()),  # opposite corners
+            (300, dims, np.zeros(3), np.zeros(3)),  # one corner, coincident
+            (300, dims, np.array([2.0, 0.4, 0.9]), np.array([2.0, 0.4, 0.9])),  # coincident
+        ]
+        for room in rooms:
+            check_bands(*room)
+
+    @pytest.mark.parametrize("room", sorted(ROOMS))
+    def test_renders_match_the_dense_table_render(self, room):
+        bands, want = check_bands(*ROOMS[room])
+        for beta in (0.3, 0.7, 0.95, 1.0):
+            dense = beta ** np.arange(len(want)) @ want
+            got = kernels.render_orders(bands, beta)
+            assert np.max(np.abs(got - dense)) <= 1e-15 * np.max(np.abs(dense))
 
     def test_memory_is_the_table_and_one_block(self):
         # 20 000 taps: 3.5 M images among 5.3 M candidates; the one-shot
         # broadcast holds over 30 MB of candidate temporaries beside the table
+        n_taps = 20000
         tracemalloc.start()
         try:
-            table, _ = kernels.rir_order_table(20000, [6.2, 4.9, 3.1], [1.1, 2.3, 1.4],
+            bands, _ = kernels.rir_order_table(n_taps, [6.2, 4.9, 3.1], [1.1, 2.3, 1.4],
                                                [4.0, 1.9, 1.6], 16000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # table is a view of the zeroed buffer sized for the bound on the order
-        assert peak - table.base.nbytes <= 8e6
+        # every block is a view of one flat store
+        store = bands[0][1].base
+        assert all(block.base is store for _, block in bands)
+        assert peak - store.nbytes <= 8e6
+        # the dense table runs to the highest order present over every tap
+        rows = len(dense_table(bands, n_taps))
+        assert store.nbytes <= 0.45 * rows * n_taps * 8
 
 
 class TestApplyFir:

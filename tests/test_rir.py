@@ -4,7 +4,34 @@ import pytest
 from ncderev import rir
 
 
+def masked_sample_room(rng, nominal_dims=rir.NOMINAL_DIMS):
+    """sample_room with the placement rules written out as one inline mask,
+    drawing from the generator in the same order."""
+    dims = np.asarray(nominal_dims, dtype=np.float64) * rng.uniform(0.8, 1.2, size=3)
+    rt60 = float(rng.uniform(*rir.RT60_RANGE))
+    while True:
+        src = rng.uniform(0.0, 1.0, size=(256, 3)) * dims
+        mic = rng.uniform(0.0, 1.0, size=(256, 3)) * dims
+        zhi = min(rir.HEIGHT_BAND[1], dims[2] - rir.WALL_MARGIN)
+        ok = np.ones(256, dtype=bool)
+        for pos in (src, mic):
+            ok &= (pos[:, 0] >= rir.WALL_MARGIN) & (pos[:, 0] <= dims[0] - rir.WALL_MARGIN)
+            ok &= (pos[:, 1] >= rir.WALL_MARGIN) & (pos[:, 1] <= dims[1] - rir.WALL_MARGIN)
+            ok &= (pos[:, 2] >= rir.HEIGHT_BAND[0]) & (pos[:, 2] <= zhi)
+        d = np.linalg.norm(src - mic, axis=1)
+        ok &= (d >= rir.MIN_SRC_MIC_DIST) & (d <= rir.MAX_SRC_MIC_DIST)
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return tuple(dims), tuple(src[hits[0]]), tuple(mic[hits[0]]), rt60
+
+
 class TestSampleRoom:
+    def test_same_rooms_as_an_inline_mask(self):
+        for seed in range(300):
+            spec = rir.sample_room(np.random.default_rng(seed))
+            want = masked_sample_room(np.random.default_rng(seed))
+            assert (spec.dims, spec.src, spec.mic, spec.rt60) == want
+
     def test_dims_within_20_percent_band(self):
         lo = np.array([6.36, 4.544, 3.6])
         hi = np.array([9.54, 6.816, 5.4])
@@ -54,6 +81,30 @@ class TestRoomSpecInvariants:
     def test_rejects_rt60_out_of_range(self):
         with pytest.raises(rir.GeometryError, match="rt60"):
             rir.RoomSpec((7, 5, 4), (2.0, 2.0, 1.5), (3.0, 2.0, 1.5), 2.5, 16000)
+
+    @pytest.mark.parametrize("src, mic, message", [
+        ((0.0, 2.0, 1.5), (1.5, 2.0, 1.5), "src not strictly inside the room"),
+        ((2.0, 3.5, 1.5), (3.0, 5.0, 1.5), "mic not strictly inside the room"),
+        ((2.0, 4.5, 1.5), (3.0, 2.0, 1.5), "src closer than 1.0 m to a wall"),
+        ((2.0, 2.0, 3.5), (3.0, 2.0, 1.5),
+         "src closer than 1.0 m to a wall; src height 3.500 outside (1.0, 2.0) m band"),
+        ((2.0, 2.0, 1.5), (3.0, 2.0, 0.5), "mic height 0.500 outside (1.0, 2.0) m band"),
+        ((1.5, 1.5, 1.5), (5.5, 3.5, 1.5), "src-mic distance 4.472 outside [0.144, 2.816] m"),
+        ((2.0, 2.0, 1.5), (2.0, 2.0, 1.5), "src-mic distance 0.000 outside [0.144, 2.816] m"),
+        ((-1.0, 2.0, 1.5), (3.0, 2.0, 2.5),
+         "src not strictly inside the room; mic height 2.500 outside (1.0, 2.0) m band; "
+         "src-mic distance 4.123 outside [0.144, 2.816] m"),
+    ])
+    def test_problems_are_named_in_order(self, src, mic, message):
+        with pytest.raises(rir.GeometryError) as info:
+            rir.RoomSpec((7, 5, 4), src, mic, 0.6, 16000)
+        assert str(info.value) == "invalid RoomSpec: " + message
+
+    def test_infinite_positions_rejected_without_warning(self):
+        inf = float("inf")
+        with pytest.raises(rir.GeometryError, match="src not strictly inside the room; "
+                           "mic not strictly inside the room; src-mic distance nan"):
+            rir.RoomSpec((7, 5, 4), (inf, 2.0, 1.5), (inf, 2.0, 1.5), 0.6, 16000)
 
     def test_default_rir_len(self):
         spec = rir.RoomSpec((7, 5, 4), (2.0, 2.0, 1.5), (3.0, 2.0, 1.5), 0.5, 16000)
