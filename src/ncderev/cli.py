@@ -2,8 +2,8 @@
 
 Subcommands: make-corpus, fit-fir, sweep-context, featurize, train-mlp,
 derev, mix-sweep, diagnose. Common flags: --config (JSON), --seed,
---workdir, --jobs; explicit flags override the config file, which
-overrides built-in defaults.
+--workdir; explicit flags override the config file, which overrides
+built-in defaults.
 
 Every command is deterministic given config + seed (no wall-clock
 seeding) and writes a reproducibility record to workdir/runs/. Exit
@@ -28,6 +28,11 @@ class ConfigError(ValueError):
 
 class DataError(RuntimeError):
     """Missing or malformed input data or upstream artifacts."""
+
+
+# the config keys that decide featurize's features; a command that reads
+# them requires featurize's run record to hold this config's values
+FEATURE_KEYS = ("sample_rate", "frame_ms", "shift_ms", "fft_size", "n_mels")
 
 
 @dataclass
@@ -387,6 +392,7 @@ def _dataset_from_rows(cfg, rows):
 
 def cmd_train_mlp(cfg) -> int:
     workdir = _workdir(cfg)
+    _require_run(cfg, "featurize", FEATURE_KEYS)
     train_x, train_y = _dataset_from_rows(cfg, _manifest_rows(cfg, "train"))
     try:
         dev_rows = _manifest_rows(cfg, "dev")
@@ -423,6 +429,7 @@ def _load_model(cfg) -> mlp.MlpModel:
 def cmd_derev(cfg) -> int:
     workdir = _workdir(cfg)
     model = _load_model(cfg)
+    _require_run(cfg, "featurize", FEATURE_KEYS)
     rows = _manifest_rows(cfg, cfg.split)
     _features_dir(cfg, "derev").mkdir(parents=True, exist_ok=True)
     mses = {"derev": [], "reverb": []}
@@ -467,8 +474,7 @@ def cmd_mix_sweep(cfg) -> int:
     workdir = _workdir(cfg)
     model = _load_model(cfg)
     # the reverb and clean streams are featurize's; ref_enhanced is made here
-    _require_run(cfg, "featurize", ("sample_rate", "frame_ms", "shift_ms", "fft_size",
-                                    "n_mels"))
+    _require_run(cfg, "featurize", FEATURE_KEYS)
     rows = _manifest_rows(cfg, "dev")
     bank = _mel_bank(cfg)
     enhancer = _fit_enhancer(cfg)
@@ -563,8 +569,8 @@ def cmd_diagnose(cfg) -> int:
     fileformats.write_csv(
         out_dir / "autocorr_curves.csv",
         ["lag", *curves],
-        ((int(lag), *(curve.values[i] for curve in curves.values()))
-         for i, lag in enumerate(curves["clean"].lags)),
+        ((lag, *(curve[lag] for curve in curves.values()))
+         for lag in range(cfg.max_lag + 1)),
     )
     fileformats.write_csv(
         out_dir / "tail_mass.csv",
@@ -605,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON config file")
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--workdir")
-        cmd.add_argument("--jobs", type=int)
         cmd.add_argument("--split", choices=["train", "dev", "test", "all"])
         cmd.add_argument("--limit", type=int)
         cmd.add_argument("--p", type=int)
@@ -613,6 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "make-corpus":
             cmd.add_argument("--clean-dir", dest="clean_dir")
             cmd.add_argument("--rir-count", dest="rir_count", type=int)
+            cmd.add_argument("--jobs", type=int)
         if name == "train-mlp":
             cmd.add_argument("--epochs", type=int)
             cmd.add_argument("--hidden-width", dest="hidden_width", type=int)

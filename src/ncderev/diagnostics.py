@@ -1,13 +1,12 @@
 """Analysis artifacts: normalized autocorrelation of bin trajectories,
-spectrogram exports, and MSE reports.
+spectrogram exports, and MSE rows.
 
-Reverberation shows up as heavier autocorrelation tails in the complex
-trajectory of each frequency bin; the corpus-average curve and its tail
-mass scalarize that comparison between clean, reverberated and
-dereverberated material.
+An autocorrelation curve is a plain float64 array whose entry tau is the
+value at lag tau, for lags 0..max_lag. Reverberation shows up as heavier
+autocorrelation tails in the complex trajectory of each frequency bin;
+the corpus-average curve and its tail mass scalarize that comparison
+between clean, reverberated and dereverberated material.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,24 +14,9 @@ from .dsp import ComplexSpectrogram
 from .mlp import mse_loss
 
 
-@dataclass(frozen=True)
-class AutocorrCurve:
-    """Normalized autocorrelation values for lags 0..max_lag."""
-
-    lags: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if lags.shape != values.shape or lags.ndim != 1:
-            raise ValueError("lags and values must be equal-length 1-D arrays")
-        object.__setattr__(self, "lags", lags)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def max_lag(self) -> int:
-        return int(self.lags[-1])
+def _check_max_lag(max_lag: int) -> None:
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
 
 
 def _autocorr_columns(values: np.ndarray, max_lag: int, magnitude: bool):
@@ -77,7 +61,7 @@ def _autocorr_columns(values: np.ndarray, max_lag: int, magnitude: bool):
     return curves, usable
 
 
-def normalized_autocorr(series, max_lag: int, magnitude: bool = False) -> AutocorrCurve:
+def normalized_autocorr(series, max_lag: int, magnitude: bool = False) -> np.ndarray:
     """Normalized autocorrelation of one (complex or real) sequence.
 
     The series is mean-removed, then r(tau) = sum_n conj(s(n)) s(n+tau)
@@ -87,9 +71,11 @@ def normalized_autocorr(series, max_lag: int, magnitude: bool = False) -> Autoco
     part is reported for complex input. With ``magnitude=True`` the
     correlation is computed on |s|.
 
-    Raises ValueError for constant (zero-variance) series or when the
+    Returns the curve for lags 0..max_lag. Raises ValueError for a
+    negative max_lag, for constant (zero-variance) series or when the
     series is not longer than max_lag.
     """
+    _check_max_lag(max_lag)
     s = np.asarray(series)
     if s.ndim != 1:
         raise ValueError("series must be 1-D")
@@ -98,7 +84,7 @@ def normalized_autocorr(series, max_lag: int, magnitude: bool = False) -> Autoco
     curves, usable = _autocorr_columns(s[:, None], max_lag, magnitude)
     if not usable[0]:
         raise ValueError("constant series has no autocorrelation")
-    return AutocorrCurve(np.arange(max_lag + 1), curves[:, 0])
+    return curves[:, 0]
 
 
 class AutocorrSums:
@@ -110,6 +96,7 @@ class AutocorrSums:
     """
 
     def __init__(self, max_lag: int, magnitude: bool = False):
+        _check_max_lag(max_lag)
         self.max_lag = max_lag
         self.magnitude = magnitude
         self.sums = np.zeros(max_lag + 1)
@@ -125,11 +112,11 @@ class AutocorrSums:
         self.used += int(usable.sum())
         self.skipped += int(np.count_nonzero(~usable))
 
-    def curve(self) -> AutocorrCurve:
+    def curve(self) -> np.ndarray:
         """The mean curve; ValueError when no trajectory was usable."""
         if self.used == 0:
             raise ValueError("no usable bin trajectories in the corpus")
-        return AutocorrCurve(np.arange(self.max_lag + 1), self.sums / self.used)
+        return self.sums / self.used
 
 
 def average_autocorr(spectrograms, max_lag: int, magnitude: bool = False):
@@ -143,11 +130,11 @@ def average_autocorr(spectrograms, max_lag: int, magnitude: bool = False):
             frames-by-bins arrays).
 
     Returns:
-        (curve, skipped): the averaged AutocorrCurve and the number of
-        skipped trajectories.
+        (curve, skipped): the averaged curve and the number of skipped
+        trajectories.
 
-    Raises ValueError when every trajectory is degenerate or the corpus
-    is empty.
+    Raises ValueError for a negative max_lag, when every trajectory is
+    degenerate or when the corpus is empty.
     """
     sums = AutocorrSums(max_lag, magnitude)
     for spec in spectrograms:
@@ -155,11 +142,12 @@ def average_autocorr(spectrograms, max_lag: int, magnitude: bool = False):
     return sums.curve(), sums.skipped
 
 
-def tail_mass(curve: AutocorrCurve, from_lag: int) -> float:
+def tail_mass(curve: np.ndarray, from_lag: int) -> float:
     """Mean absolute autocorrelation over lags from_lag..max_lag."""
-    if from_lag > curve.max_lag:
-        raise ValueError(f"from_lag {from_lag} exceeds max_lag {curve.max_lag}")
-    return float(np.mean(np.abs(curve.values[from_lag:])))
+    max_lag = len(curve) - 1
+    if not 0 <= from_lag <= max_lag:
+        raise ValueError(f"from_lag {from_lag} is outside 0..max_lag {max_lag}")
+    return float(np.mean(np.abs(curve[from_lag:])))
 
 
 def export_spectrogram(data, path, fmt: str = "csv") -> None:
@@ -213,16 +201,3 @@ def corpus_mse(mses) -> float:
         raise ValueError("no pairs supplied")
     return float(np.mean(mses))
 
-
-def mse_report(pairs):
-    """Per-utterance and corpus-mean MSE between aligned feature pairs.
-
-    Args:
-        pairs: iterable of (utterance_id, estimate, reference) with
-            equal-shaped 2-D arrays.
-
-    Returns:
-        (rows, corpus_mean): rows are (utterance_id, n_frames, mse).
-    """
-    rows = [mse_row(*pair) for pair in pairs]
-    return rows, corpus_mse([row[2] for row in rows])

@@ -82,15 +82,11 @@ class StftConfig:
             )
         return 1 + (n_samples - self.frame_len) // self.frame_shift
 
-    def frame_index(self, n_frames: int) -> np.ndarray:
-        """(n_frames, frame_len) sample indices; row n is n*shift + arange(frame_len)."""
-        return (np.arange(n_frames)[:, None] * self.frame_shift
-                + np.arange(self.frame_len)[None, :])
-
 
 @dataclass(frozen=True)
 class ComplexSpectrogram:
-    """Frame-by-bin matrix of complex STFT values (frames x bins)."""
+    """Frame-by-bin matrix of complex STFT values (frames x bins); column
+    k is bin k's trajectory across the frames."""
 
     values: np.ndarray
     config: StftConfig
@@ -114,10 +110,6 @@ class ComplexSpectrogram:
     @property
     def bins(self) -> int:
         return self.values.shape[1]
-
-    def bin_trajectory(self, k: int) -> np.ndarray:
-        """Complex sequence of bin k across all frames."""
-        return self.values[:, k]
 
 
 def read_wav(path) -> Waveform:
@@ -176,7 +168,8 @@ def stft(waveform: Waveform, config: StftConfig) -> ComplexSpectrogram:
     x = waveform.samples
     n_frames = config.n_frames(len(x))
     window = config.analysis_window()
-    frames = x[config.frame_index(n_frames)] * window
+    frames = np.lib.stride_tricks.sliding_window_view(x, config.frame_len)
+    frames = frames[::config.frame_shift][:n_frames] * window
     values = np.fft.rfft(frames, n=config.fft_size, axis=1)
     return ComplexSpectrogram(values, config, waveform.sample_rate)
 
@@ -194,11 +187,14 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
     window = config.analysis_window()
     frames = np.fft.irfft(spec.values, n=config.fft_size, axis=1)[:, :config.frame_len]
     frames *= window
-    # bincount adds in frame order, as a per-frame overlap-add loop would
-    idx = config.frame_index(n_frames).ravel()
+    power = window * window
     out_len = (n_frames - 1) * config.frame_shift + config.frame_len
-    x = np.bincount(idx, weights=frames.ravel(), minlength=out_len)
-    wsum = np.bincount(idx, weights=np.tile(window * window, n_frames), minlength=out_len)
+    x = np.zeros(out_len)
+    wsum = np.zeros(out_len)
+    for n, frame in enumerate(frames):
+        span = slice(n * config.frame_shift, n * config.frame_shift + config.frame_len)
+        x[span] += frame
+        wsum[span] += power
     nz = wsum > 1e-12
     x[nz] /= wsum[nz]
     x[~nz] = 0.0

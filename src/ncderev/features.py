@@ -1,13 +1,12 @@
 """Log-Mel filter energies, per-utterance normalization, and context stacking.
 
+The Mel filter bank is a plain (n_mels, fft_size//2 + 1) weight array.
 Feature matrices are plain float64 arrays of shape (frames, 40). Each
 frame's context vector concatenates the p previous, the current, and the
 q future frames in that order, with zero vectors beyond the utterance
 bounds. ContextFrames gathers those vectors on demand from the unstacked
 features; stack_context materializes them for one utterance.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +23,9 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass(frozen=True)
-class MelFilterBank:
-    """Triangular filters on Mel-spaced centers between 0 Hz and Nyquist."""
-
-    n_mels: int
-    fft_size: int
-    sample_rate: int
-    weights: np.ndarray  # (n_mels, fft_size//2 + 1), nonnegative
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
-
-def mel_bank(fft_size: int, sample_rate: int, n_mels: int = 40) -> MelFilterBank:
-    """Build the triangular Mel filter bank.
+def mel_bank(fft_size: int, sample_rate: int, n_mels: int = 40) -> np.ndarray:
+    """Triangular filters on Mel-spaced centers between 0 Hz and Nyquist:
+    nonnegative weights of shape (n_mels, fft_size//2 + 1).
 
     Raises ValueError when n_mels is infeasible for the FFT resolution
     (fewer than 2 bins per filter, or a filter with empty support).
@@ -65,26 +51,24 @@ def mel_bank(fft_size: int, sample_rate: int, n_mels: int = 40) -> MelFilterBank
                 f"Mel filter {k} has empty support: {n_mels} filters are "
                 f"infeasible for fft_size {fft_size} at {sample_rate} Hz"
             )
-    return MelFilterBank(n_mels=n_mels, fft_size=fft_size,
-                         sample_rate=sample_rate, weights=weights)
+    return weights
 
 
-def log_mel(spec: ComplexSpectrogram, bank: MelFilterBank, floor=None) -> np.ndarray:
+def log_mel(spec: ComplexSpectrogram, bank: np.ndarray) -> np.ndarray:
     """Log filter energies: log(max(floor, sum_b w(k,b) |X(n,b)|^2)).
 
-    With ``floor=None`` the floor is 1e-10 relative to the utterance's
-    maximum filter energy (an absolute tiny value for an all-zero
-    spectrogram), which prevents -inf while preserving dynamic range.
+    The floor is 1e-10 relative to the utterance's maximum filter energy
+    (an absolute tiny value for an all-zero spectrogram), which prevents
+    -inf while preserving dynamic range.
     """
-    if spec.bins != bank.n_bins:
+    if spec.bins != bank.shape[1]:
         raise ValueError(
-            f"bin count mismatch: spectrogram {spec.bins}, bank {bank.n_bins}"
+            f"bin count mismatch: spectrogram {spec.bins}, bank {bank.shape[1]}"
         )
     power = spec.values.real ** 2 + spec.values.imag ** 2
-    energies = power @ bank.weights.T
-    if floor is None:
-        peak = float(energies.max()) if energies.size else 0.0
-        floor = MEL_FLOOR_RELATIVE * peak if peak > 0 else np.finfo(np.float64).tiny
+    energies = power @ bank.T
+    peak = float(energies.max()) if energies.size else 0.0
+    floor = MEL_FLOOR_RELATIVE * peak if peak > 0 else np.finfo(np.float64).tiny
     return np.log(np.maximum(energies, floor))
 
 

@@ -34,11 +34,6 @@ STREAMS_BY_CONFIG = {
     4: ("reverb", "derev_of_reverb"),
 }
 
-# Average subset-optimal weights from WER-based tuning of the four MLP
-# configurations on held-out data; reference metadata only (the built-in
-# tuning metric here is feature-domain MSE).
-WER_TUNED_AVG_LAMBDA_MLP = {1: 0.3, 2: 0.363, 3: 0.425, 4: 0.425}
-
 ENHANCERS = ("identity", "causal-fir")
 
 

@@ -54,10 +54,6 @@ class MlpModel:
                 )
         self.layer_dims = dims
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     def copy(self) -> "MlpModel":
         return MlpModel(
             list(self.layer_dims),

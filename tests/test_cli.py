@@ -254,6 +254,12 @@ class TestConfigHandling:
                          "--clean-dir", str(tmp_path / "absent")])
         assert code == 3
 
+    def test_jobs_flag_only_on_make_corpus(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit-fir", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_missing_upstream_artifact(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"workdir": str(tmp_path)}))
@@ -481,9 +487,9 @@ def test_sweep_context_holds_one_pair_at_a_time(built_corpus, monkeypatch):
     assert counts == [str(len(UTTS))] * 3
 
 
-def test_derev_reports_match_mse_report(trained, capsys):
+def test_derev_reports_match_mse_rows_of_the_whole_split(trained, capsys):
     # derev writes its MSE rows one utterance at a time; the reports are
-    # those of mse_report over every utterance's pair held at once
+    # the mse_row and corpus_mse of every utterance's pair held at once
     config_path, workdir = trained
     assert cli.main(["derev", "--config", str(config_path)]) == 0
     rows = [r for r in corpus.read_manifest(workdir / "manifest.csv") if r.split == "test"]
@@ -495,8 +501,9 @@ def test_derev_reports_match_mse_report(trained, capsys):
     feats["derev"] = [mlp.dereverberate_features(model, x, 2, 2) for x in feats["reverb"]]
     means = {}
     for name in ("derev", "reverb"):
-        report, means[name] = diagnostics.mse_report(
-            zip([r.utterance for r in rows], feats[name], feats["clean"]))
+        report = [diagnostics.mse_row(r.utterance, est, ref)
+                  for r, est, ref in zip(rows, feats[name], feats["clean"])]
+        means[name] = diagnostics.corpus_mse([m for _, _, m in report])
         expected = ["utterance,n_frames,mse"] + [f"{u},{n},{m!r}" for u, n, m in report]
         assert (workdir / f"{name}_mse.csv").read_text().splitlines() == expected
     assert f"corpus MSE: derev {means['derev']!r} vs reverb {means['reverb']!r}" in \
@@ -724,6 +731,22 @@ def test_mix_sweep_rejects_features_of_other_settings(trained, tmp_path, capsys,
     assert f"featurize ran with {key} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("train-mlp", "n_mels", 30), ("train-mlp", "frame_ms", 24.0),
+    ("derev", "fft_size", 1024), ("derev", "shift_ms", 12.0), ("derev", "sample_rate", 8000),
+])
+def test_model_commands_reject_features_of_other_settings(trained, tmp_path, capsys,
+                                                          command, key, value):
+    # 24 ms frames give as many frames as 25 ms ones here, and n_mels 30
+    # would fail only inside a matmul: only the record tells
+    config_path, workdir = trained
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()), **{key: value})))
+    assert cli.main([command, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"featurize ran with {key} " in err and str(workdir / "runs" / "featurize.json") in err
+
+
 @pytest.mark.parametrize("damage", ["no layers", "no layer_dims", "one layer short"])
 def test_malformed_model_json_is_data_error(trained, tmp_path, capsys, damage):
     config_path, workdir = _copy_of(trained, tmp_path)
@@ -835,9 +858,9 @@ def test_diagnose_matches_average_autocorr_over_the_split(fitted_all):
         curve, skipped = diagnostics.average_autocorr(specs[name], 20, magnitude=True)
         if name == "fir_derev":
             got = np.array([float(v) for v in columns[i]])
-            assert np.max(np.abs(got - curve.values)) <= 1e-6
+            assert np.max(np.abs(got - curve)) <= 1e-6
         else:
-            assert list(columns[i]) == [repr(float(v)) for v in curve.values]
+            assert list(columns[i]) == [repr(float(v)) for v in curve]
         assert record["trajectories"][name] == {
             "used": len(UTTS) * 257 - skipped, "skipped": skipped}
 

@@ -44,22 +44,22 @@ class TestNormalizedAutocorr:
         rng = np.random.default_rng(0)
         s = rng.normal(size=500) + 1j * rng.normal(size=500)
         curve = diagnostics.normalized_autocorr(s, 20)
-        assert curve.values[0] == pytest.approx(1.0)
-        assert np.all(np.abs(curve.values) <= 1.0 + 1e-9)
+        assert curve[0] == pytest.approx(1.0)
+        assert np.all(np.abs(curve) <= 1.0 + 1e-9)
 
     def test_white_noise_small_tails(self):
         rng = np.random.default_rng(1)
         s = rng.normal(size=10_000)
         curve = diagnostics.normalized_autocorr(s, 50)
-        assert np.max(np.abs(curve.values[1:])) <= 0.05
+        assert np.max(np.abs(curve[1:])) <= 0.05
 
     def test_periodic_square_wave(self):
         period = 8
         s = np.tile(np.concatenate([np.ones(period // 2), -np.ones(period // 2)]),
                     200).astype(float)
         curve = diagnostics.normalized_autocorr(s, 3 * period)
-        assert curve.values[period] == pytest.approx(1.0, abs=1e-9)
-        assert curve.values[2 * period] == pytest.approx(1.0, abs=1e-9)
+        assert curve[period] == pytest.approx(1.0, abs=1e-9)
+        assert curve[2 * period] == pytest.approx(1.0, abs=1e-9)
 
     def test_ar1_matches_analytic_autocorrelation(self):
         # AR(1) with coefficient a has r(tau) = a^tau
@@ -73,7 +73,7 @@ class TestNormalizedAutocorr:
             s[i] = a * s[i - 1] + e[i]
         curve = diagnostics.normalized_autocorr(s, 30)
         want = a ** np.arange(31)
-        assert np.max(np.abs(curve.values - want)) <= 0.05
+        assert np.max(np.abs(curve - want)) <= 0.05
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="constant"):
@@ -91,19 +91,22 @@ class TestNormalizedAutocorr:
         with pytest.raises(ValueError, match="exceed"):
             diagnostics.normalized_autocorr(np.arange(10.0), 10)
 
+    def test_negative_max_lag_rejected(self):
+        with pytest.raises(ValueError, match="max_lag must be >= 0"):
+            diagnostics.normalized_autocorr(np.arange(10.0), -1)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         s = rng.normal(size=400) + 1j * rng.normal(size=400)
-        a = diagnostics.normalized_autocorr(s, 25).values
-        b = diagnostics.normalized_autocorr(
-            (3.7 - 0.2j) * s, 25).values
+        a = diagnostics.normalized_autocorr(s, 25)
+        b = diagnostics.normalized_autocorr((3.7 - 0.2j) * s, 25)
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_magnitude_domain_flag(self):
         rng = np.random.default_rng(4)
         s = rng.normal(size=400) + 1j * rng.normal(size=400)
-        a = diagnostics.normalized_autocorr(s, 10, magnitude=True).values
-        b = diagnostics.normalized_autocorr(np.abs(s), 10).values
+        a = diagnostics.normalized_autocorr(s, 10, magnitude=True)
+        b = diagnostics.normalized_autocorr(np.abs(s), 10)
         assert np.allclose(a, b)
 
 
@@ -116,7 +119,7 @@ class TestAgainstLoopOracle:
         if kind != "real":
             s = s + 1j * rng.normal(size=n)
         magnitude = kind == "magnitude"
-        got = diagnostics.normalized_autocorr(s, max_lag, magnitude=magnitude).values
+        got = diagnostics.normalized_autocorr(s, max_lag, magnitude=magnitude)
         want = loop_autocorr(s, max_lag, magnitude)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -133,7 +136,7 @@ class TestAgainstLoopOracle:
         curve, skipped = diagnostics.average_autocorr(specs, 30, magnitude=magnitude)
         want, want_skipped = loop_average([a, b, short], 30, magnitude)
         assert skipped == want_skipped == 2 + 1 + 9
-        assert np.max(np.abs(curve.values - want)) <= 1e-12
+        assert np.max(np.abs(curve - want)) <= 1e-12
 
 
 class TestAverageAutocorr:
@@ -146,17 +149,17 @@ class TestAverageAutocorr:
         curve, skipped = diagnostics.average_autocorr([one_bin], 20)
         want = diagnostics.normalized_autocorr(values[:, 4], 20)
         assert skipped == 0
-        assert np.allclose(curve.values, want.values)
+        assert np.allclose(curve, want)
 
     def test_mean_over_bins(self):
         rng = np.random.default_rng(6)
         values = rng.normal(size=(200, 5)) + 1j * rng.normal(size=(200, 5))
         curve, skipped = diagnostics.average_autocorr([values], 15)
         manual = np.mean(
-            [diagnostics.normalized_autocorr(values[:, k], 15).values
+            [diagnostics.normalized_autocorr(values[:, k], 15)
              for k in range(5)], axis=0)
         assert skipped == 0
-        assert np.allclose(curve.values, manual)
+        assert np.allclose(curve, manual)
 
     def test_degenerate_trajectories_skipped_with_count(self):
         rng = np.random.default_rng(7)
@@ -164,26 +167,31 @@ class TestAverageAutocorr:
         values[:, 2] = 1.0  # constant: zero variance
         curve, skipped = diagnostics.average_autocorr([values], 10)
         assert skipped == 1
-        assert curve.values[0] == pytest.approx(1.0)
+        assert curve[0] == pytest.approx(1.0)
 
     def test_all_degenerate_rejected(self):
         with pytest.raises(ValueError, match="no usable"):
             diagnostics.average_autocorr([np.ones((50, 3), complex)], 5)
 
+    def test_negative_max_lag_rejected(self):
+        with pytest.raises(ValueError, match="max_lag must be >= 0"):
+            diagnostics.AutocorrSums(-1)
+
 
 class TestTailMass:
     def test_zero_tail(self):
-        curve = diagnostics.AutocorrCurve(np.arange(6), np.array([1, 0, 0, 0, 0, 0.0]))
-        assert diagnostics.tail_mass(curve, 1) == 0.0
+        assert diagnostics.tail_mass(np.array([1, 0, 0, 0, 0, 0.0]), 1) == 0.0
 
     def test_constant_tail(self):
-        curve = diagnostics.AutocorrCurve(np.arange(5), np.array([1, .5, .5, .5, .5]))
-        assert diagnostics.tail_mass(curve, 1) == pytest.approx(0.5)
+        assert diagnostics.tail_mass(np.array([1, .5, .5, .5, .5]), 1) == pytest.approx(0.5)
 
     def test_from_lag_bound(self):
-        curve = diagnostics.AutocorrCurve(np.arange(3), np.ones(3))
-        with pytest.raises(ValueError):
-            diagnostics.tail_mass(curve, 5)
+        with pytest.raises(ValueError, match="from_lag 5 is outside 0..max_lag 2"):
+            diagnostics.tail_mass(np.ones(3), 5)
+
+    def test_negative_from_lag_rejected(self):
+        with pytest.raises(ValueError, match="from_lag -3 is outside 0..max_lag 5"):
+            diagnostics.tail_mass(np.ones(6), -3)
 
 
 class TestExportSpectrogram:
@@ -232,23 +240,21 @@ class TestExportSpectrogram:
 
 class TestMseReport:
     def test_identical_pair_zero(self):
-        rows, mean = diagnostics.mse_report([("u0", np.ones((5, 4)), np.ones((5, 4)))])
-        assert rows == [("u0", 5, 0.0)]
-        assert mean == 0.0
+        row = diagnostics.mse_row("u0", np.ones((5, 4)), np.ones((5, 4)))
+        assert row == ("u0", 5, 0.0)
+        assert diagnostics.corpus_mse([row[2]]) == 0.0
 
     def test_constant_offset(self):
-        est = np.zeros((4, 10))
-        ref = np.ones((4, 10))
-        rows, mean = diagnostics.mse_report([("u0", est, ref)])
-        assert rows[0][2] == pytest.approx(1.0)
+        row = diagnostics.mse_row("u0", np.zeros((4, 10)), np.ones((4, 10)))
+        assert row[2] == pytest.approx(1.0)
 
     def test_corpus_mean_is_mean_of_rows(self):
         rng = np.random.default_rng(8)
-        pairs = [(f"u{i}", rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
-                 for i in range(5)]
-        rows, mean = diagnostics.mse_report(pairs)
+        rows = [diagnostics.mse_row(f"u{i}", rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+                for i in range(5)]
+        mean = diagnostics.corpus_mse([r[2] for r in rows])
         assert mean == pytest.approx(np.mean([r[2] for r in rows]), abs=1e-12)
 
     def test_misaligned_pair_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
-            diagnostics.mse_report([("u0", np.ones((5, 4)), np.ones((6, 4)))])
+            diagnostics.mse_row("u0", np.ones((5, 4)), np.ones((6, 4)))

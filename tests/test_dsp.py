@@ -168,6 +168,16 @@ class TestStft:
             spectrum_energy = half[0] + 2 * half[1:-1].sum() + half[-1]
             assert abs(time_energy - spectrum_energy / 512) <= 1e-9 * time_energy
 
+    @pytest.mark.parametrize("n", [400, 401, 559, 16000, 88123])
+    def test_matches_index_matrix_framing(self, n):
+        # row n of the index matrix is n*shift + arange(frame_len)
+        config = StftConfig(400, 160, 512)
+        x = np.random.default_rng(n).normal(size=n)
+        idx = (np.arange(config.n_frames(n))[:, None] * config.frame_shift
+               + np.arange(config.frame_len))
+        want = np.fft.rfft(x[idx] * config.analysis_window(), n=config.fft_size, axis=1)
+        assert np.array_equal(stft(Waveform(x, 16000), config).values, want)
+
     def test_frame_coverage_offsets(self):
         # frame n covers samples [n*shift, n*shift + frame_len)
         config = StftConfig(400, 160, 512)

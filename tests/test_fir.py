@@ -411,7 +411,7 @@ class TestPooledFit:
         x = toy_spectrogram(rng, 50)
         y = toy_spectrogram(rng, 50)
         pooled = fir.fit_pooled_filters([(x, y)], 2, 0, ridge=0.0)
-        single = [fir.fit_filter(x.bin_trajectory(k), y.bin_trajectory(k), 2, 0)
+        single = [fir.fit_filter(x.values[:, k], y.values[:, k], 2, 0)
                   for k in range(x.bins)]
         assert pooled.shape == (x.bins, 3)
         for a, b in zip(pooled, single):

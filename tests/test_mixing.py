@@ -133,10 +133,6 @@ class TestLambdaSweep:
         with pytest.raises(ValueError, match="grid"):
             mixing.lambda_sweep({"x": [(None, None)]}, [], 1)
 
-    def test_reference_lambda_metadata(self):
-        assert mixing.WER_TUNED_AVG_LAMBDA_MLP == {1: 0.3, 2: 0.363, 3: 0.425,
-                                                   4: 0.425}
-
 
 def toy_pair(rng, frames=60, bins=9):
     config = StftConfig(frame_len=16, frame_shift=8, fft_size=16)

@@ -63,7 +63,7 @@ class TestInitModel:
 
     def test_paper_topology_parameter_count(self):
         model = mlp.init_model([840, 1000, 1000, 1000, 40], seed=0)
-        assert model.n_params == 2_883_040
+        assert sum(w.size + b.size for w, b in zip(model.weights, model.biases)) == 2_883_040
 
 
 class TestSigmoid:
