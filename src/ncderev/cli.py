@@ -2,7 +2,8 @@
 
 Subcommands: make-corpus, fit-fir, sweep-context, featurize, train-mlp,
 derev, mix-sweep, diagnose. Common flags: --config (JSON), --seed,
---workdir; explicit flags override the config file, which overrides
+--workdir; each command also takes flags for the config keys it reads
+(FLAGS). Explicit flags override the config file, which overrides
 built-in defaults.
 
 Every command is deterministic given config + seed (no wall-clock
@@ -30,9 +31,12 @@ class DataError(RuntimeError):
     """Missing or malformed input data or upstream artifacts."""
 
 
-# the config keys that decide featurize's features; a command that reads
-# them requires featurize's run record to hold this config's values
-FEATURE_KEYS = ("sample_rate", "frame_ms", "shift_ms", "fft_size", "n_mels")
+# every command analyses 16 kHz speech alike: 25 ms frames every 10 ms,
+# a 512-point FFT and 40 log-Mel bands
+STFT = dsp.StftConfig()
+MEL_BANK = features.mel_bank(STFT.fft_size, dsp.SAMPLE_RATE)
+
+SPLITS = ("train", "dev", "test", "all")
 
 
 @dataclass
@@ -43,15 +47,10 @@ class ExperimentConfig:
     clean_dir: str = ""
     seed: int = 0
     jobs: int = 1
-    sample_rate: int = 16000
     nominal_dims: list = field(default_factory=lambda: list(rir.NOMINAL_DIMS))
     rt60_range: list = field(default_factory=lambda: list(rir.RT60_RANGE))
     rir_count: int = 0  # 0 means one RIR per utterance
     absorption_mode: str = "calibrated"  # only accepted value; existing configs set it
-    frame_ms: float = 25.0
-    shift_ms: float = 10.0
-    fft_size: int = 512
-    n_mels: int = 40
     p: int = 10
     q: int = 10
     ridge: object = "auto"
@@ -93,17 +92,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown enhancer {self.enhancer!r}; registered: {mixing.ENHANCERS}"
             )
-        if self.split not in ("train", "dev", "test", "all"):
+        if self.split not in SPLITS:
             raise ConfigError(f"split must be train/dev/test/all, got {self.split!r}")
         if self.absorption_mode != "calibrated":
             raise ConfigError(
                 f"absorption_mode must be 'calibrated', got {self.absorption_mode!r}"
             )
         if self.ridge != "auto":
-            try:
-                self.ridge = float(self.ridge)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"ridge must be a number or 'auto': {exc}") from exc
+            if type(self.ridge) not in (int, float):
+                raise ConfigError(f"ridge must be a number or 'auto', got {self.ridge!r}")
+            self.ridge = float(self.ridge)
             if not 0.0 <= self.ridge < float("inf"):
                 raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
         for name, low in (("p", 0), ("q", 0), ("enhancer_p", 0), ("limit", 0),
@@ -136,15 +134,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"mix_configs must be a non-empty list of ids in "
                 f"{sorted(mixing.STREAMS_BY_CONFIG)}, got {self.mix_configs}")
-        try:
-            _stft_config(self)
-        except ValueError as exc:
-            raise ConfigError(
-                f"sample_rate/frame_ms/shift_ms/fft_size: {exc}") from exc
-        try:
-            _mel_bank(self)
-        except ValueError as exc:
-            raise ConfigError(f"n_mels/fft_size/sample_rate: {exc}") from exc
         # the messages of these checks name the key
         try:
             _train_config(self)
@@ -222,8 +211,13 @@ def _upstream(path, command) -> Path:
 def _require_run(cfg, command, keys) -> dict:
     """``command``'s run record; DataError unless it holds this config's ``keys``."""
     path = _upstream(_run_path(cfg, command), command)
-    record = json.loads(path.read_text())
-    recorded = record.get("config", {})
+    try:
+        record = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError(f"run record {path} is not valid JSON: {exc}") from exc
+    recorded = record.get("config") if isinstance(record, dict) else None
+    if not isinstance(recorded, dict):
+        raise DataError(f"run record {path} holds no config object; rerun {command}")
     for key in keys:
         if recorded.get(key) != getattr(cfg, key):
             raise DataError(
@@ -246,16 +240,6 @@ def _write_run_record(cfg, command, extra=None) -> None:
         **(extra or {}),
     }
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-
-
-def _stft_config(cfg) -> dsp.StftConfig:
-    return dsp.StftConfig.for_sample_rate(
-        cfg.sample_rate, cfg.frame_ms, cfg.shift_ms, cfg.fft_size
-    )
-
-
-def _mel_bank(cfg) -> np.ndarray:
-    return features.mel_bank(_stft_config(cfg).fft_size, cfg.sample_rate, cfg.n_mels)
 
 
 def _train_config(cfg) -> mlp.TrainConfig:
@@ -281,12 +265,12 @@ def _manifest_rows(cfg, split=None):
 
 def _load_reverb(cfg, row):
     """Reverberant spectrogram of one manifest row."""
-    return dsp.stft(dsp.read_wav(_workdir(cfg) / row.reverb_path), _stft_config(cfg))
+    return dsp.stft(dsp.read_wav(_workdir(cfg) / row.reverb_path), STFT)
 
 
 def _load_pair(cfg, row):
     """(reverb, clean) spectrograms for one manifest row."""
-    clean = dsp.stft(dsp.read_wav(row.clean_path), _stft_config(cfg))
+    clean = dsp.stft(dsp.read_wav(row.clean_path), STFT)
     return _load_reverb(cfg, row), clean
 
 
@@ -294,8 +278,8 @@ def _require_features(cfg, kind, utt) -> np.ndarray:
     return fileformats.read_features(_upstream(_features_path(cfg, kind, utt), "featurize"))
 
 
-def _mvn_logmel(spec, bank) -> np.ndarray:
-    return features.mvn(features.log_mel(spec, bank))
+def _mvn_logmel(spec) -> np.ndarray:
+    return features.mvn(features.log_mel(spec, MEL_BANK))
 
 
 def cmd_make_corpus(cfg) -> int:
@@ -307,7 +291,6 @@ def cmd_make_corpus(cfg) -> int:
         pairs, workdir, cfg.seed,
         nominal_dims=tuple(cfg.nominal_dims),
         rt60_range=tuple(cfg.rt60_range),
-        sample_rate=cfg.sample_rate,
         rir_count=cfg.rir_count or None,
         jobs=cfg.jobs,
     )
@@ -319,13 +302,12 @@ def cmd_make_corpus(cfg) -> int:
 
 def cmd_featurize(cfg) -> int:
     rows = _manifest_rows(cfg)
-    bank = _mel_bank(cfg)
     for kind in ("clean", "reverb"):
         _features_dir(cfg, kind).mkdir(parents=True, exist_ok=True)
     for row in rows:
         reverb_spec, clean_spec = _load_pair(cfg, row)
-        clean_feats = _mvn_logmel(clean_spec, bank)
-        reverb_feats = _mvn_logmel(reverb_spec, bank)
+        clean_feats = _mvn_logmel(clean_spec)
+        reverb_feats = _mvn_logmel(reverb_spec)
         reverb_feats, clean_feats = features.align_pairs(reverb_feats, clean_feats)
         fileformats.write_features(clean_feats, _features_path(cfg, "clean", row.utterance))
         fileformats.write_features(reverb_feats, _features_path(cfg, "reverb", row.utterance))
@@ -392,7 +374,6 @@ def _dataset_from_rows(cfg, rows):
 
 def cmd_train_mlp(cfg) -> int:
     workdir = _workdir(cfg)
-    _require_run(cfg, "featurize", FEATURE_KEYS)
     train_x, train_y = _dataset_from_rows(cfg, _manifest_rows(cfg, "train"))
     try:
         dev_rows = _manifest_rows(cfg, "dev")
@@ -400,8 +381,9 @@ def cmd_train_mlp(cfg) -> int:
         valid_x = valid_y = None
     else:
         valid_x, valid_y = _dataset_from_rows(cfg, dev_rows)
-    dims = ([(cfg.p + cfg.q + 1) * cfg.n_mels]
-            + [cfg.hidden_width] * cfg.hidden_layers + [cfg.n_mels])
+    n_mels = len(MEL_BANK)
+    dims = ([(cfg.p + cfg.q + 1) * n_mels]
+            + [cfg.hidden_width] * cfg.hidden_layers + [n_mels])
     model = mlp.init_model(dims, cfg.seed)
     config = _train_config(cfg)
     best, trace = mlp.train(model, train_x, train_y, config, valid_x, valid_y)
@@ -421,15 +403,14 @@ def cmd_train_mlp(cfg) -> int:
 
 
 def _load_model(cfg) -> mlp.MlpModel:
-    """train-mlp's model, which serves only the context and features it was trained on."""
-    _require_run(cfg, "train-mlp", ("p", "q", "n_mels"))
+    """train-mlp's model, which serves only the context it was trained on."""
+    _require_run(cfg, "train-mlp", ("p", "q"))
     return mlp.load_model(_upstream(_model_path(cfg), "train-mlp"))
 
 
 def cmd_derev(cfg) -> int:
     workdir = _workdir(cfg)
     model = _load_model(cfg)
-    _require_run(cfg, "featurize", FEATURE_KEYS)
     rows = _manifest_rows(cfg, cfg.split)
     _features_dir(cfg, "derev").mkdir(parents=True, exist_ok=True)
     mses = {"derev": [], "reverb": []}
@@ -473,10 +454,7 @@ def _stream_override(cfg, utt, name):
 def cmd_mix_sweep(cfg) -> int:
     workdir = _workdir(cfg)
     model = _load_model(cfg)
-    # the reverb and clean streams are featurize's; ref_enhanced is made here
-    _require_run(cfg, "featurize", FEATURE_KEYS)
     rows = _manifest_rows(cfg, "dev")
-    bank = _mel_bank(cfg)
     enhancer = _fit_enhancer(cfg)
 
     utterances = []
@@ -490,7 +468,7 @@ def cmd_mix_sweep(cfg) -> int:
             spec = _load_reverb(cfg, row)
             if enhancer is not None:
                 spec = enhancer.enhance(spec)
-            streams["ref_enhanced"] = _mvn_logmel(spec, bank)[:clean_feats.shape[0]]
+            streams["ref_enhanced"] = _mvn_logmel(spec)[:clean_feats.shape[0]]
         for source in ("reverb", "ref_enhanced"):
             if streams[f"derev_of_{source}"] is None:
                 streams[f"derev_of_{source}"] = mlp.dereverberate_features(
@@ -538,20 +516,18 @@ def _diagnose_one(cfg, row, sums, export_dir=None) -> None:
     for name, spec in specs.items():
         sums[name].add(spec)
     if export_dir is not None:
-        bank = _mel_bank(cfg)
         for name, spec in specs.items():
             stem = export_dir / f"{row.utterance}_{name}"
             diagnostics.export_spectrogram(spec, f"{stem}.pgm", "pgm")
-            diagnostics.export_spectrogram(_mvn_logmel(spec, bank), f"{stem}_logmel.csv", "csv")
+            diagnostics.export_spectrogram(_mvn_logmel(spec), f"{stem}_logmel.csv", "csv")
 
 
 def cmd_diagnose(cfg) -> int:
     workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
-    # fit-fir's estimates serve only the same fit and STFT, on the corpus
-    # that manifest.csv now lists
-    record = _require_run(cfg, "fit-fir", ("p", "q", "ridge", "split", "sample_rate",
-                                           "frame_ms", "shift_ms", "fft_size"))
+    # fit-fir's estimates serve only the same fit, on the corpus that
+    # manifest.csv now lists
+    record = _require_run(cfg, "fit-fir", ("p", "q", "ridge", "split"))
     if record.get("manifest_sha256") != _manifest_digest(cfg):
         raise DataError(f"fit-fir ran on another manifest.csv than the current one "
                         f"({_run_path(cfg, 'fit-fir')}); rerun fit-fir on this corpus")
@@ -599,6 +575,21 @@ COMMANDS = {
     "diagnose": cmd_diagnose,
 }
 
+# each command's flags beyond --config, --seed and --workdir: one per config
+# key that it reads, named after the key with "-" for "_"
+FLAGS = {
+    "make-corpus": ("--clean-dir", "--rir-count", "--jobs"),
+    "featurize": ("--limit",),
+    "fit-fir": ("--split", "--limit", "--p", "--q"),
+    "sweep-context": ("--split", "--limit"),
+    "train-mlp": ("--limit", "--p", "--q", "--epochs", "--hidden-width",
+                  "--learning-rate", "--batch-size"),
+    "derev": ("--split", "--limit", "--p", "--q"),
+    "mix-sweep": ("--limit", "--p", "--q", "--enhancer", "--streams-dir"),
+    "diagnose": ("--split", "--limit", "--p", "--q", "--max-lag"),
+}
+CHOICES = {"split": SPLITS, "enhancer": mixing.ENHANCERS}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -606,29 +597,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batch speech dereverberation experiments on synthetic corpora",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="JSON config file")
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--workdir")
-        cmd.add_argument("--split", choices=["train", "dev", "test", "all"])
-        cmd.add_argument("--limit", type=int)
-        cmd.add_argument("--p", type=int)
-        cmd.add_argument("--q", type=int)
-        if name == "make-corpus":
-            cmd.add_argument("--clean-dir", dest="clean_dir")
-            cmd.add_argument("--rir-count", dest="rir_count", type=int)
-            cmd.add_argument("--jobs", type=int)
-        if name == "train-mlp":
-            cmd.add_argument("--epochs", type=int)
-            cmd.add_argument("--hidden-width", dest="hidden_width", type=int)
-            cmd.add_argument("--learning-rate", dest="learning_rate", type=float)
-            cmd.add_argument("--batch-size", dest="batch_size", type=int)
-        if name == "mix-sweep":
-            cmd.add_argument("--enhancer", choices=list(mixing.ENHANCERS))
-            cmd.add_argument("--streams-dir", dest="streams_dir")
-        if name == "diagnose":
-            cmd.add_argument("--max-lag", dest="max_lag", type=int)
+        for flag in FLAGS[name]:
+            key = flag[2:].replace("-", "_")
+            cmd.add_argument(flag, dest=key, type=type(defaults[key]),
+                             choices=CHOICES.get(key))
     return parser
 
 

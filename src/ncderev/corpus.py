@@ -60,8 +60,11 @@ def scan_clean_dir(clean_dir) -> list:
 def _synthesize_one(task):
     (utt, clean_path, spec, rir_id, out_dir) = task
     out_dir = Path(out_dir)
-    impulse = rir.image_method_rir(spec)
     clean = dsp.read_wav(clean_path)
+    if clean.sample_rate != spec.sample_rate:
+        raise ValueError(f"{clean_path} is sampled at {clean.sample_rate} Hz; "
+                         f"only {spec.sample_rate} Hz is accepted")
+    impulse = rir.image_method_rir(spec)
     reverb = dsp.convolve(clean, impulse)
     peak = float(np.max(np.abs(reverb.samples))) if len(reverb) else 0.0
     gain = PEAK_LIMIT / peak if peak > PEAK_LIMIT else 1.0
@@ -87,7 +90,7 @@ def _synthesize_one(task):
 
 
 def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
-                 rt60_range=rir.RT60_RANGE, sample_rate: int = 16000,
+                 rt60_range=rir.RT60_RANGE, sample_rate: int = dsp.SAMPLE_RATE,
                  rir_count=None, jobs: int = 1) -> list:
     """Convolve each clean utterance with its own sampled impulse response.
 

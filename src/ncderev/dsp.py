@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PCM_SCALE = 32768.0
+SAMPLE_RATE = 16000  # the rate every corpus and analysis runs at
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,6 @@ class StftConfig:
         if self.fft_size & (self.fft_size - 1):
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
 
-    @classmethod
-    def for_sample_rate(cls, sample_rate, frame_ms=25.0, shift_ms=10.0, fft_size=None):
-        """Framing derived from durations; fft_size defaults to the next power of two."""
-        frame_len = int(round(sample_rate * frame_ms / 1000.0))
-        frame_shift = int(round(sample_rate * shift_ms / 1000.0))
-        if fft_size is None:
-            fft_size = 1
-            while fft_size < frame_len:
-                fft_size *= 2
-        return cls(frame_len=frame_len, frame_shift=frame_shift, fft_size=fft_size)
-
     @property
     def n_bins(self) -> int:
         return self.fft_size // 2 + 1
@@ -90,7 +80,7 @@ class ComplexSpectrogram:
 
     values: np.ndarray
     config: StftConfig
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)

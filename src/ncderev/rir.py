@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .dsp import SAMPLE_RATE
 
 SPEED_OF_SOUND = 343.0
 NOMINAL_DIMS = (7.95, 5.68, 4.5)
@@ -48,7 +49,7 @@ class RoomSpec:
     src: tuple
     mic: tuple
     rt60: float
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
     max_rir_len: int = 0
 
     def __post_init__(self):
@@ -164,7 +165,7 @@ def check_room_settings(nominal_dims, rt60_range) -> None:
                             f"{list(RT60_RANGE)}, got {rt60_range}")
 
 
-def sample_room(rng, nominal_dims=NOMINAL_DIMS, sample_rate=16000,
+def sample_room(rng, nominal_dims=NOMINAL_DIMS, sample_rate=SAMPLE_RATE,
                 rt60_range=RT60_RANGE) -> RoomSpec:
     """Sample one room: dims ~ U(0.8, 1.2) x nominal, positions by rejection.
 
@@ -316,7 +317,7 @@ def estimate_rt60(rir, sample_rate=None) -> float:
 
 
 def make_rir_set(seed: int, count: int, nominal_dims=NOMINAL_DIMS,
-                 sample_rate=16000, rt60_range=RT60_RANGE):
+                 sample_rate=SAMPLE_RATE, rt60_range=RT60_RANGE):
     """Sample the RoomSpecs of ``count`` independent impulse responses.
 
     Each item gets its own generator derived from (seed, index), so the

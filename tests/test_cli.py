@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -142,6 +143,17 @@ class TestMakeCorpus:
         assert cli.main(["make-corpus", "--config", str(bad)]) == 2
         assert f"config error: {key} " in capsys.readouterr().err
 
+    def test_clean_wav_of_another_rate_is_data_error(self, base_config, tmp_path, capsys):
+        config_path, _ = base_config
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        write_wav(synth_speech(np.random.default_rng(3), sample_rate=8000, duration=0.8),
+                  clean / "utt000.wav")
+        assert cli.main(["make-corpus", "--config", str(config_path),
+                         "--clean-dir", str(clean), "--workdir", str(tmp_path / "w")]) == 3
+        assert f"data error: {clean / 'utt000.wav'} is sampled at 8000 Hz" in \
+            capsys.readouterr().err
+
     def test_tiny_nominal_room_is_config_error(self, base_config, tmp_path):
         config_path, workdir = base_config
         override = dict(json.loads(config_path.read_text()))
@@ -189,9 +201,9 @@ class TestConfigHandling:
         ("lambda_grid", []),
         ("mix_configs", [5]),
         ("mix_configs", []),
-        ("fft_size", 500),
-        ("n_mels", 300),
-        ("frame_ms", 0),
+        ("ridge", "0.5"),
+        ("ridge", True),
+        ("ridge", False),
         ("enhancer", "wiener"),
         ("p", "3"),
         ("p", 2.5),
@@ -255,10 +267,13 @@ class TestConfigHandling:
         assert code == 3
 
     def test_jobs_flag_only_on_make_corpus(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["fit-fir", "--jobs", "2"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        # each command takes flags only for the config keys it reads
+        for argv in (["fit-fir", "--jobs", "2"], ["make-corpus", "--p", "3"],
+                     ["featurize", "--split", "dev"], ["sweep-context", "--q", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     def test_missing_upstream_artifact(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -528,7 +543,7 @@ def test_train_mlp_matches_training_on_the_stacked_matrix(trained, tmp_path, mon
         ["train-mlp", "--config", str(config_path)]))
     x, y = _stacked_split(workdir, "train", cfg.p, cfg.q)
     vx, vy = _stacked_split(workdir, "dev", cfg.p, cfg.q)
-    dims = [x.shape[1]] + [cfg.hidden_width] * cfg.hidden_layers + [cfg.n_mels]
+    dims = [x.shape[1]] + [cfg.hidden_width] * cfg.hidden_layers + [y.shape[1]]
     monkeypatch.setattr(mlp, "LOSS_CHUNK", 10 ** 6)  # one forward call per set
     best, trace = mlp.train(mlp.init_model(dims, cfg.seed), x, y,
                             cli._train_config(cfg), vx, vy)
@@ -632,8 +647,6 @@ def _copy_of(fitted, tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("p", 3), ("q", 1), ("ridge", 0.5), ("split", "test"),
-    # 24 ms frames give as many frames as 25 ms ones here: only the record tells
-    ("frame_ms", 24.0), ("shift_ms", 12.0), ("fft_size", 1024), ("sample_rate", 8000),
 ])
 def test_diagnose_rejects_fit_fir_run_with_other_settings(fitted_all, tmp_path, capsys,
                                                           key, value):
@@ -696,8 +709,7 @@ def test_malformed_manifest_is_data_error(fitted_all, tmp_path, capsys, damage):
 
 
 @pytest.mark.parametrize("command", ["derev", "mix-sweep"])
-@pytest.mark.parametrize("override", [{"p": 1, "q": 3}, {"n_mels": 30}],
-                         ids=["p1-q3", "n_mels30"])
+@pytest.mark.parametrize("override", [{"p": 1, "q": 3}], ids=["p1-q3"])
 def test_model_serves_only_its_training_context(trained, tmp_path, capsys, command,
                                                 override):
     # (1, 3) feeds the (2, 2) model an input of the same width, 5 frames
@@ -717,34 +729,14 @@ def test_model_without_train_mlp_run_is_data_error(trained, tmp_path, capsys, co
     assert "train-mlp.json; run train-mlp first" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [
-    ("fft_size", 1024), ("frame_ms", 24.0), ("shift_ms", 12.0), ("sample_rate", 8000),
-])
-def test_mix_sweep_rejects_features_of_other_settings(trained, tmp_path, capsys, key,
-                                                      value):
-    # the reverb and clean streams would come from featurize's STFT and the
-    # ref_enhanced stream from this config's
-    config_path, _ = trained
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()), **{key: value})))
-    assert cli.main(["mix-sweep", "--config", str(cfg)]) == 3
-    assert f"featurize ran with {key} " in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, key, value", [
-    ("train-mlp", "n_mels", 30), ("train-mlp", "frame_ms", 24.0),
-    ("derev", "fft_size", 1024), ("derev", "shift_ms", 12.0), ("derev", "sample_rate", 8000),
-])
-def test_model_commands_reject_features_of_other_settings(trained, tmp_path, capsys,
-                                                          command, key, value):
-    # 24 ms frames give as many frames as 25 ms ones here, and n_mels 30
-    # would fail only inside a matmul: only the record tells
-    config_path, workdir = trained
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()), **{key: value})))
-    assert cli.main([command, "--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert f"featurize ran with {key} " in err and str(workdir / "runs" / "featurize.json") in err
+@pytest.mark.parametrize("damage", ["[]\n", '{"config": []}\n', "{nope\n"],
+                         ids=["list", "config-not-object", "not-json"])
+def test_damaged_run_record_is_data_error(trained, tmp_path, capsys, damage):
+    config_path, workdir = _copy_of(trained, tmp_path)
+    path = workdir / "runs" / "train-mlp.json"
+    path.write_text(damage)
+    assert cli.main(["derev", "--config", str(config_path)]) == 3
+    assert f"data error: run record {path} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["no layers", "no layer_dims", "one layer short"])
@@ -901,3 +893,15 @@ def test_jobs_parallel_corpus_matches_serial(clean_dir, tmp_path):
     for rel in ["reverb/utt000.wav", "reverb/utt003.wav", "rirs/rir00000.ncir"]:
         assert ((tmp_path / "a" / rel).read_bytes()
                 == (tmp_path / "b" / rel).read_bytes())
+
+
+def test_benchmark_workload_configs_are_accepted(tmp_path):
+    # the benchmark runs these configs; a config key it sets must stay valid
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS.values():
+        cli.ExperimentConfig(**dict(workload.config, clean_dir=str(tmp_path / "clean"),
+                                    workdir=str(tmp_path / "work")))

@@ -138,12 +138,6 @@ class TestStft:
         if n % 2 == 0:
             assert w[n // 2] == 1.0
 
-    def test_framing_derived_from_durations(self):
-        config = StftConfig.for_sample_rate(8000)
-        assert (config.frame_len, config.frame_shift, config.fft_size) == (200, 80, 256)
-        config = StftConfig.for_sample_rate(16000)
-        assert (config.frame_len, config.frame_shift, config.fft_size) == (400, 160, 512)
-
     def test_linearity(self):
         rng = np.random.default_rng(1)
         config = StftConfig(400, 160, 512)
