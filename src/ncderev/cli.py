@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, corpus, diagnostics, dsp, features, fileformats, fir, mixing, mlp, rir
+from . import (__version__, corpus, diagnostics, dsp, features, fileformats, fir, kernels,
+               mixing, mlp, rir)
 
 
 class ConfigError(ValueError):
@@ -31,10 +32,8 @@ class DataError(RuntimeError):
     """Missing or malformed input data or upstream artifacts."""
 
 
-# every command analyses 16 kHz speech alike: 25 ms frames every 10 ms,
-# a 512-point FFT and 40 log-Mel bands
-STFT = dsp.StftConfig()
-MEL_BANK = features.mel_bank(STFT.fft_size, dsp.SAMPLE_RATE)
+# every command takes 40 log-Mel bands of dsp's one rate and framing
+MEL_BANK = features.mel_bank(dsp.FFT_SIZE, dsp.SAMPLE_RATE)
 
 SPLITS = ("train", "dev", "test", "all")
 
@@ -226,6 +225,16 @@ def _require_run(cfg, command, keys) -> dict:
     return record
 
 
+def _require_corpus_run(cfg, command, keys=()) -> dict:
+    """``command``'s run record, as ``_require_run`` checks it; DataError
+    unless ``command`` ran on the corpus that manifest.csv now lists."""
+    record = _require_run(cfg, command, keys)
+    if record.get("manifest_sha256") != _manifest_digest(cfg):
+        raise DataError(f"{command} ran on another manifest.csv than the current one "
+                        f"({_run_path(cfg, command)}); rerun {command} on this corpus")
+    return record
+
+
 def _write_run_record(cfg, command, extra=None) -> None:
     """workdir/runs/<command>.json: config, versions and any deterministic
     facts of the run in ``extra`` (never wall-clock values)."""
@@ -265,12 +274,12 @@ def _manifest_rows(cfg, split=None):
 
 def _load_reverb(cfg, row):
     """Reverberant spectrogram of one manifest row."""
-    return dsp.stft(dsp.read_wav(_workdir(cfg) / row.reverb_path), STFT)
+    return dsp.stft(dsp.read_wav(_workdir(cfg) / row.reverb_path))
 
 
 def _load_pair(cfg, row):
     """(reverb, clean) spectrograms for one manifest row."""
-    clean = dsp.stft(dsp.read_wav(row.clean_path), STFT)
+    clean = dsp.stft(dsp.read_wav(row.clean_path))
     return _load_reverb(cfg, row), clean
 
 
@@ -302,6 +311,7 @@ def cmd_make_corpus(cfg) -> int:
 
 def cmd_featurize(cfg) -> int:
     rows = _manifest_rows(cfg)
+    manifest_sha256 = _manifest_digest(cfg)
     for kind in ("clean", "reverb"):
         _features_dir(cfg, kind).mkdir(parents=True, exist_ok=True)
     for row in rows:
@@ -311,7 +321,7 @@ def cmd_featurize(cfg) -> int:
         reverb_feats, clean_feats = features.align_pairs(reverb_feats, clean_feats)
         fileformats.write_features(clean_feats, _features_path(cfg, "clean", row.utterance))
         fileformats.write_features(reverb_feats, _features_path(cfg, "reverb", row.utterance))
-    _write_run_record(cfg, "featurize")
+    _write_run_record(cfg, "featurize", {"manifest_sha256": manifest_sha256})
     print(f"wrote features for {len(rows)} utterances under {_features_dir(cfg, 'clean').parent}")
     return 0
 
@@ -331,7 +341,7 @@ def cmd_fit_fir(cfg) -> int:
         fileformats.write_spectrogram(taps.T, out_dir / f"{row.utterance}_filters.ncsp")
         fileformats.write_spectrogram(estimate, _estimate_path(cfg, row.utterance))
         dsp.write_wav(dsp.istft(estimate), out_dir / f"{row.utterance}_estimate.wav")
-        denom = float(np.sum(np.abs(clean_spec.values) ** 2))
+        denom = float(np.sum(np.abs(clean_spec) ** 2))
         err_rows.append((row.utterance, float(errors.sum()),
                          float(errors.sum()) / denom if denom else 0.0))
     fileformats.write_csv(out_dir / "errors.csv",
@@ -374,6 +384,7 @@ def _dataset_from_rows(cfg, rows):
 
 def cmd_train_mlp(cfg) -> int:
     workdir = _workdir(cfg)
+    _require_corpus_run(cfg, "featurize")
     train_x, train_y = _dataset_from_rows(cfg, _manifest_rows(cfg, "train"))
     try:
         dev_rows = _manifest_rows(cfg, "dev")
@@ -410,6 +421,7 @@ def _load_model(cfg) -> mlp.MlpModel:
 
 def cmd_derev(cfg) -> int:
     workdir = _workdir(cfg)
+    _require_corpus_run(cfg, "featurize")
     model = _load_model(cfg)
     rows = _manifest_rows(cfg, cfg.split)
     _features_dir(cfg, "derev").mkdir(parents=True, exist_ok=True)
@@ -436,12 +448,13 @@ def cmd_derev(cfg) -> int:
 
 
 def _fit_enhancer(cfg):
-    """None for "identity", else a CausalFirEnhancer fitted on the train split."""
+    """None for "identity", else the (bins, enhancer_p + 1) taps of per-bin
+    causal filters fitted on the train split."""
     if cfg.enhancer == "identity":
         return None
     # one train pair in memory at a time: the fit sums their Grams as they come
     pairs = (_load_pair(cfg, row) for row in _manifest_rows(cfg, "train"))
-    return mixing.CausalFirEnhancer(p=cfg.enhancer_p, ridge=cfg.ridge).fit(pairs)
+    return fir.fit_pooled_filters(pairs, cfg.enhancer_p, 0, cfg.ridge)
 
 
 def _stream_override(cfg, utt, name):
@@ -453,9 +466,10 @@ def _stream_override(cfg, utt, name):
 
 def cmd_mix_sweep(cfg) -> int:
     workdir = _workdir(cfg)
+    _require_corpus_run(cfg, "featurize")
     model = _load_model(cfg)
     rows = _manifest_rows(cfg, "dev")
-    enhancer = _fit_enhancer(cfg)
+    enhancer_taps = _fit_enhancer(cfg)
 
     utterances = []
     for row in rows:
@@ -466,8 +480,8 @@ def cmd_mix_sweep(cfg) -> int:
             streams["reverb"] = _require_features(cfg, "reverb", row.utterance)
         if streams["ref_enhanced"] is None:
             spec = _load_reverb(cfg, row)
-            if enhancer is not None:
-                spec = enhancer.enhance(spec)
+            if enhancer_taps is not None:
+                spec = kernels.apply_fir(enhancer_taps, spec, 0, len(spec))
             streams["ref_enhanced"] = _mvn_logmel(spec)[:clean_feats.shape[0]]
         for source in ("reverb", "ref_enhanced"):
             if streams[f"derev_of_{source}"] is None:
@@ -507,12 +521,10 @@ def _diagnose_one(cfg, row, sums, export_dir=None) -> None:
     reverb_spec, clean_spec = _load_pair(cfg, row)
     path = _estimate_path(cfg, row.utterance)
     estimate = fileformats.read_spectrogram(path)
-    if estimate.shape != clean_spec.values.shape:
+    if estimate.shape != clean_spec.shape:
         raise DataError(f"{path} holds shape {estimate.shape}, but the clean "
-                        f"spectrogram is {clean_spec.values.shape}; rerun fit-fir")
-    specs = {"clean": clean_spec, "reverb": reverb_spec,
-             "fir_derev": dsp.ComplexSpectrogram(estimate, clean_spec.config,
-                                                 clean_spec.sample_rate)}
+                        f"spectrogram is {clean_spec.shape}; rerun fit-fir")
+    specs = {"clean": clean_spec, "reverb": reverb_spec, "fir_derev": estimate}
     for name, spec in specs.items():
         sums[name].add(spec)
     if export_dir is not None:
@@ -527,10 +539,7 @@ def cmd_diagnose(cfg) -> int:
     rows = _manifest_rows(cfg, cfg.split)
     # fit-fir's estimates serve only the same fit, on the corpus that
     # manifest.csv now lists
-    record = _require_run(cfg, "fit-fir", ("p", "q", "ridge", "split"))
-    if record.get("manifest_sha256") != _manifest_digest(cfg):
-        raise DataError(f"fit-fir ran on another manifest.csv than the current one "
-                        f"({_run_path(cfg, 'fit-fir')}); rerun fit-fir on this corpus")
+    _require_corpus_run(cfg, "fit-fir", ("p", "q", "ridge", "split"))
     for row in rows:
         _upstream(_estimate_path(cfg, row.utterance), "fit-fir")
     out_dir = workdir / "diagnostics"

@@ -60,16 +60,13 @@ def scan_clean_dir(clean_dir) -> list:
 def _synthesize_one(task):
     (utt, clean_path, spec, rir_id, out_dir) = task
     out_dir = Path(out_dir)
-    clean = dsp.read_wav(clean_path)
-    if clean.sample_rate != spec.sample_rate:
-        raise ValueError(f"{clean_path} is sampled at {clean.sample_rate} Hz; "
-                         f"only {spec.sample_rate} Hz is accepted")
+    clean = dsp.read_wav(clean_path)  # first, so a bad file fails before its room renders
     impulse = rir.image_method_rir(spec)
-    reverb = dsp.convolve(clean, impulse)
-    peak = float(np.max(np.abs(reverb.samples))) if len(reverb) else 0.0
+    reverb = dsp.convolve(clean, impulse.taps)
+    peak = float(np.max(np.abs(reverb))) if len(reverb) else 0.0
     gain = PEAK_LIMIT / peak if peak > PEAK_LIMIT else 1.0
     if gain != 1.0:
-        reverb = dsp.Waveform(reverb.samples * gain, reverb.sample_rate)
+        reverb = reverb * gain
     reverb_path = out_dir / "reverb" / f"{utt}.wav"
     rir_path = out_dir / "rirs" / f"rir{rir_id:05d}.ncir"
     for path in (reverb_path, rir_path):
@@ -90,8 +87,7 @@ def _synthesize_one(task):
 
 
 def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
-                 rt60_range=rir.RT60_RANGE, sample_rate: int = dsp.SAMPLE_RATE,
-                 rir_count=None, jobs: int = 1) -> list:
+                 rt60_range=rir.RT60_RANGE, rir_count=None, jobs: int = 1) -> list:
     """Convolve each clean utterance with its own sampled impulse response.
 
     Args:
@@ -112,8 +108,7 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
             f"{rir_count} RIRs for {n_utts} utterances: assignment without "
             "replacement needs at least one RIR per utterance"
         )
-    specs = rir.make_rir_set(seed, rir_count, nominal_dims,
-                             sample_rate=sample_rate, rt60_range=rt60_range)
+    specs = rir.make_rir_set(seed, rir_count, nominal_dims, rt60_range=rt60_range)
     order = np.random.default_rng((seed, rir_count)).permutation(rir_count)
     tasks = [
         (utt, str(path), specs[order[i]], int(order[i]), str(out_dir))

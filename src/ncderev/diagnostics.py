@@ -1,16 +1,16 @@
 """Analysis artifacts: normalized autocorrelation of bin trajectories,
 spectrogram exports, and MSE rows.
 
-An autocorrelation curve is a plain float64 array whose entry tau is the
-value at lag tau, for lags 0..max_lag. Reverberation shows up as heavier
-autocorrelation tails in the complex trajectory of each frequency bin;
-the corpus-average curve and its tail mass scalarize that comparison
-between clean, reverberated and dereverberated material.
+Spectrograms are complex (frames, bins) arrays, column k holding bin k's
+trajectory. An autocorrelation curve is a plain float64 array whose entry
+tau is the value at lag tau, for lags 0..max_lag. Reverberation shows up
+as heavier autocorrelation tails in the complex trajectory of each
+frequency bin; the corpus-average curve and its tail mass scalarize that
+comparison between clean, reverberated and dereverberated material.
 """
 
 import numpy as np
 
-from .dsp import ComplexSpectrogram
 from .mlp import mse_loss
 
 
@@ -104,10 +104,8 @@ class AutocorrSums:
         self.skipped = 0
 
     def add(self, spec) -> None:
-        """Fold in every bin trajectory of one ComplexSpectrogram (or bare
-        complex frames-by-bins array)."""
-        values = spec.values if isinstance(spec, ComplexSpectrogram) else np.asarray(spec)
-        curves, usable = _autocorr_columns(values, self.max_lag, self.magnitude)
+        """Fold in every bin trajectory (column) of one spectrogram."""
+        curves, usable = _autocorr_columns(np.asarray(spec), self.max_lag, self.magnitude)
         self.sums += curves.sum(axis=1)
         self.used += int(usable.sum())
         self.skipped += int(np.count_nonzero(~usable))
@@ -126,8 +124,7 @@ def average_autocorr(spectrograms, max_lag: int, magnitude: bool = False):
     skipped and counted.
 
     Args:
-        spectrograms: iterable of ComplexSpectrogram (or bare complex
-            frames-by-bins arrays).
+        spectrograms: iterable of complex (frames, bins) arrays.
 
     Returns:
         (curve, skipped): the averaged curve and the number of skipped
@@ -158,8 +155,6 @@ def export_spectrogram(data, path, fmt: str = "csv") -> None:
     "pgm" writes a min-max scaled 8-bit binary portable graymap with
     frames on the horizontal axis.
     """
-    if isinstance(data, ComplexSpectrogram):
-        data = data.values
     data = np.asarray(data)
     if np.iscomplexobj(data):
         mag = np.abs(data)

@@ -1,6 +1,7 @@
 """Log-Mel filter energies, per-utterance normalization, and context stacking.
 
-The Mel filter bank is a plain (n_mels, fft_size//2 + 1) weight array.
+The Mel filter bank is a plain (n_mels, fft_size//2 + 1) weight array, and
+``log_mel`` takes a complex (frames, bins) spectrogram array of ``dsp.stft``.
 Feature matrices are plain float64 arrays of shape (frames, 40). Each
 frame's context vector concatenates the p previous, the current, and the
 q future frames in that order, with zero vectors beyond the utterance
@@ -9,8 +10,6 @@ features; stack_context materializes them for one utterance.
 """
 
 import numpy as np
-
-from .dsp import ComplexSpectrogram
 
 MEL_FLOOR_RELATIVE = 1e-10
 
@@ -54,18 +53,20 @@ def mel_bank(fft_size: int, sample_rate: int, n_mels: int = 40) -> np.ndarray:
     return weights
 
 
-def log_mel(spec: ComplexSpectrogram, bank: np.ndarray) -> np.ndarray:
-    """Log filter energies: log(max(floor, sum_b w(k,b) |X(n,b)|^2)).
+def log_mel(spec, bank: np.ndarray) -> np.ndarray:
+    """Log filter energies of a complex (frames, bins) spectrogram:
+    log(max(floor, sum_b w(k,b) |X(n,b)|^2)).
 
     The floor is 1e-10 relative to the utterance's maximum filter energy
     (an absolute tiny value for an all-zero spectrogram), which prevents
     -inf while preserving dynamic range.
     """
-    if spec.bins != bank.shape[1]:
+    spec = np.asarray(spec)
+    if spec.shape[-1] != bank.shape[1]:
         raise ValueError(
-            f"bin count mismatch: spectrogram {spec.bins}, bank {bank.shape[1]}"
+            f"bin count mismatch: spectrogram {spec.shape[-1]}, bank {bank.shape[1]}"
         )
-    power = spec.values.real ** 2 + spec.values.imag ** 2
+    power = spec.real ** 2 + spec.imag ** 2
     energies = power @ bank.T
     peak = float(energies.max()) if energies.size else 0.0
     floor = MEL_FLOOR_RELATIVE * peak if peak > 0 else np.finfo(np.float64).tiny

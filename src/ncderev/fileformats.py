@@ -99,7 +99,7 @@ def _read_block(path, magic: bytes, ndims: int, cell=()):
 
 def write_spectrogram(values, path) -> None:
     """Dump a complex (frames or taps, bins) matrix in NCSP format."""
-    values = np.asarray(getattr(values, "values", values), dtype=np.complex128)
+    values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
     inter = np.empty(values.shape + (2,), dtype="<f4")

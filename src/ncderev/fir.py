@@ -23,11 +23,12 @@ never used for production fits.
 ``ls_oracle`` solves the same problem independently through the explicit
 complex design matrix and a rank-revealing factorization.
 
-Every fit runs on (frames, bins) arrays behind one pair check; the
-single-bin functions fit their 1-D trajectories as one column. Spectrogram
-fits (``fit_pooled_filters``, ``dereverberate_spectrogram``) return the
-taps as one complex array of shape (bins, p+q+1), row k holding bin k's
-g; ``kernels.apply_fir`` applies it. ``NcFirFilter`` holds one bin's taps.
+Every fit runs on complex (frames, bins) spectrogram arrays behind one
+pair check; the single-bin functions fit their 1-D trajectories as one
+column. Spectrogram fits (``fit_pooled_filters``,
+``dereverberate_spectrogram``) return the taps as one complex array of
+shape (bins, p+q+1), row k holding bin k's g; ``kernels.apply_fir``
+applies it. ``NcFirFilter`` holds one bin's taps.
 
 Every Gram comes from ``kernels.normal_blocks``, which never forms Z:
 column i + 1 of Z is column i one frame later, so per bin two lag
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dsp import ComplexSpectrogram
 
 COND_LIMIT = 1e12  # closed_form_filter calls S or D singular above this condition number
 
@@ -275,8 +275,8 @@ def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
     is that pair's own fit.
 
     Args:
-        pairs: iterable of (reverb, clean) ComplexSpectrogram pairs with
-            one common bin count.
+        pairs: iterable of (reverb, clean) complex (frames, bins)
+            spectrogram pairs with one common bin count.
         ridge: per-bin diagonal loading ("auto" for the scale-invariant
             default, a number to share one value across bins).
 
@@ -288,11 +288,11 @@ def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
     gram_sum = None
     corr_sum = None
     for reverb, clean in pairs:
-        _check_pair(reverb.values, clean.values, p, q)
-        if gram_sum is not None and reverb.bins != len(gram_sum):
+        _check_pair(reverb, clean, p, q)
+        if gram_sum is not None and reverb.shape[1] != len(gram_sum):
             raise ValueError(
-                f"bin count differs across pairs: {len(gram_sum)} vs {reverb.bins}")
-        gram, corr = kernels.normal_blocks(reverb.values, clean.values, q, taps)
+                f"bin count differs across pairs: {len(gram_sum)} vs {reverb.shape[1]}")
+        gram, corr = kernels.normal_blocks(reverb, clean, q, taps)
         if gram_sum is None:
             gram_sum, corr_sum = gram, corr
         else:
@@ -303,27 +303,25 @@ def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
     return _solve(gram_sum, corr_sum, ridge)
 
 
-def dereverberate_spectrogram(reverb: ComplexSpectrogram,
-                              clean: ComplexSpectrogram,
-                              p: int, q: int, ridge="auto"):
+def dereverberate_spectrogram(reverb, clean, p: int, q: int, ridge="auto"):
     """Fit and apply one filter per frequency bin independently.
 
     Args:
-        reverb: spectrogram supplying the filter input X.
+        reverb: complex (frames, bins) spectrogram supplying the filter
+            input X.
         clean: spectrogram supplying the regression target Y; must have
             the same bin count and at most as many frames.
         ridge: as in ``fit_pooled_filters``.
 
     Returns:
-        (estimate, taps, errors): the estimated-clean spectrogram with
-        clean's frame count, the (bins, p+q+1) complex taps of
-        ``fit_pooled_filters``, and the per-bin squared prediction errors.
+        (estimate, taps, errors): the estimated-clean (frames, bins)
+        spectrogram with clean's frame count, the (bins, p+q+1) complex
+        taps of ``fit_pooled_filters``, and the per-bin squared prediction
+        errors.
     """
     g = fit_pooled_filters([(reverb, clean)], p, q, ridge)
-    estimate = kernels.apply_fir(g, reverb.values, q, clean.frames)
-    errors = np.sum(np.abs(estimate - clean.values) ** 2, axis=0)
-    out = ComplexSpectrogram(estimate, clean.config, clean.sample_rate)
-    return out, g, errors
+    estimate = kernels.apply_fir(g, reverb, q, len(clean))
+    return estimate, g, np.sum(np.abs(estimate - clean) ** 2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -378,8 +376,8 @@ def context_sweep(pairs, grid, ridge="auto"):
     pair is drawn.
 
     Args:
-        pairs: iterable of (reverb, clean) ComplexSpectrogram pairs,
-            consumed once.
+        pairs: iterable of (reverb, clean) complex (frames, bins)
+            spectrogram pairs, consumed once.
         grid: iterable of (p, q) tuples.
         ridge: as in ``fit_pooled_filters``.
 
@@ -393,14 +391,13 @@ def context_sweep(pairs, grid, ridge="auto"):
     wide_q = max(q for _, q in grid)
     total = np.zeros(len(grid))
     count = 0
-    for reverb, clean in pairs:
-        x, y = reverb.values, clean.values
+    for x, y in pairs:
         for p, q in grid:
             _check_pair(x, y, p, q)
         gram, corr = kernels.normal_blocks(x, y, wide_q, wide_p + wide_q + 1)
         energy, frames = np.sum(np.abs(y) ** 2, axis=0), len(y)
         # one pair, then one Gram, is alive at a time
-        del reverb, clean, x, y
+        del x, y
         total += _cell_errors(gram, corr, energy, frames, grid, ridge)
         del gram, corr
         count += 1

@@ -14,15 +14,15 @@ an average optimum is reported across subsets.
 
 The reference enhancer producing ``ref_enhanced`` is chosen once per run
 from ``ENHANCERS``: "identity" passes the reverberant spectrogram
-through, "causal-fir" is a fitted :class:`CausalFirEnhancer`.
+through; "causal-fir" applies per-bin causal filters (q = 0), which
+``fir.fit_pooled_filters`` fits on the train split and
+``kernels.apply_fir`` applies, standing in for an external dereverberator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fir, kernels
-from .dsp import ComplexSpectrogram
 from .mlp import mse_loss
 
 STREAMS = ("reverb", "ref_enhanced", "derev_of_reverb", "derev_of_ref_enhanced")
@@ -140,33 +140,3 @@ def lambda_sweep(subsets, grid, config_id: int):
         per_subset[name] = best_lam
     average = float(np.mean(list(per_subset.values())))
     return per_subset, average, cells
-
-
-class CausalFirEnhancer:
-    """Reference enhancer: per-bin causal filters (q = 0) fitted on a
-    disjoint adaptation set, standing in for an external dereverberator.
-    """
-
-    def __init__(self, p: int = 10, ridge="auto"):
-        self.p = p
-        self.ridge = ridge
-        self.taps = None  # (bins, p+1) complex, once fitted
-
-    def fit(self, adaptation_pairs) -> "CausalFirEnhancer":
-        """Fit pooled per-bin causal filters on (reverb, clean) spectrogram pairs."""
-        self.taps = fir.fit_pooled_filters(
-            adaptation_pairs, self.p, 0, ridge=self.ridge
-        )
-        return self
-
-    def enhance(self, spec):
-        """Apply the fitted per-bin filters; output keeps the input frame count."""
-        if self.taps is None:
-            raise ValueError("enhancer is not fitted")
-        if len(self.taps) != spec.bins:
-            raise ValueError(
-                f"enhancer fitted for {len(self.taps)} bins, "
-                f"spectrogram has {spec.bins}"
-            )
-        out = kernels.apply_fir(self.taps, spec.values, 0, spec.frames)
-        return ComplexSpectrogram(out, spec.config, spec.sample_rate)

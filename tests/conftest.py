@@ -1,14 +1,14 @@
 """Shared fixtures: synthetic speech-like signals and tiny corpora."""
 
+import wave
+
 import numpy as np
 import pytest
 
-from ncderev.dsp import Waveform
-
 
 def synth_speech(rng, sample_rate=16000, duration=1.5):
-    """Speech-like test signal: broadband colored noise plus harmonic
-    voicing, shaped by a pseudo-syllabic energy envelope.
+    """Speech-like test samples at ``sample_rate``: broadband colored noise
+    plus harmonic voicing, shaped by a pseudo-syllabic energy envelope.
 
     All 257 STFT bins keep nonzero energy (broadband floor), while the
     envelope gives the bin trajectories the temporal structure that
@@ -34,7 +34,16 @@ def synth_speech(rng, sample_rate=16000, duration=1.5):
                                 + rng.uniform(0, 2 * np.pi))
     env = 0.15 + 0.85 * syllable * phrase
     sig *= env
-    return Waveform(0.85 * sig / np.max(np.abs(sig)), sample_rate)
+    return 0.85 * sig / np.max(np.abs(sig))
+
+
+def write_wav_at_rate(samples, path, sample_rate):
+    """16-bit PCM mono WAV at any rate; ``dsp.write_wav`` writes only 16 kHz."""
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(sample_rate)
+        fh.writeframes(np.round(np.asarray(samples) * 32767).astype("<i2").tobytes())
 
 
 def hstack_context(feats, p, q):

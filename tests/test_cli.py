@@ -1,7 +1,9 @@
+import ast
 import base64
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import hstack_context, synth_speech
+from conftest import hstack_context, synth_speech, write_wav_at_rate
 from ncderev import cli, corpus, diagnostics, dsp, fileformats, fir, kernels, mixing, mlp, rir
 from ncderev.dsp import write_wav
 
@@ -147,8 +149,8 @@ class TestMakeCorpus:
         config_path, _ = base_config
         clean = tmp_path / "clean"
         clean.mkdir()
-        write_wav(synth_speech(np.random.default_rng(3), sample_rate=8000, duration=0.8),
-                  clean / "utt000.wav")
+        write_wav_at_rate(synth_speech(np.random.default_rng(3), sample_rate=8000,
+                                       duration=0.8), clean / "utt000.wav", 8000)
         assert cli.main(["make-corpus", "--config", str(config_path),
                          "--clean-dir", str(clean), "--workdir", str(tmp_path / "w")]) == 3
         assert f"data error: {clean / 'utt000.wav'} is sampled at 8000 Hz" in \
@@ -309,7 +311,7 @@ class TestPipeline:
                 # row i holds tap i of every bin, which multiplies x(n + q - i)
                 taps = fileformats.read_spectrogram(out / f"{row.utterance}_filters.ncsp")
                 assert taps.shape == (2 + 2 + 1, 257)
-                x = dsp.stft(dsp.read_wav(workdir / row.reverb_path), dsp.StftConfig()).values
+                x = dsp.stft(dsp.read_wav(workdir / row.reverb_path))
                 stored = fileformats.read_spectrogram(out / f"{row.utterance}_estimate.ncsp")
                 applied = kernels.apply_fir(taps.T, x, 2, stored.shape[0])
                 # f32 storage moves the estimate by up to 2^-24 |yhat| and each
@@ -616,6 +618,7 @@ def test_train_mlp_without_dev_split_trains_on_the_train_loss(built_corpus, tmp_
             for r in corpus.read_manifest(workdir / "manifest.csv")]
     corpus.write_manifest(rows, workdir / "manifest.csv")
     (workdir / "runs" / "train-mlp.json").unlink(missing_ok=True)
+    assert cli.main(["featurize", "--config", str(config_path)]) == 0  # for this manifest
     assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
     assert json.loads((workdir / "runs" / "train-mlp.json").read_text())["valid_frames"] == 0
     for line in (workdir / "mlp_loss.csv").read_text().splitlines()[1:]:
@@ -796,6 +799,42 @@ def test_diagnose_rejects_estimates_of_an_older_corpus(fitted_all, tmp_path, cap
     assert not (workdir / "diagnostics").exists()
 
 
+@pytest.mark.parametrize("command", ["train-mlp", "derev", "mix-sweep"])
+def test_features_of_an_older_corpus_are_data_error(trained, tmp_path, capsys, command):
+    # featurize records the corpus it read; a rebuilt corpus makes its
+    # features stale until featurize runs again
+    config_path, workdir = _copy_of(trained, tmp_path)
+    record = workdir / "runs" / "featurize.json"
+    featurized = hashlib.sha256((workdir / "manifest.csv").read_bytes()).hexdigest()
+    assert cli.main(["make-corpus", "--config", str(config_path), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config_path)]) == 3
+    assert f"featurize ran on another manifest.csv than the current one ({record})" in \
+        capsys.readouterr().err
+    assert json.loads(record.read_text())["manifest_sha256"] == featurized
+
+
+@pytest.mark.parametrize("command", ["featurize", "fit-fir", "diagnose"])
+def test_listed_clean_wav_of_another_rate_is_data_error(fitted_all, tmp_path, capsys,
+                                                         command):
+    # every command that reads a clean WAV rejects one at another rate
+    config_path, workdir = _copy_of(fitted_all, tmp_path)
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    rows = corpus.read_manifest(workdir / "manifest.csv")
+    for row in rows:
+        shutil.copy(row.clean_path, clean)
+    corpus.write_manifest([dataclasses.replace(r, clean_path=str(clean / f"{r.utterance}.wav"))
+                           for r in rows], workdir / "manifest.csv")
+    assert cli.main(["fit-fir", "--config", str(config_path)]) == 0  # for this manifest
+    path = clean / "utt002.wav"
+    write_wav_at_rate(synth_speech(np.random.default_rng(3), sample_rate=8000, duration=0.8),
+                      path, 8000)
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config_path)]) == 3
+    assert f"data error: {path} is sampled at 8000 Hz" in capsys.readouterr().err
+
+
 def test_diagnose_holds_one_utterance_at_a_time(fitted_all, monkeypatch):
     # each utterance's three spectrograms are folded into the sums and
     # released before the next utterance is loaded
@@ -837,8 +876,8 @@ def test_diagnose_matches_average_autocorr_over_the_split(fitted_all):
     assert cli.main(["diagnose", "--config", str(config_path)]) == 0
     specs = {"clean": [], "reverb": [], "fir_derev": []}
     for row in corpus.read_manifest(workdir / "manifest.csv"):
-        clean = dsp.stft(dsp.read_wav(row.clean_path), dsp.StftConfig())
-        reverb = dsp.stft(dsp.read_wav(workdir / row.reverb_path), dsp.StftConfig())
+        clean = dsp.stft(dsp.read_wav(row.clean_path))
+        reverb = dsp.stft(dsp.read_wav(workdir / row.reverb_path))
         specs["clean"].append(clean)
         specs["reverb"].append(reverb)
         specs["fir_derev"].append(fir.dereverberate_spectrogram(reverb, clean, 2, 2)[0])
@@ -872,6 +911,7 @@ def test_mix_summary_lists_bands_in_order(trained, tmp_path):
     override = dict(json.loads(config_path.read_text()), workdir=str(copy), n_subsets=12)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(override))
+    assert cli.main(["featurize", "--config", str(cfg)]) == 0  # for this manifest
     assert cli.main(["mix-sweep", "--config", str(cfg)]) == 0
     summary = [line.split(",")
                for line in (copy / "mix_summary.csv").read_text().splitlines()[1:]]
@@ -905,3 +945,31 @@ def test_benchmark_workload_configs_are_accepted(tmp_path):
     for workload in workloads.WORKLOADS.values():
         cli.ExperimentConfig(**dict(workload.config, clean_dir=str(tmp_path / "clean"),
                                     workdir=str(tmp_path / "work")))
+
+
+def test_benchmark_traced_functions_exist():
+    # perfbench's --trace 1 run wraps these module attributes and binds its
+    # counters to these parameters; a rename would read as 0 calls or crash
+    # that run. The file is parsed, not imported: importing perfbench sets
+    # BLAS environment variables.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    values = {target.id: ast.literal_eval(node.value)
+              for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id in ("LAYERS", "IMPORTED_BY_NAME")}
+    gone = {"kernels.rir_accumulate"}  # removed from src; its metrics read 0
+    traced = {f"{module}.{name.rstrip('*')}"
+              for module, names in values["LAYERS"].items() for name in names}
+    for dotted in sorted(traced - gone):
+        module, *path = dotted.split(".")
+        target = importlib.import_module(f"ncderev.{module}")
+        for name in path:  # a method is traced as module.Class.method
+            target = getattr(target, name, None)
+        assert callable(target), dotted
+    for dotted, importers in values["IMPORTED_BY_NAME"].items():
+        module, name = dotted.split(".")
+        function = getattr(importlib.import_module(f"ncderev.{module}"), name)
+        for importer in importers:
+            assert getattr(importlib.import_module(f"ncderev.{importer}"), name) is function
+    assert {"y", "taps"} <= set(inspect.signature(kernels.normal_blocks).parameters)
+    assert "inputs" in inspect.signature(mlp.train).parameters

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ncderev import fir, kernels
-from ncderev.dsp import ComplexSpectrogram, StftConfig
 
 
 def explicit_design(x, p, q, rows):
@@ -36,10 +35,8 @@ def rand_traj(rng, n, kind="complex"):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
-def toy_spectrogram(rng, frames, bins=9, fft_size=16):
-    config = StftConfig(frame_len=16, frame_shift=8, fft_size=fft_size)
-    values = rng.normal(size=(frames, bins)) + 1j * rng.normal(size=(frames, bins))
-    return ComplexSpectrogram(values, config, 16000)
+def toy_spectrogram(rng, frames, bins=9):
+    return rng.normal(size=(frames, bins)) + 1j * rng.normal(size=(frames, bins))
 
 
 class TestBuildNormalSystem:
@@ -262,39 +259,36 @@ class TestDereverberateSpectrogram:
         out, taps, errors = fir.dereverberate_spectrogram(spec, spec, 1, 1,
                                                           ridge=0.0)
         assert np.max(errors) <= 1e-18
-        assert np.max(np.abs(out.values - spec.values)) <= 1e-9
-        assert taps.shape == (spec.bins, 3) and taps.dtype == np.complex128
+        assert np.max(np.abs(out - spec)) <= 1e-9
+        assert taps.shape == (spec.shape[1], 3) and taps.dtype == np.complex128
 
     def test_bin_index_attached_to_error(self):
         rng = np.random.default_rng(20)
         spec = toy_spectrogram(rng, 40)
-        values = spec.values.copy()
-        values[:, 3] = 0.0
-        dead = ComplexSpectrogram(values, spec.config, 16000)
+        dead = spec.copy()
+        dead[:, 3] = 0.0
         with pytest.raises(fir.SingularSystemError, match="bin 3"):
             fir.dereverberate_spectrogram(dead, dead, 1, 1, ridge=0.0)
 
     def test_frame_count_checks(self):
         rng = np.random.default_rng(21)
         long = toy_spectrogram(rng, 40)
-        short = ComplexSpectrogram(long.values[:30], long.config, 16000)
+        short = long[:30]
         out, _, _ = fir.dereverberate_spectrogram(long, short, 1, 1)
-        assert out.frames == 30
+        assert out.shape == (30, 9)
         with pytest.raises(ValueError, match="more frames"):
             fir.dereverberate_spectrogram(short, long, 1, 1)
 
     def test_beats_no_filter_baseline_on_synthetic_reverb(self, speech):
         from ncderev import rir
-        from ncderev.dsp import StftConfig, convolve, stft
+        from ncderev.dsp import convolve, stft
 
         spec = rir.sample_room(np.random.default_rng(77), rt60_range=(0.5, 0.7))
         impulse = rir.image_method_rir(spec)
-        config = StftConfig()
-        clean = stft(speech, config)
-        reverb = stft(convolve(speech, impulse), config)
+        clean = stft(speech)
+        reverb = stft(convolve(speech, impulse.taps))
         _, _, errors = fir.dereverberate_spectrogram(reverb, clean, 5, 5)
-        baseline = np.sum(
-            np.abs(reverb.values[:clean.frames] - clean.values) ** 2, axis=0)
+        baseline = np.sum(np.abs(reverb[:len(clean)] - clean) ** 2, axis=0)
         assert np.mean(errors < baseline) >= 0.99
         assert errors.sum() < baseline.sum()
 
@@ -321,22 +315,18 @@ class TestContextSweep:
         # quadratic form's rounding bound, so they must not read as 0
         rng = np.random.default_rng(38)
         x = toy_spectrogram(rng, 40)
-        y = ComplexSpectrogram(x.values + 1e-6 * toy_spectrogram(rng, 40).values,
-                               x.config, 16000)
+        y = x + 1e-6 * toy_spectrogram(rng, 40)
         rows = fir.context_sweep([(x, y)], [(0, 0), (1, 1)], ridge=0.0)
         for row in rows:
             _, _, errors = fir.dereverberate_spectrogram(x, y, row.p, row.q, ridge=0.0)
-            want = errors.sum() / np.sum(np.abs(y.values) ** 2)
+            want = errors.sum() / np.sum(np.abs(y) ** 2)
             assert 1e-14 < want < 1e-10
             assert abs(row.mean_err - want) <= 1e-2 * want
 
     def test_nested_cells_non_increasing(self):
         rng = np.random.default_rng(23)
         x = toy_spectrogram(rng, 60)
-        y = ComplexSpectrogram(
-            x.values + 0.1 * (rng.normal(size=x.values.shape)
-                              + 1j * rng.normal(size=x.values.shape)),
-            x.config, 16000)
+        y = x + 0.1 * (rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape))
         rows = fir.context_sweep([(x, y)], [(1, 1), (1, 2), (2, 2)], ridge=0.0)
         errs = {(r.p, r.q): r.mean_err for r in rows}
         assert errs[(2, 2)] <= errs[(1, 2)] + 1e-9
@@ -362,17 +352,15 @@ class TestContextSweep:
         pairs = []
         for frames, extra in ((40, 0), (33, 4), (8, 2)):
             clean = toy_spectrogram(rng, frames)
-            reverb = ComplexSpectrogram(
-                np.vstack([clean.values, np.zeros((extra, clean.bins))])
-                + 0.7 * toy_spectrogram(rng, frames + extra).values,
-                clean.config, 16000)
+            reverb = (np.vstack([clean, np.zeros((extra, clean.shape[1]))])
+                      + 0.7 * toy_spectrogram(rng, frames + extra))
             pairs.append((reverb, clean))
         grid = [(0, 0), (0, 5), (5, 0), (3, 2), (2, 1), (1, 1)]
         rows = fir.context_sweep(iter(pairs), grid, ridge=ridge)  # read once
         for row, (p, q) in zip(rows, grid):
             want = np.mean([
                 fir.dereverberate_spectrogram(reverb, clean, p, q, ridge=ridge)[2].sum()
-                / np.sum(np.abs(clean.values) ** 2)
+                / np.sum(np.abs(clean) ** 2)
                 for reverb, clean in pairs])
             assert (row.p, row.q, row.utterance_count) == (p, q, len(pairs))
             assert abs(row.mean_err - want) <= 1e-10 * want
@@ -411,9 +399,8 @@ class TestPooledFit:
         x = toy_spectrogram(rng, 50)
         y = toy_spectrogram(rng, 50)
         pooled = fir.fit_pooled_filters([(x, y)], 2, 0, ridge=0.0)
-        single = [fir.fit_filter(x.values[:, k], y.values[:, k], 2, 0)
-                  for k in range(x.bins)]
-        assert pooled.shape == (x.bins, 3)
+        single = [fir.fit_filter(x[:, k], y[:, k], 2, 0) for k in range(x.shape[1])]
+        assert pooled.shape == (x.shape[1], 3)
         for a, b in zip(pooled, single):
             assert np.linalg.norm(a - b.taps) <= 1e-9 * np.linalg.norm(b.taps)
 
@@ -422,7 +409,7 @@ class TestPooledFit:
         pairs = [(toy_spectrogram(rng, 40), toy_spectrogram(rng, 40))
                  for _ in range(3)]
         taps = fir.fit_pooled_filters(pairs, 1, 0)
-        assert taps.shape == (pairs[0][0].bins, 2)
+        assert taps.shape == (pairs[0][0].shape[1], 2)
         # the pooled fit is none of the single-pair fits
         for pair in pairs:
             assert not np.allclose(taps, fir.fit_pooled_filters([pair], 1, 0))
@@ -451,14 +438,14 @@ class TestCheckPair:
 
     def test_bin_count_mismatch_within_pair(self, no_gram):
         rng = np.random.default_rng(29)
-        wide = toy_spectrogram(rng, 40, bins=17, fft_size=32)
+        wide = toy_spectrogram(rng, 40, bins=17)
         narrow = toy_spectrogram(rng, 40)
         with pytest.raises(ValueError, match="bin count mismatch: 17 vs 9"):
             fir.fit_pooled_filters([(wide, narrow)], 1, 1)
 
     def test_bin_count_mismatch_across_pairs(self):
         rng = np.random.default_rng(31)
-        wide = toy_spectrogram(rng, 40, bins=17, fft_size=32)
+        wide = toy_spectrogram(rng, 40, bins=17)
         narrow = toy_spectrogram(rng, 40)
         with pytest.raises(ValueError, match="bin count differs across pairs"):
             fir.fit_pooled_filters([(wide, wide), (narrow, narrow)], 1, 1)
@@ -466,7 +453,7 @@ class TestCheckPair:
     def test_frame_checks_in_pooled_fit(self, no_gram):
         rng = np.random.default_rng(32)
         long = toy_spectrogram(rng, 40)
-        short = ComplexSpectrogram(long.values[:4], long.config, 16000)
+        short = long[:4]
         with pytest.raises(ValueError, match="more frames"):
             fir.fit_pooled_filters([(short, long)], 1, 1)
         with pytest.raises(ValueError, match="underdetermined"):
@@ -479,14 +466,13 @@ class TestCheckPair:
             fir.context_sweep([(spec, spec)], [(1, 1), (0, -1)])
         with pytest.raises(ValueError, match="underdetermined: 11 taps"):
             fir.context_sweep([(spec, spec)], [(1, 1), (5, 5)])
-        wide = toy_spectrogram(rng, 10, bins=17, fft_size=32)
+        wide = toy_spectrogram(rng, 10, bins=17)
         with pytest.raises(ValueError, match="bin count mismatch: 17 vs 9"):
             fir.context_sweep([(wide, spec)], [(0, 0)])
 
     def test_spectrogram_taps_are_the_single_pair_pooled_fit(self):
         rng = np.random.default_rng(33)
         reverb = toy_spectrogram(rng, 45)
-        clean = ComplexSpectrogram(reverb.values[:40] + 0.5 * toy_spectrogram(
-            rng, 40).values, reverb.config, 16000)
+        clean = reverb[:40] + 0.5 * toy_spectrogram(rng, 40)
         _, taps, _ = fir.dereverberate_spectrogram(reverb, clean, 3, 2)
         assert np.array_equal(taps, fir.fit_pooled_filters([(reverb, clean)], 3, 2))
