@@ -278,8 +278,13 @@ def _load_reverb(cfg, row):
 
 
 def _load_pair(cfg, row):
-    """(reverb, clean) spectrograms for one manifest row."""
-    clean = dsp.stft(dsp.read_wav(row.clean_path))
+    """(reverb, clean) spectrograms for one manifest row; DataError if the
+    clean WAV is not the one make-corpus rendered the reverberant WAV from."""
+    samples, sha256 = corpus.read_clean(row.clean_path)
+    if sha256 != row.clean_sha256:
+        raise DataError(f"{row.clean_path} changed after make-corpus read it (its sha256 "
+                        "is not manifest.csv's); rerun make-corpus")
+    clean = dsp.stft(samples)
     return _load_reverb(cfg, row), clean
 
 
@@ -401,7 +406,7 @@ def cmd_train_mlp(cfg) -> int:
     mlp.save_model(best, _model_path(cfg), seed=cfg.seed)
     fileformats.write_csv(
         workdir / "mlp_loss.csv",
-        ["epoch", "train_mse", "valid_mse", "learning_rate"],
+        ["epoch", "train_mse", "valid_mse", "learning_rate", "batch_mse"],
         trace,
     )
     _write_run_record(cfg, "train-mlp", {

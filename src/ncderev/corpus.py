@@ -2,8 +2,9 @@
 
 Each utterance is convolved with its own impulse response (assignment
 without replacement), gets a deterministic hash-based train/dev/test
-split, and is recorded in a manifest CSV. All randomness derives from
-(seed, index) pairs so any parallel schedule produces identical output.
+split, and is recorded in a manifest CSV with the sha256 of its clean
+WAV. All randomness derives from (seed, index) pairs so any parallel
+schedule produces identical output.
 """
 
 import csv
@@ -30,6 +31,7 @@ class ManifestRow:
     split: str
     gain: float
     clean_path: str
+    clean_sha256: str  # of the clean WAV's bytes that were convolved
     reverb_path: str
     rir_path: str
 
@@ -57,10 +59,17 @@ def scan_clean_dir(clean_dir) -> list:
     return pairs
 
 
+def read_clean(path):
+    """(samples, sha256 hex digest) of one clean WAV, both of the same bytes."""
+    data = Path(path).read_bytes()
+    return dsp.read_wav(path, data), hashlib.sha256(data).hexdigest()
+
+
 def _synthesize_one(task):
     (utt, clean_path, spec, rir_id, out_dir) = task
     out_dir = Path(out_dir)
-    clean = dsp.read_wav(clean_path)  # first, so a bad file fails before its room renders
+    # first, so a bad file fails before its room renders
+    clean, clean_sha256 = read_clean(clean_path)
     impulse = rir.image_method_rir(spec)
     reverb = dsp.convolve(clean, impulse.taps)
     peak = float(np.max(np.abs(reverb))) if len(reverb) else 0.0
@@ -81,6 +90,7 @@ def _synthesize_one(task):
         split=split_of(utt),
         gain=gain,
         clean_path=str(clean_path),
+        clean_sha256=clean_sha256,
         reverb_path=str(reverb_path.relative_to(out_dir)),
         rir_path=str(rir_path.relative_to(out_dir)),
     )

@@ -11,6 +11,7 @@ pure functions of their inputs. 16-bit PCM is mapped to [-1, 1) by
 dividing by 32768.
 """
 
+import io
 import wave
 
 import numpy as np
@@ -25,15 +26,17 @@ WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LEN) / FRAME_LEN)
 WINDOW.flags.writeable = False
 
 
-def read_wav(path) -> np.ndarray:
+def read_wav(path, data=None) -> np.ndarray:
     """Read a 16-bit PCM mono WAV file at SAMPLE_RATE as samples in [-1, 1).
+    ``data``, when given, holds the file's bytes as already read, and
+    ``path`` only names the file.
 
     Raises ValueError naming the file for multichannel input (and the
     channel count), for encodings other than 16-bit linear PCM and for
     any other sample rate.
     """
     try:
-        with wave.open(str(path), "rb") as fh:
+        with wave.open(str(path) if data is None else io.BytesIO(data), "rb") as fh:
             n_channels = fh.getnchannels()
             if n_channels != 1:
                 raise ValueError(

@@ -28,11 +28,11 @@ from .rir import Rir, RoomSpec
 
 
 def fmt(value) -> str:
-    """Deterministic CSV field formatting."""
+    """Deterministic CSV field formatting; None is an empty field."""
     # np.float64 is a float subclass whose repr is "np.float64(...)"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    return "" if value is None else str(value)
 
 
 @contextlib.contextmanager

@@ -5,6 +5,9 @@ Hidden layers use the sigmoid, computed as 0.5 + 0.5·tanh(z/2); the
 output layer is affine. Parameters and activations are float64. Training
 follows plain SGD with a halving learning-rate schedule driven by the
 validation loss, and returns the parameters of the best validation epoch.
+Each epoch forwards the validation set once; the train set is forwarded
+once in all, for the kept model. Without a validation set the train
+loss drives the schedule, so the train set is forwarded every epoch.
 """
 
 import base64
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import features
 
-# rows per forward call of the per-epoch loss pass
+# rows per forward call of a loss pass
 LOSS_CHUNK = 512
 
 
@@ -238,7 +241,11 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
     Returns:
         (best_model, trace) where best_model holds the parameters of the
         best validation epoch and trace is a list of
-        (epoch, train_mse, valid_mse, learning_rate).
+        (epoch, train_mse, valid_mse, learning_rate, batch_mse).
+        batch_mse is the row-weighted mean of the epoch's batch losses,
+        each taken before its step. With a validation set, train_mse is
+        measured once, for best_model, and is None on every other epoch;
+        without one, it is every epoch's loss and equals valid_mse.
 
     Raises TrainingDivergedError (carrying the partial trace) when the
     loss becomes non-finite.
@@ -259,12 +266,14 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
     lr = config.learning_rate
     trace = []
     best = model.copy()
+    best_row = None
     best_valid = np.inf
     prev_valid = None
     halvings = 0
     n = len(inputs)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
+        loss_sum = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, config.batch_size):
                 sel = order[start:start + config.batch_size]
@@ -274,6 +283,7 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
                     raise TrainingDivergedError(
                         f"non-finite loss in epoch {epoch}", trace
                     )
+                loss_sum += batch_loss * len(sel)
                 if lr:
                     for w, b, gw, gb in zip(model.weights, model.biases,
                                             w_grads, b_grads):
@@ -282,15 +292,18 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
                         gb *= lr
                         w -= gw
                         b -= gb
-            train_mse = mse_loss(_forward_chunked(model, inputs), targets)
-            valid_mse = (mse_loss(_forward_chunked(model, valid_inputs), valid_targets)
-                         if has_valid else train_mse)
-        if not (np.isfinite(train_mse) and np.isfinite(valid_mse)):
+            if has_valid:
+                train_mse = None
+                valid_mse = mse_loss(_forward_chunked(model, valid_inputs), valid_targets)
+            else:
+                train_mse = valid_mse = mse_loss(_forward_chunked(model, inputs), targets)
+        if not np.isfinite(valid_mse):
             raise TrainingDivergedError(f"non-finite loss in epoch {epoch}", trace)
-        trace.append((epoch, train_mse, valid_mse, lr))
+        trace.append((epoch, train_mse, valid_mse, lr, loss_sum / n))
         if valid_mse < best_valid:
             best_valid = valid_mse
             best = model.copy()
+            best_row = len(trace) - 1
         if prev_valid is not None:
             if _plateaued(prev_valid, valid_mse, config.improvement_threshold):
                 lr *= 0.5
@@ -301,6 +314,14 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
             else:
                 halvings = 0
         prev_valid = valid_mse
+    if has_valid:
+        # the one train pass: the kept model's, into its epoch's row
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_mse = mse_loss(_forward_chunked(best, inputs), targets)
+        if not np.isfinite(train_mse):
+            raise TrainingDivergedError("non-finite train loss of the kept model", trace)
+        epoch, _, valid_mse, rate, batch_mse = trace[best_row]
+        trace[best_row] = (epoch, train_mse, valid_mse, rate, batch_mse)
     return best, trace
 
 

@@ -362,9 +362,13 @@ class TestPipeline:
         if not (workdir / "mlp_model.json").is_file():
             assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
         record = json.loads((workdir / "runs" / "train-mlp.json").read_text())
-        lines = (workdir / "mlp_loss.csv").read_text().splitlines()[1:]
-        trace = [[float(v) for v in line.split(",")] for line in lines]
+        header, *lines = (workdir / "mlp_loss.csv").read_text().splitlines()
+        assert header == "epoch,train_mse,valid_mse,learning_rate,batch_mse"
+        trace = [[float(v) if v else None for v in line.split(",")] for line in lines]
         valid = [row[2] for row in trace]
+        # the train loss is measured once, for the kept epoch's model
+        kept = valid.index(min(valid))
+        assert [row[1] is not None for row in trace] == [i == kept for i in range(len(trace))]
         threshold = record["config"]["improvement_threshold"]
         plateaus = [(a - b) / a < threshold for a, b in zip(valid, valid[1:])]
         rates = [row[3] for row in trace]
@@ -551,7 +555,8 @@ def test_train_mlp_matches_training_on_the_stacked_matrix(trained, tmp_path, mon
                             cli._train_config(cfg), vx, vy)
     mlp.save_model(best, tmp_path / "mlp_model.json", seed=cfg.seed)
     fileformats.write_csv(tmp_path / "mlp_loss.csv",
-                          ["epoch", "train_mse", "valid_mse", "learning_rate"], trace)
+                          ["epoch", "train_mse", "valid_mse", "learning_rate", "batch_mse"],
+                          trace)
     if chunk:
         monkeypatch.setattr(mlp, "LOSS_CHUNK", chunk)
     else:
@@ -621,8 +626,10 @@ def test_train_mlp_without_dev_split_trains_on_the_train_loss(built_corpus, tmp_
     assert cli.main(["featurize", "--config", str(config_path)]) == 0  # for this manifest
     assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
     assert json.loads((workdir / "runs" / "train-mlp.json").read_text())["valid_frames"] == 0
-    for line in (workdir / "mlp_loss.csv").read_text().splitlines()[1:]:
-        _, train_mse, valid_mse, _ = line.split(",")
+    header, *lines = (workdir / "mlp_loss.csv").read_text().splitlines()
+    assert header == "epoch,train_mse,valid_mse,learning_rate,batch_mse"
+    for line in lines:
+        _, train_mse, valid_mse, _, _ = line.split(",")
         assert train_mse == valid_mse
 
 
@@ -835,6 +842,36 @@ def test_listed_clean_wav_of_another_rate_is_data_error(fitted_all, tmp_path, ca
     assert f"data error: {path} is sampled at 8000 Hz" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def replaced_clean(base_config, clean_dir, tmp_path_factory):
+    """A corpus built and run through train-mlp and fit-fir (split all) on
+    its own copy of the clean WAVs, after which utt000.wav is overwritten
+    with another 16 kHz utterance; returns ((config path, workdir), utt000.wav)."""
+    config_path, _ = base_config
+    root = tmp_path_factory.mktemp("replaced")
+    clean = shutil.copytree(clean_dir, root / "clean")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()), split="all",
+                                   clean_dir=str(clean), workdir=str(root / "work"))))
+    for command in ("make-corpus", "featurize", "fit-fir", "train-mlp"):
+        assert cli.main([command, "--config", str(cfg)]) == 0
+    write_wav(synth_speech(np.random.default_rng(91), duration=0.8), clean / "utt000.wav")
+    return (cfg, root / "work"), clean / "utt000.wav"
+
+
+@pytest.mark.parametrize("command",
+                         ["featurize", "fit-fir", "sweep-context", "mix-sweep", "diagnose"])
+def test_clean_wav_replaced_after_make_corpus_is_data_error(replaced_clean, tmp_path,
+                                                            capsys, command):
+    # make-corpus records each clean WAV's sha256; every command that reads
+    # the clean WAVs (mix-sweep for its enhancer's train fit) compares it
+    fitted, path = replaced_clean
+    config_path, _ = _copy_of(fitted, tmp_path)
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config_path)]) == 3
+    assert f"data error: {path} changed after make-corpus read it" in capsys.readouterr().err
+
+
 def test_diagnose_holds_one_utterance_at_a_time(fitted_all, monkeypatch):
     # each utterance's three spectrograms are folded into the sums and
     # released before the next utterance is loaded
@@ -973,3 +1010,23 @@ def test_benchmark_traced_functions_exist():
             assert getattr(importlib.import_module(f"ncderev.{importer}"), name) is function
     assert {"y", "taps"} <= set(inspect.signature(kernels.normal_blocks).parameters)
     assert "inputs" in inspect.signature(mlp.train).parameters
+
+
+def test_benchmark_train_mlp_check_passes(trained, tmp_path, monkeypatch):
+    # perfbench's own output check of train-mlp, run on a train-mlp run set
+    # up as the benchmark sets it (more halvings than epochs), so a change to
+    # mlp_loss.csv or the model file that the benchmark rejects fails here
+    config_path, workdir = _copy_of(trained, tmp_path)
+    config = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps(dict(config, max_halvings=config["epochs"] + 1)))
+    assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
+    resolved = json.loads((workdir / "runs" / "train-mlp.json").read_text())["config"]
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    names = ("checks", "artifacts", "workloads")
+    assert not set(names) & set(sys.modules)
+    try:
+        checks = importlib.import_module("checks")
+        assert checks.check_train_mlp(checks.Corpus(workdir, resolved)) == []
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -136,11 +138,21 @@ def test_fmt_numpy_scalar_is_plain_float():
     assert ff.fmt(np.float32(0.5)) == "0.5"
 
 
+def test_fmt_none_is_an_empty_field(tmp_path):
+    assert ff.fmt(None) == ""
+    path = tmp_path / "sparse.csv"
+    ff.write_csv(path, ["epoch", "train_mse", "valid_mse"], [(1, None, 0.5), (2, 0.25, 0.75)])
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["train_mse"] for r in rows] == ["", "0.25"]
+    assert [r["valid_mse"] for r in rows] == ["0.5", "0.75"]
+
+
 def test_manifest_roundtrip_name_with_comma(tmp_path):
     row = corpus.ManifestRow(
         utterance="b,comma", rir_id=3, rt60=0.5, distance=1.25, split="train",
         gain=1.0, clean_path=str(tmp_path / "clean" / "b,comma.wav"),
-        reverb_path="reverb/b,comma.wav", rir_path="rirs/rir00003.ncir",
+        clean_sha256="0" * 64, reverb_path="reverb/b,comma.wav", rir_path="rirs/rir00003.ncir",
     )
     path = tmp_path / "manifest.csv"
     corpus.write_manifest([row], path)

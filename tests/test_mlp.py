@@ -110,12 +110,30 @@ class TestSigmoid:
 
         trace = run()
         monkeypatch.setattr(mlp, "_sigmoid", masked_sigmoid)
+        batches = []
+        gradients = mlp.gradients
+
+        def recording(model, xb, yb):
+            w_grads, b_grads, loss = gradients(model, xb, yb)
+            batches.append((len(xb), loss))
+            return w_grads, b_grads, loss
+
+        monkeypatch.setattr(mlp, "gradients", recording)
         oracle = run()
         assert len(trace) == len(oracle)
         for got, want in zip(trace, oracle):
             assert got[0] == want[0] and got[3] == want[3]
-            for a, b in zip(got[1:3], want[1:3]):
-                assert abs(a - b) <= 1e-12 * abs(b)
+            # the kept epoch's train_mse is measured; the others' are not
+            assert (got[1] is None) == (want[1] is None)
+            for a, b in zip(got[1:], want[1:]):
+                assert a is b is None or abs(a - b) <= 1e-12 * abs(b)
+        # batch_mse is the row-weighted mean of the losses the steps replayed
+        per_epoch = -(-len(x) // config.batch_size)
+        assert len(batches) == per_epoch * len(oracle)
+        for i, row in enumerate(oracle):
+            epoch = batches[i * per_epoch:(i + 1) * per_epoch]
+            assert sum(rows for rows, _ in epoch) == len(x)
+            assert row[4] == sum(rows * loss for rows, loss in epoch) / len(x)
 
 
 class TestForward:
@@ -254,6 +272,48 @@ class TestTrain:
         monkeypatch.setattr(mlp, "LOSS_CHUNK", chunk)
         got = mlp._forward_chunked(model, ContextFrames(utts, 10, 10))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("with_dev", [True, False])
+    def test_loss_passes_forward_the_train_set_once_with_dev_data(self, monkeypatch,
+                                                                 with_dev):
+        # the schedule reads the dev loss; the train loss is measured once,
+        # for the kept model, unless it drives the schedule
+        rng = np.random.default_rng(13)
+        x, y = rng.normal(size=(50, 4)), rng.normal(size=(50, 2))
+        vx, vy = rng.normal(size=(15, 4)), rng.normal(size=(15, 2))
+        config = mlp.TrainConfig(learning_rate=0.2, batch_size=8, epochs=6,
+                                 max_halvings=7, seed=13)
+        forwarded = []
+        chunked = mlp._forward_chunked
+
+        def counting(model, inputs):
+            forwarded.append(len(inputs))
+            return chunked(model, inputs)
+
+        monkeypatch.setattr(mlp, "_forward_chunked", counting)
+        dev = (vx, vy) if with_dev else ()
+        _, trace = mlp.train(mlp.init_model([4, 5, 2], 13), x, y, config, *dev)
+        assert len(trace) == config.epochs
+        if with_dev:
+            assert sum(forwarded) == config.epochs * len(vx) + len(x)
+        else:
+            assert sum(forwarded) == config.epochs * len(x)
+
+    def test_kept_epoch_records_the_kept_models_train_loss(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(40, 4))
+        y = np.tanh(x[:, :2])
+        vx = rng.normal(size=(12, 4))
+        vy = np.tanh(vx[:, :2])
+        config = mlp.TrainConfig(learning_rate=0.3, batch_size=10, epochs=12, seed=14)
+        best, trace = mlp.train(mlp.init_model([4, 6, 2], 14), x, y, config, vx, vy)
+        kept = mlp.trace_summary(trace, config.improvement_threshold)["best_epoch"]
+        assert 1 < kept  # the kept row is not simply the first
+        for epoch, train_mse, *_ in trace:
+            if epoch == kept:
+                assert train_mse == mlp.mse_loss(mlp.forward(best, x), y)
+            else:
+                assert train_mse is None
 
     def test_seeded_determinism_of_trace(self):
         rng = np.random.default_rng(2)
