@@ -7,8 +7,11 @@ derev, mix-sweep, diagnose. Common flags: --config (JSON), --seed,
 built-in defaults.
 
 Every command is deterministic given config + seed (no wall-clock
-seeding) and writes a reproducibility record to workdir/runs/. Exit
-codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+seeding) and writes a reproducibility record to workdir/runs/, which
+holds the sha256 of each file it wrote and a fingerprint of each record
+it read. Commands read upstream files only through ``_read_upstream``,
+which checks them against those records. Exit codes: 0 success, 2
+config error, 3 data error, 4 numerical failure.
 """
 
 import argparse
@@ -79,6 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ConfigError("a seed is required; wall-clock seeding is not allowed")
+        # not config: the run records a command read, the files its record lists
+        self.records, self.digests = {}, {}  # {command: record}, {path: sha256 or None}
         # ints are not bools; floats also take ints; ridge is checked below
         for f in fields(self):
             value = getattr(self, f.name)
@@ -166,22 +171,16 @@ def resolve_config(args) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _workdir(cfg) -> Path:
-    path = Path(cfg.workdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _manifest_path(cfg) -> Path:
-    return _workdir(cfg) / "manifest.csv"
+    return Path(cfg.workdir) / "manifest.csv"
 
 
 def _run_path(cfg, command) -> Path:
-    return _workdir(cfg) / "runs" / f"{command}.json"
+    return Path(cfg.workdir) / "runs" / f"{command}.json"
 
 
 def _features_dir(cfg, kind) -> Path:
-    return _workdir(cfg) / "features" / kind
+    return Path(cfg.workdir) / "features" / kind
 
 
 def _features_path(cfg, kind, utt) -> Path:
@@ -189,7 +188,7 @@ def _features_path(cfg, kind, utt) -> Path:
 
 
 def _fir_dir(cfg) -> Path:
-    return _workdir(cfg) / "fir"
+    return Path(cfg.workdir) / "fir"
 
 
 def _estimate_path(cfg, utt) -> Path:
@@ -197,7 +196,7 @@ def _estimate_path(cfg, utt) -> Path:
 
 
 def _model_path(cfg) -> Path:
-    return _workdir(cfg) / "mlp_model.json"
+    return Path(cfg.workdir) / "mlp_model.json"
 
 
 def _upstream(path, command) -> Path:
@@ -207,42 +206,73 @@ def _upstream(path, command) -> Path:
     return path
 
 
-def _require_run(cfg, command, keys) -> dict:
-    """``command``'s run record; DataError unless it holds this config's ``keys``."""
-    path = _upstream(_run_path(cfg, command), command)
-    try:
-        record = json.loads(path.read_text())
-    except ValueError as exc:
-        raise DataError(f"run record {path} is not valid JSON: {exc}") from exc
-    recorded = record.get("config") if isinstance(record, dict) else None
-    if not isinstance(recorded, dict):
-        raise DataError(f"run record {path} holds no config object; rerun {command}")
+def _fingerprint(record) -> str:
+    """sha256 of a record's digests map, which a copied workdir keeps."""
+    return hashlib.sha256(json.dumps(record["digests"], sort_keys=True).encode()).hexdigest()
+
+
+def _key(cfg, path) -> str:
+    """``path`` as run records name it: relative to the workdir when in it."""
+    path, workdir = Path(path), Path(cfg.workdir)
+    return path.relative_to(workdir).as_posix() if path.is_relative_to(workdir) else str(path)
+
+
+def _require_run(cfg, command, keys=()) -> dict:
+    """``command``'s run record; DataError unless it holds this config's
+    ``keys`` and every record it read still holds the digests it read."""
+    path = _run_path(cfg, command)
+    record = cfg.records.get(command)
+    if record is None:
+        try:
+            record = json.loads(_upstream(path, command).read_text())
+        except ValueError as exc:
+            raise DataError(f"run record {path} is not valid JSON: {exc}") from exc
+        if not isinstance(record, dict) or not all(
+                isinstance(record.get(name), dict) for name in ("config", "digests", "reads")):
+            raise DataError(f"run record {path} lacks a config, digests or reads object; "
+                            f"rerun {command}")
+        cfg.records[command] = record
+        for upstream, fingerprint in record["reads"].items():
+            if _fingerprint(_require_run(cfg, upstream)) != fingerprint:
+                raise DataError(f"{command} ran on {upstream} outputs that have changed "
+                                f"since ({path}); rerun {command}")
     for key in keys:
-        if recorded.get(key) != getattr(cfg, key):
+        if record["config"].get(key) != getattr(cfg, key):
             raise DataError(
-                f"{command} ran with {key} {recorded.get(key)!r} but this config "
+                f"{command} ran with {key} {record['config'].get(key)!r} but this config "
                 f"has {getattr(cfg, key)!r} ({path}); rerun {command} with this config")
     return record
 
 
-def _require_corpus_run(cfg, command, keys=()) -> dict:
-    """``command``'s run record, as ``_require_run`` checks it; DataError
-    unless ``command`` ran on the corpus that manifest.csv now lists."""
-    record = _require_run(cfg, command, keys)
-    if record.get("manifest_sha256") != _manifest_digest(cfg):
-        raise DataError(f"{command} ran on another manifest.csv than the current one "
-                        f"({_run_path(cfg, command)}); rerun {command} on this corpus")
-    return record
+def _read_upstream(cfg, producer, path) -> bytes:
+    """The bytes of ``path``; DataError naming it unless their sha256 is
+    the one that ``producer``'s current run record holds for it."""
+    digests = _require_run(cfg, producer)["digests"]
+    data = _upstream(Path(path), producer).read_bytes()
+    if digests.get(_key(cfg, path)) != hashlib.sha256(data).hexdigest():
+        raise DataError(f"{path} is not the file that {_run_path(cfg, producer)} "
+                        f"records; rerun {producer}")
+    return data
+
+
+def _out(cfg, path):
+    """``path``, which the command writes: its run record holds its sha256."""
+    cfg.digests[Path(path)] = None
+    return path
 
 
 def _write_run_record(cfg, command, extra=None) -> None:
-    """workdir/runs/<command>.json: config, versions and any deterministic
-    facts of the run in ``extra`` (never wall-clock values)."""
+    """workdir/runs/<command>.json: config, versions, the digests of what
+    the command wrote, the fingerprints of the records it read and any
+    deterministic facts of the run in ``extra`` (never wall-clock values)."""
     path = _run_path(cfg, command)
     path.parent.mkdir(exist_ok=True)
     record = {
         "command": command,
         "config": asdict(cfg),
+        "digests": {_key(cfg, out): sha256 or hashlib.sha256(out.read_bytes()).hexdigest()
+                    for out, sha256 in cfg.digests.items()},
+        "reads": {name: _fingerprint(read) for name, read in cfg.records.items()},
         "numpy": np.__version__,
         "seed": cfg.seed,
         "version": __version__,
@@ -256,13 +286,9 @@ def _train_config(cfg) -> mlp.TrainConfig:
     return mlp.TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(mlp.TrainConfig)})
 
 
-def _manifest_digest(cfg) -> str:
-    """sha256 of manifest.csv, which names the corpus an artifact came from."""
-    return hashlib.sha256(_manifest_path(cfg).read_bytes()).hexdigest()
-
-
 def _manifest_rows(cfg, split=None):
-    rows = corpus.read_manifest(_upstream(_manifest_path(cfg), "make-corpus"))
+    path = _manifest_path(cfg)
+    rows = corpus.read_manifest(path, _read_upstream(cfg, "make-corpus", path))
     if split and split != "all":
         rows = [r for r in rows if r.split == split]
         if not rows:
@@ -274,22 +300,19 @@ def _manifest_rows(cfg, split=None):
 
 def _load_reverb(cfg, row):
     """Reverberant spectrogram of one manifest row."""
-    return dsp.stft(dsp.read_wav(_workdir(cfg) / row.reverb_path))
+    path = Path(cfg.workdir) / row.reverb_path
+    return dsp.stft(dsp.read_wav(path, _read_upstream(cfg, "make-corpus", path)))
 
 
 def _load_pair(cfg, row):
-    """(reverb, clean) spectrograms for one manifest row; DataError if the
-    clean WAV is not the one make-corpus rendered the reverberant WAV from."""
-    samples, sha256 = corpus.read_clean(row.clean_path)
-    if sha256 != row.clean_sha256:
-        raise DataError(f"{row.clean_path} changed after make-corpus read it (its sha256 "
-                        "is not manifest.csv's); rerun make-corpus")
-    clean = dsp.stft(samples)
-    return _load_reverb(cfg, row), clean
+    """(reverb, clean) spectrograms for one manifest row."""
+    clean = dsp.read_wav(row.clean_path, _read_upstream(cfg, "make-corpus", row.clean_path))
+    return _load_reverb(cfg, row), dsp.stft(clean)
 
 
 def _require_features(cfg, kind, utt) -> np.ndarray:
-    return fileformats.read_features(_upstream(_features_path(cfg, kind, utt), "featurize"))
+    path = _features_path(cfg, kind, utt)
+    return fileformats.read_features(path, _read_upstream(cfg, "featurize", path))
 
 
 def _mvn_logmel(spec) -> np.ndarray:
@@ -300,23 +323,27 @@ def cmd_make_corpus(cfg) -> int:
     if not cfg.clean_dir:
         raise ConfigError("make-corpus needs clean_dir (or --clean-dir)")
     pairs = corpus.scan_clean_dir(cfg.clean_dir)
-    workdir = _workdir(cfg)
-    rows = corpus.build_corpus(
+    workdir = Path(cfg.workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    made = corpus.build_corpus(
         pairs, workdir, cfg.seed,
         nominal_dims=tuple(cfg.nominal_dims),
         rt60_range=tuple(cfg.rt60_range),
         rir_count=cfg.rir_count or None,
         jobs=cfg.jobs,
     )
-    corpus.write_manifest(rows, _manifest_path(cfg))
+    for row, digest in made:  # the record also lists the clean WAVs it read
+        cfg.digests[Path(row.clean_path)] = digest
+        _out(cfg, workdir / row.reverb_path)
+        _out(cfg, workdir / row.rir_path)
+    corpus.write_manifest([row for row, _ in made], _out(cfg, _manifest_path(cfg)))
     _write_run_record(cfg, "make-corpus")
-    print(f"wrote {_manifest_path(cfg)} ({len(rows)} utterances)")
+    print(f"wrote {_manifest_path(cfg)} ({len(made)} utterances)")
     return 0
 
 
 def cmd_featurize(cfg) -> int:
     rows = _manifest_rows(cfg)
-    manifest_sha256 = _manifest_digest(cfg)
     for kind in ("clean", "reverb"):
         _features_dir(cfg, kind).mkdir(parents=True, exist_ok=True)
     for row in rows:
@@ -324,16 +351,15 @@ def cmd_featurize(cfg) -> int:
         clean_feats = _mvn_logmel(clean_spec)
         reverb_feats = _mvn_logmel(reverb_spec)
         reverb_feats, clean_feats = features.align_pairs(reverb_feats, clean_feats)
-        fileformats.write_features(clean_feats, _features_path(cfg, "clean", row.utterance))
-        fileformats.write_features(reverb_feats, _features_path(cfg, "reverb", row.utterance))
-    _write_run_record(cfg, "featurize", {"manifest_sha256": manifest_sha256})
+        for kind, feats in (("clean", clean_feats), ("reverb", reverb_feats)):
+            fileformats.write_features(feats, _out(cfg, _features_path(cfg, kind, row.utterance)))
+    _write_run_record(cfg, "featurize")
     print(f"wrote features for {len(rows)} utterances under {_features_dir(cfg, 'clean').parent}")
     return 0
 
 
 def cmd_fit_fir(cfg) -> int:
     rows = _manifest_rows(cfg, cfg.split)
-    manifest_sha256 = _manifest_digest(cfg)
     out_dir = _fir_dir(cfg)
     out_dir.mkdir(exist_ok=True)
     err_rows = []
@@ -343,27 +369,26 @@ def cmd_fit_fir(cfg) -> int:
             reverb_spec, clean_spec, cfg.p, cfg.q, ridge=cfg.ridge
         )
         # row i holds tap i of every bin, which multiplies x(n + q - i)
-        fileformats.write_spectrogram(taps.T, out_dir / f"{row.utterance}_filters.ncsp")
-        fileformats.write_spectrogram(estimate, _estimate_path(cfg, row.utterance))
-        dsp.write_wav(dsp.istft(estimate), out_dir / f"{row.utterance}_estimate.wav")
+        fileformats.write_spectrogram(taps.T, _out(cfg, out_dir / f"{row.utterance}_filters.ncsp"))
+        fileformats.write_spectrogram(estimate, _out(cfg, _estimate_path(cfg, row.utterance)))
+        dsp.write_wav(dsp.istft(estimate), _out(cfg, out_dir / f"{row.utterance}_estimate.wav"))
         denom = float(np.sum(np.abs(clean_spec) ** 2))
         err_rows.append((row.utterance, float(errors.sum()),
                          float(errors.sum()) / denom if denom else 0.0))
-    fileformats.write_csv(out_dir / "errors.csv",
+    fileformats.write_csv(_out(cfg, out_dir / "errors.csv"),
                           ["utterance", "total_err", "normalized_err"], err_rows)
-    _write_run_record(cfg, "fit-fir", {"manifest_sha256": manifest_sha256})
+    _write_run_record(cfg, "fit-fir")
     print(f"wrote per-bin filters for {len(rows)} utterances under {out_dir}")
     return 0
 
 
 def cmd_sweep_context(cfg) -> int:
-    workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
     pairs = (_load_pair(cfg, row) for row in rows)
     grid = [tuple(cell) for cell in cfg.context_grid]
     sweep_rows = fir.context_sweep(pairs, grid, ridge=cfg.ridge)
-    out = workdir / "context_sweep.csv"
-    fileformats.write_sweep_csv(sweep_rows, out)
+    out = Path(cfg.workdir) / "context_sweep.csv"
+    fileformats.write_sweep_csv(sweep_rows, _out(cfg, out))
     _write_run_record(cfg, "sweep-context")
     print(f"wrote {out} ({len(sweep_rows)} grid cells x {len(rows)} utterances)")
     return 0
@@ -380,7 +405,7 @@ def _dataset_from_rows(cfg, rows):
         paths = [_upstream(_features_path(cfg, kind, row.utterance), "featurize")
                  for row in rows]
         return features.ContextFrames(
-            (fileformats.read_features(path) for path in paths), p, q,
+            (_require_features(cfg, kind, row.utterance) for row in rows), p, q,
             shapes=[fileformats.features_shape(path) for path in paths])
 
     # with p = q = 0 the padded block is the blocks concatenated
@@ -388,8 +413,6 @@ def _dataset_from_rows(cfg, rows):
 
 
 def cmd_train_mlp(cfg) -> int:
-    workdir = _workdir(cfg)
-    _require_corpus_run(cfg, "featurize")
     train_x, train_y = _dataset_from_rows(cfg, _manifest_rows(cfg, "train"))
     try:
         dev_rows = _manifest_rows(cfg, "dev")
@@ -403,9 +426,9 @@ def cmd_train_mlp(cfg) -> int:
     model = mlp.init_model(dims, cfg.seed)
     config = _train_config(cfg)
     best, trace = mlp.train(model, train_x, train_y, config, valid_x, valid_y)
-    mlp.save_model(best, _model_path(cfg), seed=cfg.seed)
+    mlp.save_model(best, _out(cfg, _model_path(cfg)), seed=cfg.seed)
     fileformats.write_csv(
-        workdir / "mlp_loss.csv",
+        _out(cfg, Path(cfg.workdir) / "mlp_loss.csv"),
         ["epoch", "train_mse", "valid_mse", "learning_rate", "batch_mse"],
         trace,
     )
@@ -421,25 +444,26 @@ def cmd_train_mlp(cfg) -> int:
 def _load_model(cfg) -> mlp.MlpModel:
     """train-mlp's model, which serves only the context it was trained on."""
     _require_run(cfg, "train-mlp", ("p", "q"))
-    return mlp.load_model(_upstream(_model_path(cfg), "train-mlp"))
+    path = _model_path(cfg)
+    return mlp.load_model(path, _read_upstream(cfg, "train-mlp", path))
 
 
 def cmd_derev(cfg) -> int:
-    workdir = _workdir(cfg)
-    _require_corpus_run(cfg, "featurize")
+    workdir = Path(cfg.workdir)
     model = _load_model(cfg)
     rows = _manifest_rows(cfg, cfg.split)
     _features_dir(cfg, "derev").mkdir(parents=True, exist_ok=True)
     mses = {"derev": [], "reverb": []}
     header = ["utterance", "n_frames", "mse"]
     # each utterance's MSE rows are written before the next one is loaded
-    with fileformats.csv_rows(workdir / "derev_mse.csv", header) as write_derev, \
-            fileformats.csv_rows(workdir / "reverb_mse.csv", header) as write_reverb:
+    with fileformats.csv_rows(_out(cfg, workdir / "derev_mse.csv"), header) as write_derev, \
+            fileformats.csv_rows(_out(cfg, workdir / "reverb_mse.csv"), header) as write_reverb:
         for row in rows:
             reverb_feats = _require_features(cfg, "reverb", row.utterance)
             clean_feats = _require_features(cfg, "clean", row.utterance)
             estimate = mlp.dereverberate_features(model, reverb_feats, cfg.p, cfg.q)
-            fileformats.write_features(estimate, _features_path(cfg, "derev", row.utterance))
+            fileformats.write_features(estimate,
+                                       _out(cfg, _features_path(cfg, "derev", row.utterance)))
             for name, write_row, feats in (("derev", write_derev, estimate),
                                            ("reverb", write_reverb, reverb_feats)):
                 report_row = diagnostics.mse_row(row.utterance, feats, clean_feats)
@@ -470,8 +494,7 @@ def _stream_override(cfg, utt, name):
 
 
 def cmd_mix_sweep(cfg) -> int:
-    workdir = _workdir(cfg)
-    _require_corpus_run(cfg, "featurize")
+    workdir = Path(cfg.workdir)
     model = _load_model(cfg)
     rows = _manifest_rows(cfg, "dev")
     enhancer_taps = _fit_enhancer(cfg)
@@ -510,9 +533,9 @@ def cmd_mix_sweep(cfg) -> int:
         cell_rows.extend((c.subset, c.config_id, c.lam, c.mse) for c in cells)
         summary_rows.extend((config_id, name, lam) for name, lam in per_subset.items())
         summary_rows.append((config_id, "average", average))
-    fileformats.write_csv(workdir / "mix_sweep.csv",
+    fileformats.write_csv(_out(cfg, workdir / "mix_sweep.csv"),
                           ["subset", "config", "lambda", "mse"], cell_rows)
-    fileformats.write_csv(workdir / "mix_summary.csv",
+    fileformats.write_csv(_out(cfg, workdir / "mix_summary.csv"),
                           ["config", "subset", "optimal_lambda"], summary_rows)
     _write_run_record(cfg, "mix-sweep")
     print(f"wrote {workdir / 'mix_sweep.csv'} ({len(cell_rows)} cells)")
@@ -525,29 +548,26 @@ def _diagnose_one(cfg, row, sums, export_dir=None) -> None:
     ``export_dir`` set, also export the three for inspection."""
     reverb_spec, clean_spec = _load_pair(cfg, row)
     path = _estimate_path(cfg, row.utterance)
-    estimate = fileformats.read_spectrogram(path)
-    if estimate.shape != clean_spec.shape:
-        raise DataError(f"{path} holds shape {estimate.shape}, but the clean "
-                        f"spectrogram is {clean_spec.shape}; rerun fit-fir")
+    estimate = fileformats.read_spectrogram(path, _read_upstream(cfg, "fit-fir", path))
     specs = {"clean": clean_spec, "reverb": reverb_spec, "fir_derev": estimate}
     for name, spec in specs.items():
         sums[name].add(spec)
     if export_dir is not None:
         for name, spec in specs.items():
             stem = export_dir / f"{row.utterance}_{name}"
-            diagnostics.export_spectrogram(spec, f"{stem}.pgm", "pgm")
-            diagnostics.export_spectrogram(_mvn_logmel(spec), f"{stem}_logmel.csv", "csv")
+            diagnostics.export_spectrogram(spec, _out(cfg, f"{stem}.pgm"), "pgm")
+            diagnostics.export_spectrogram(_mvn_logmel(spec), _out(cfg, f"{stem}_logmel.csv"),
+                                           "csv")
 
 
 def cmd_diagnose(cfg) -> int:
-    workdir = _workdir(cfg)
     rows = _manifest_rows(cfg, cfg.split)
-    # fit-fir's estimates serve only the same fit, on the corpus that
-    # manifest.csv now lists
-    _require_corpus_run(cfg, "fit-fir", ("p", "q", "ridge", "split"))
+    # fit-fir's estimates serve only the same fit; a missing one fails
+    # before anything is written
+    _require_run(cfg, "fit-fir", ("p", "q", "ridge", "split"))
     for row in rows:
         _upstream(_estimate_path(cfg, row.utterance), "fit-fir")
-    out_dir = workdir / "diagnostics"
+    out_dir = Path(cfg.workdir) / "diagnostics"
     out_dir.mkdir(exist_ok=True)
     # magnitude trajectories expose the smearing (criterion 5)
     sums = {name: diagnostics.AutocorrSums(cfg.max_lag, magnitude=True)
@@ -557,13 +577,13 @@ def cmd_diagnose(cfg) -> int:
         _diagnose_one(cfg, row, sums, out_dir if i == 0 else None)
     curves = {name: corpus_sums.curve() for name, corpus_sums in sums.items()}
     fileformats.write_csv(
-        out_dir / "autocorr_curves.csv",
+        _out(cfg, out_dir / "autocorr_curves.csv"),
         ["lag", *curves],
         ((lag, *(curve[lag] for curve in curves.values()))
          for lag in range(cfg.max_lag + 1)),
     )
     fileformats.write_csv(
-        out_dir / "tail_mass.csv",
+        _out(cfg, out_dir / "tail_mass.csv"),
         ["corpus", "from_lag", "tail_mass", "skipped_trajectories"],
         ((name, cfg.tail_from_lag,
           diagnostics.tail_mass(curve, cfg.tail_from_lag), sums[name].skipped)

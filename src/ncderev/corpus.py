@@ -2,13 +2,15 @@
 
 Each utterance is convolved with its own impulse response (assignment
 without replacement), gets a deterministic hash-based train/dev/test
-split, and is recorded in a manifest CSV with the sha256 of its clean
-WAV. All randomness derives from (seed, index) pairs so any parallel
-schedule produces identical output.
+split, and is recorded in a manifest CSV. ``build_corpus`` also returns
+the sha256 of each clean WAV's bytes as they were convolved. All
+randomness derives from (seed, index) pairs so any parallel schedule
+produces identical output.
 """
 
 import csv
 import hashlib
+import io
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -31,7 +33,6 @@ class ManifestRow:
     split: str
     gain: float
     clean_path: str
-    clean_sha256: str  # of the clean WAV's bytes that were convolved
     reverb_path: str
     rir_path: str
 
@@ -59,17 +60,12 @@ def scan_clean_dir(clean_dir) -> list:
     return pairs
 
 
-def read_clean(path):
-    """(samples, sha256 hex digest) of one clean WAV, both of the same bytes."""
-    data = Path(path).read_bytes()
-    return dsp.read_wav(path, data), hashlib.sha256(data).hexdigest()
-
-
 def _synthesize_one(task):
     (utt, clean_path, spec, rir_id, out_dir) = task
     out_dir = Path(out_dir)
     # first, so a bad file fails before its room renders
-    clean, clean_sha256 = read_clean(clean_path)
+    data = Path(clean_path).read_bytes()
+    clean = dsp.read_wav(clean_path, data)
     impulse = rir.image_method_rir(spec)
     reverb = dsp.convolve(clean, impulse.taps)
     peak = float(np.max(np.abs(reverb))) if len(reverb) else 0.0
@@ -90,10 +86,9 @@ def _synthesize_one(task):
         split=split_of(utt),
         gain=gain,
         clean_path=str(clean_path),
-        clean_sha256=clean_sha256,
         reverb_path=str(reverb_path.relative_to(out_dir)),
         rir_path=str(rir_path.relative_to(out_dir)),
-    )
+    ), hashlib.sha256(data).hexdigest()
 
 
 def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
@@ -107,7 +102,8 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
             two utterances may share a response.
 
     Returns:
-        Manifest rows sorted by utterance id.
+        (manifest row, sha256 of the clean WAV bytes it convolved) pairs,
+        sorted by utterance id.
     """
     clean_pairs = sorted(clean_pairs)
     n_utts = len(clean_pairs)
@@ -128,32 +124,33 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
         from concurrent.futures import ProcessPoolExecutor  # only paid for when used
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_synthesize_one, tasks))
+            made = list(pool.map(_synthesize_one, tasks))
     else:
-        rows = [_synthesize_one(task) for task in tasks]
-    return sorted(rows, key=lambda r: r.utterance)
+        made = [_synthesize_one(task) for task in tasks]
+    return sorted(made, key=lambda pair: pair[0].utterance)
 
 
 def write_manifest(rows, path) -> None:
     write_csv(path, MANIFEST_COLUMNS, map(astuple, rows))
 
 
-def read_manifest(path) -> list:
-    """Rows of a manifest; ValueError naming the file for a header other
-    than MANIFEST_COLUMNS, a row of another length or a field that does not
+def read_manifest(path, data=None) -> list:
+    """Rows of a manifest; ``data``, when given, holds the file's bytes as
+    already read. ValueError naming the file for a header other than
+    MANIFEST_COLUMNS, a row of another length or a field that does not
     convert to its ManifestRow type."""
     types = [f.type for f in fields(ManifestRow)]
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_COLUMNS:
-            raise ValueError(f"{path}: header {header} is not {MANIFEST_COLUMNS}")
-        rows = []
-        for record in reader:
-            try:
-                if len(record) != len(types):
-                    raise ValueError(f"{len(record)} fields, expected {len(types)}")
-                rows.append(ManifestRow(*(kind(v) for kind, v in zip(types, record))))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+    data = Path(path).read_bytes() if data is None else data
+    reader = csv.reader(io.StringIO(data.decode("ascii"), newline=""))
+    header = next(reader, None)
+    if header != MANIFEST_COLUMNS:
+        raise ValueError(f"{path}: header {header} is not {MANIFEST_COLUMNS}")
+    rows = []
+    for record in reader:
+        try:
+            if len(record) != len(types):
+                raise ValueError(f"{len(record)} fields, expected {len(types)}")
+            rows.append(ManifestRow(*(kind(v) for kind, v in zip(types, record))))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     return rows

@@ -89,9 +89,10 @@ def _block_layout(path, head: bytes, size: int, magic: bytes, ndims: int, cell=(
     return shape, start, stop
 
 
-def _read_block(path, magic: bytes, ndims: int, cell=()):
-    """Read what ``_write_block`` wrote: (values of shape dims + ``cell``, tail)."""
-    raw = Path(path).read_bytes()
+def _read_block(path, magic: bytes, ndims: int, cell=(), data=None):
+    """Read what ``_write_block`` wrote: (values of shape dims + ``cell``, tail).
+    ``data``, when given, holds the file's bytes as already read."""
+    raw = Path(path).read_bytes() if data is None else data
     shape, start, stop = _block_layout(path, raw, len(raw), magic, ndims, cell)
     values = np.frombuffer(raw, dtype="<f4", count=math.prod(shape), offset=start)
     return values.reshape(shape), raw[stop:]
@@ -108,10 +109,10 @@ def write_spectrogram(values, path) -> None:
     _write_block(path, b"NCSP", inter, 2)
 
 
-def read_spectrogram(path) -> np.ndarray:
+def read_spectrogram(path, data=None) -> np.ndarray:
     """Read an NCSP dump back as a complex128 (rows, bins) matrix."""
-    data = _read_block(path, b"NCSP", 2, (2,))[0].astype(np.float64)
-    return data[:, :, 0] + 1j * data[:, :, 1]
+    values = _read_block(path, b"NCSP", 2, (2,), data)[0].astype(np.float64)
+    return values[:, :, 0] + 1j * values[:, :, 1]
 
 
 def write_features(feats, path) -> None:
@@ -122,8 +123,8 @@ def write_features(feats, path) -> None:
     _write_block(path, b"NCFT", feats, 2)
 
 
-def read_features(path) -> np.ndarray:
-    return _read_block(path, b"NCFT", 2)[0].astype(np.float64)
+def read_features(path, data=None) -> np.ndarray:
+    return _read_block(path, b"NCFT", 2, data=data)[0].astype(np.float64)
 
 
 def features_shape(path) -> tuple:

@@ -13,6 +13,7 @@ loss drives the schedule, so the train set is forwarded every epoch.
 import base64
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -367,9 +368,10 @@ def _layer_block(path, i, layer, key, shape):
     return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
 
 
-def load_model(path) -> MlpModel:
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+def load_model(path, data=None) -> MlpModel:
+    """Read what ``save_model`` wrote; ``data``, when given, holds the
+    file's bytes as already read."""
+    payload = json.loads((Path(path).read_bytes() if data is None else data).decode("ascii"))
     if not isinstance(payload, dict) or not {"layer_dims", "layers"} <= payload.keys():
         raise ValueError(f"model file {path} needs the keys layer_dims and layers")
     try:

@@ -278,9 +278,11 @@ class TestConfigHandling:
             assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     def test_missing_upstream_artifact(self, tmp_path):
+        # only make-corpus creates the workdir; a mistyped one is left absent
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"workdir": str(tmp_path)}))
+        cfg.write_text(json.dumps({"workdir": str(tmp_path / "absent")}))
         assert cli.main(["featurize", "--config", str(cfg)]) == 3
+        assert not (tmp_path / "absent").exists()
 
 
 class TestPipeline:
@@ -622,6 +624,7 @@ def test_train_mlp_without_dev_split_trains_on_the_train_loss(built_corpus, tmp_
     rows = [dataclasses.replace(r, split="test") if r.split == "dev" else r
             for r in corpus.read_manifest(workdir / "manifest.csv")]
     corpus.write_manifest(rows, workdir / "manifest.csv")
+    _rerecord(workdir, "make-corpus", workdir / "manifest.csv")
     (workdir / "runs" / "train-mlp.json").unlink(missing_ok=True)
     assert cli.main(["featurize", "--config", str(config_path)]) == 0  # for this manifest
     assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
@@ -655,6 +658,19 @@ def _copy_of(fitted, tmp_path):
     return cfg, copy
 
 
+def _sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _rerecord(workdir, producer, path):
+    """Record the sha256 of ``path``, a file in ``workdir``, in ``producer``'s
+    run record, as if ``producer`` had written it as it now is."""
+    record_path = workdir / "runs" / f"{producer}.json"
+    record = json.loads(record_path.read_text())
+    record["digests"][path.relative_to(workdir).as_posix()] = _sha256_of(path)
+    record_path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
 @pytest.mark.parametrize("key, value", [
     ("p", 3), ("q", 1), ("ridge", 0.5), ("split", "test"),
 ])
@@ -682,25 +698,17 @@ def test_diagnose_missing_estimate_is_data_error(fitted_all, tmp_path, capsys):
     assert not (workdir / "diagnostics").exists()
 
 
-def test_diagnose_estimate_of_wrong_shape_is_data_error(fitted_all, tmp_path, capsys):
-    config_path, workdir = _copy_of(fitted_all, tmp_path)
-    path = workdir / "fir" / "utt002_estimate.ncsp"
-    estimate = fileformats.read_spectrogram(path)
-    fileformats.write_spectrogram(estimate[:-1], path)
-    assert cli.main(["diagnose", "--config", str(config_path)]) == 3
-    err = capsys.readouterr().err
-    assert "utt002_estimate.ncsp" in err and "shape" in err
-
-
 @pytest.mark.parametrize("command, artifact, size", [
     ("train-mlp", "features/reverb/utt000.ncft", 6),
     ("diagnose", "fir/utt002_estimate.ncsp", 4),
 ])
 def test_truncated_artifact_is_data_error(fitted_all, tmp_path, capsys, command,
                                           artifact, size):
+    # recorded as its producer's output, so the reader meets the damage
     config_path, workdir = _copy_of(fitted_all, tmp_path)
     path = workdir / artifact
     path.write_bytes(path.read_bytes()[:size])
+    _rerecord(workdir, {"train-mlp": "featurize", "diagnose": "fit-fir"}[command], path)
     assert cli.main([command, "--config", str(config_path)]) == 3
     assert f"truncated {path.suffix[1:].upper()} file {path}" in capsys.readouterr().err
 
@@ -714,8 +722,11 @@ def test_malformed_manifest_is_data_error(fitted_all, tmp_path, capsys, damage):
     for i in damaged:  # rir_path is the last column
         lines[i] = lines[i].rsplit(",", 1)[0]
     path.write_text("\n".join(lines) + "\n")
+    _rerecord(workdir, "make-corpus", path)
     assert cli.main(["fit-fir", "--config", str(config_path)]) == 3
-    assert f"data error: {path}" in capsys.readouterr().err
+    message = {"missing column": ": header ['utterance',",
+               "short row": " line 3: 8 fields, expected 9"}[damage]
+    assert f"data error: {path}{message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["derev", "mix-sweep"])
@@ -759,6 +770,7 @@ def test_malformed_model_json_is_data_error(trained, tmp_path, capsys, damage):
     else:
         del payload[damage[3:]]
     path.write_text(json.dumps(payload))
+    _rerecord(workdir, "train-mlp", path)
     assert cli.main(["derev", "--config", str(config_path)]) == 3
     assert f"data error: model file {path}" in capsys.readouterr().err
 
@@ -786,15 +798,26 @@ def test_malformed_model_layer_is_data_error(trained, tmp_path, capsys, command,
     else:  # one float more
         layer["bias"] = base64.b64encode(base64.b64decode(layer["bias"]) + bytes(4)).decode()
     path.write_text(json.dumps(payload))
+    _rerecord(workdir, "train-mlp", path)
     assert cli.main([command, "--config", str(config_path)]) == 3
     assert f"data error: model file {path}: {message}" in capsys.readouterr().err
 
 
+def _fingerprint(record):
+    """sha256 of a run record's digests map, serialized with sorted keys."""
+    return hashlib.sha256(json.dumps(record["digests"], sort_keys=True).encode()).hexdigest()
+
+
 def test_fit_fir_records_the_manifest_digest(fitted_all):
+    # fit-fir lists the sha256 of each file it wrote, and make-corpus's
+    # digests, which hold the manifest's, by their fingerprint
     _, workdir = fitted_all
     record = json.loads((workdir / "runs" / "fit-fir.json").read_text())
-    assert record["manifest_sha256"] == hashlib.sha256(
-        (workdir / "manifest.csv").read_bytes()).hexdigest()
+    corpus_record = json.loads((workdir / "runs" / "make-corpus.json").read_text())
+    assert corpus_record["digests"]["manifest.csv"] == _sha256_of(workdir / "manifest.csv")
+    assert record["reads"] == {"make-corpus": _fingerprint(corpus_record)}
+    assert record["digests"] == {f"fir/{path.name}": _sha256_of(path)
+                                 for path in (workdir / "fir").iterdir()}
 
 
 def test_diagnose_rejects_estimates_of_an_older_corpus(fitted_all, tmp_path, capsys):
@@ -802,7 +825,8 @@ def test_diagnose_rejects_estimates_of_an_older_corpus(fitted_all, tmp_path, cap
     assert cli.main(["make-corpus", "--config", str(config_path), "--seed", "7"]) == 0
     capsys.readouterr()
     assert cli.main(["diagnose", "--config", str(config_path)]) == 3
-    assert "another manifest.csv" in capsys.readouterr().err
+    assert ("fit-fir ran on make-corpus outputs that have changed since "
+            f"({workdir / 'runs' / 'fit-fir.json'}); rerun fit-fir") in capsys.readouterr().err
     assert not (workdir / "diagnostics").exists()
 
 
@@ -812,64 +836,122 @@ def test_features_of_an_older_corpus_are_data_error(trained, tmp_path, capsys, c
     # features stale until featurize runs again
     config_path, workdir = _copy_of(trained, tmp_path)
     record = workdir / "runs" / "featurize.json"
-    featurized = hashlib.sha256((workdir / "manifest.csv").read_bytes()).hexdigest()
+    featurized = _fingerprint(json.loads((workdir / "runs" / "make-corpus.json").read_text()))
     assert cli.main(["make-corpus", "--config", str(config_path), "--seed", "7"]) == 0
     capsys.readouterr()
     assert cli.main([command, "--config", str(config_path)]) == 3
-    assert f"featurize ran on another manifest.csv than the current one ({record})" in \
-        capsys.readouterr().err
-    assert json.loads(record.read_text())["manifest_sha256"] == featurized
-
-
-@pytest.mark.parametrize("command", ["featurize", "fit-fir", "diagnose"])
-def test_listed_clean_wav_of_another_rate_is_data_error(fitted_all, tmp_path, capsys,
-                                                         command):
-    # every command that reads a clean WAV rejects one at another rate
-    config_path, workdir = _copy_of(fitted_all, tmp_path)
-    clean = tmp_path / "clean"
-    clean.mkdir()
-    rows = corpus.read_manifest(workdir / "manifest.csv")
-    for row in rows:
-        shutil.copy(row.clean_path, clean)
-    corpus.write_manifest([dataclasses.replace(r, clean_path=str(clean / f"{r.utterance}.wav"))
-                           for r in rows], workdir / "manifest.csv")
-    assert cli.main(["fit-fir", "--config", str(config_path)]) == 0  # for this manifest
-    path = clean / "utt002.wav"
-    write_wav_at_rate(synth_speech(np.random.default_rng(3), sample_rate=8000, duration=0.8),
-                      path, 8000)
-    capsys.readouterr()
-    assert cli.main([command, "--config", str(config_path)]) == 3
-    assert f"data error: {path} is sampled at 8000 Hz" in capsys.readouterr().err
+    assert (f"featurize ran on make-corpus outputs that have changed since ({record}); "
+            "rerun featurize") in capsys.readouterr().err
+    assert json.loads(record.read_text())["reads"] == {"make-corpus": featurized}
 
 
 @pytest.fixture(scope="module")
-def replaced_clean(base_config, clean_dir, tmp_path_factory):
-    """A corpus built and run through train-mlp and fit-fir (split all) on
-    its own copy of the clean WAVs, after which utt000.wav is overwritten
-    with another 16 kHz utterance; returns ((config path, workdir), utt000.wav)."""
+def pipeline_root(base_config, clean_dir, tmp_path_factory):
+    """A directory holding clean/, work/ and config.json, whose paths are
+    relative to it, where make-corpus, featurize, fit-fir (split all) and
+    train-mlp ran; so a copy of the directory is a corpus of its own."""
     config_path, _ = base_config
-    root = tmp_path_factory.mktemp("replaced")
-    clean = shutil.copytree(clean_dir, root / "clean")
-    cfg = root / "config.json"
-    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()), split="all",
-                                   clean_dir=str(clean), workdir=str(root / "work"))))
-    for command in ("make-corpus", "featurize", "fit-fir", "train-mlp"):
-        assert cli.main([command, "--config", str(cfg)]) == 0
-    write_wav(synth_speech(np.random.default_rng(91), duration=0.8), clean / "utt000.wav")
-    return (cfg, root / "work"), clean / "utt000.wav"
+    root = tmp_path_factory.mktemp("root")
+    shutil.copytree(clean_dir, root / "clean")
+    (root / "config.json").write_text(json.dumps(dict(
+        json.loads(config_path.read_text()), split="all", clean_dir="clean", workdir="work")))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        for command in ("make-corpus", "featurize", "fit-fir", "train-mlp"):
+            assert cli.main([command, "--config", "config.json"]) == 0
+    return root
+
+
+@pytest.fixture
+def root_copy(pipeline_root, tmp_path, monkeypatch):
+    """A copy of ``pipeline_root``, made the working directory."""
+    root = shutil.copytree(pipeline_root, tmp_path / "root")
+    monkeypatch.chdir(root)
+    return root
+
+
+def _unrecorded(producer, path):
+    """The error for ``path`` (relative) when it is not as ``producer`` recorded it."""
+    return (f"data error: {path} is not the file that work/runs/{producer}.json records; "
+            f"rerun {producer}")
 
 
 @pytest.mark.parametrize("command",
                          ["featurize", "fit-fir", "sweep-context", "mix-sweep", "diagnose"])
-def test_clean_wav_replaced_after_make_corpus_is_data_error(replaced_clean, tmp_path,
-                                                            capsys, command):
+def test_clean_wav_replaced_after_make_corpus_is_data_error(root_copy, capsys, command):
     # make-corpus records each clean WAV's sha256; every command that reads
     # the clean WAVs (mix-sweep for its enhancer's train fit) compares it
-    fitted, path = replaced_clean
-    config_path, _ = _copy_of(fitted, tmp_path)
-    capsys.readouterr()
-    assert cli.main([command, "--config", str(config_path)]) == 3
-    assert f"data error: {path} changed after make-corpus read it" in capsys.readouterr().err
+    write_wav(synth_speech(np.random.default_rng(91), duration=0.8), Path("clean/utt000.wav"))
+    assert cli.main([command, "--config", "config.json"]) == 3
+    assert _unrecorded("make-corpus", "clean/utt000.wav") in capsys.readouterr().err
+
+
+def _scaled(factor, rows=slice(None)):
+    """Replaces an NCFT or NCSP file by its values times ``factor``, cut to ``rows``."""
+    def replace(path):
+        read, write = ((fileformats.read_features, fileformats.write_features)
+                       if path.suffix == ".ncft" else
+                       (fileformats.read_spectrogram, fileformats.write_spectrogram))
+        write(factor * read(path)[rows], path)
+    return replace
+
+
+def _other_manifest_gain(path):
+    rows = corpus.read_manifest(path)
+    corpus.write_manifest([dataclasses.replace(rows[0], gain=rows[0].gain / 2)] + rows[1:], path)
+
+
+REPLACEMENTS = {
+    # 16 kHz speech of another utterance
+    "reverb": ("make-corpus", "work/reverb/utt000.wav", lambda path: write_wav(
+        synth_speech(np.random.default_rng(91), duration=0.8), path)),
+    # the reader would reject the rate, but the digest check comes first
+    "clean-8khz": ("make-corpus", "clean/utt000.wav", lambda path: write_wav_at_rate(
+        synth_speech(np.random.default_rng(3), sample_rate=8000, duration=0.8), path, 8000)),
+    # utt001 is the dev utterance, which every consumer of features reads
+    "features": ("featurize", "work/features/clean/utt001.ncft", _scaled(2.0)),
+    "estimate": ("fit-fir", "work/fir/utt002_estimate.ncsp", _scaled(2.0)),
+    "estimate-shape": ("fit-fir", "work/fir/utt002_estimate.ncsp", _scaled(1.0, slice(-1))),
+    "model": ("train-mlp", "work/mlp_model.json", lambda path: mlp.save_model(
+        mlp.init_model(mlp.load_model(path).layer_dims, 99), path)),
+    "manifest": ("make-corpus", "work/manifest.csv", _other_manifest_gain),
+}
+WAV_READERS = ["featurize", "fit-fir", "sweep-context", "mix-sweep", "diagnose"]
+
+
+@pytest.mark.parametrize("artifact, command", [
+    *(("reverb", c) for c in WAV_READERS),
+    *(("clean-8khz", c) for c in WAV_READERS),
+    *(("features", c) for c in ("train-mlp", "derev", "mix-sweep")),
+    ("estimate", "diagnose"),
+    ("estimate-shape", "diagnose"),
+    *(("model", c) for c in ("derev", "mix-sweep")),
+    *(("manifest", c) for c in cli.COMMANDS if c != "make-corpus"),
+])
+def test_artifact_replaced_after_its_producer_ran_is_data_error(root_copy, capsys, artifact,
+                                                                command):
+    # each consumer reads an upstream file only if its sha256 is the one
+    # that the file's producer recorded
+    producer, path, replace = REPLACEMENTS[artifact]
+    replace(Path(path))
+    assert cli.main([command, "--config", "config.json"]) == 3
+    assert _unrecorded(producer, path) in capsys.readouterr().err
+
+
+def test_every_artifact_is_listed_in_one_run_record(root_copy):
+    # after the whole pipeline, each workdir file is in the digests of the
+    # one command that wrote it, and make-corpus also lists the clean WAVs
+    for command in ("sweep-context", "derev", "mix-sweep", "diagnose"):
+        assert cli.main([command, "--config", "config.json"]) == 0
+    work = root_copy / "work"
+    files = {path.relative_to(work).as_posix(): _sha256_of(path)
+             for path in work.rglob("*") if path.is_file() and path.parent.name != "runs"}
+    files.update({f"clean/{utt}.wav": _sha256_of(root_copy / "clean" / f"{utt}.wav")
+                  for utt in UTTS})
+    listed = [item for record in sorted((work / "runs").iterdir())
+              for item in json.loads(record.read_text())["digests"].items()]
+    assert sorted(listed) == sorted(files.items())
+    assert len(list((work / "runs").iterdir())) == len(cli.COMMANDS)
 
 
 def test_diagnose_holds_one_utterance_at_a_time(fitted_all, monkeypatch):
@@ -945,10 +1027,12 @@ def test_mix_summary_lists_bands_in_order(trained, tmp_path):
     rows = [dataclasses.replace(r, rt60=next(rt60s)) if r.split == "dev" else r
             for r in rows]
     corpus.write_manifest(rows, copy / "manifest.csv")
+    _rerecord(copy, "make-corpus", copy / "manifest.csv")
     override = dict(json.loads(config_path.read_text()), workdir=str(copy), n_subsets=12)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(override))
-    assert cli.main(["featurize", "--config", str(cfg)]) == 0  # for this manifest
+    for command in ("featurize", "train-mlp"):  # for this manifest
+        assert cli.main([command, "--config", str(cfg)]) == 0
     assert cli.main(["mix-sweep", "--config", str(cfg)]) == 0
     summary = [line.split(",")
                for line in (copy / "mix_summary.csv").read_text().splitlines()[1:]]
@@ -967,9 +1051,14 @@ def test_jobs_parallel_corpus_matches_serial(clean_dir, tmp_path):
     pb.write_text(json.dumps(cfg_b))
     assert cli.main(["make-corpus", "--config", str(pa)]) == 0
     assert cli.main(["make-corpus", "--config", str(pb)]) == 0
-    for rel in ["reverb/utt000.wav", "reverb/utt003.wav", "rirs/rir00000.ncir"]:
+    for rel in ["reverb/utt000.wav", "reverb/utt003.wav", "rirs/rir00000.ncir", "manifest.csv"]:
         assert ((tmp_path / "a" / rel).read_bytes()
                 == (tmp_path / "b" / rel).read_bytes())
+    # the records differ in config.jobs and config.workdir, not in what they list
+    records = [json.loads((tmp_path / side / "runs" / "make-corpus.json").read_text())
+               for side in ("a", "b")]
+    assert records[0]["digests"] == records[1]["digests"]
+    assert len(records[0]["digests"]) == 3 * len(UTTS) + 1
 
 
 def test_benchmark_workload_configs_are_accepted(tmp_path):
@@ -1012,21 +1101,23 @@ def test_benchmark_traced_functions_exist():
     assert "inputs" in inspect.signature(mlp.train).parameters
 
 
-def test_benchmark_train_mlp_check_passes(trained, tmp_path, monkeypatch):
-    # perfbench's own output check of train-mlp, run on a train-mlp run set
-    # up as the benchmark sets it (more halvings than epochs), so a change to
-    # mlp_loss.csv or the model file that the benchmark rejects fails here
-    config_path, workdir = _copy_of(trained, tmp_path)
-    config = json.loads(config_path.read_text())
-    config_path.write_text(json.dumps(dict(config, max_halvings=config["epochs"] + 1)))
-    assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
+def test_benchmark_train_mlp_check_passes(root_copy, monkeypatch):
+    # perfbench's own output checks of all eight commands, run on a pipeline
+    # whose train-mlp is set up as the benchmark sets it (more halvings than
+    # epochs), so a change to an artifact that the benchmark rejects fails here
+    config = json.loads(Path("config.json").read_text())
+    Path("config.json").write_text(json.dumps(dict(config, max_halvings=config["epochs"] + 1)))
+    for command in ("train-mlp", "sweep-context", "derev", "mix-sweep", "diagnose"):
+        assert cli.main([command, "--config", "config.json"]) == 0
+    workdir = root_copy / "work"
     resolved = json.loads((workdir / "runs" / "train-mlp.json").read_text())["config"]
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     names = ("checks", "artifacts", "workloads")
     assert not set(names) & set(sys.modules)
     try:
         checks = importlib.import_module("checks")
-        assert checks.check_train_mlp(checks.Corpus(workdir, resolved)) == []
+        problems = checks.check_pipeline(workdir, resolved)
+        assert problems == {command: [] for command in cli.COMMANDS}
     finally:
         for name in names:
             sys.modules.pop(name, None)

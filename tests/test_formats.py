@@ -152,7 +152,7 @@ def test_manifest_roundtrip_name_with_comma(tmp_path):
     row = corpus.ManifestRow(
         utterance="b,comma", rir_id=3, rt60=0.5, distance=1.25, split="train",
         gain=1.0, clean_path=str(tmp_path / "clean" / "b,comma.wav"),
-        clean_sha256="0" * 64, reverb_path="reverb/b,comma.wav", rir_path="rirs/rir00003.ncir",
+        reverb_path="reverb/b,comma.wav", rir_path="rirs/rir00003.ncir",
     )
     path = tmp_path / "manifest.csv"
     corpus.write_manifest([row], path)
