@@ -2,9 +2,11 @@
 
 Subcommands: make-corpus, fit-fir, sweep-context, featurize, train-mlp,
 derev, mix-sweep, diagnose. Common flags: --config (JSON), --seed,
---workdir; each command also takes flags for the config keys it reads
-(FLAGS). Explicit flags override the config file, which overrides
-built-in defaults.
+--workdir; each command also takes flags for config keys it reads
+(FLAGS), and featurize reads none beyond these. Explicit flags override
+the config file, which overrides built-in defaults. Each command works
+on every utterance of its split, and mix-sweep tunes all four mixtures
+of ``mixing.STREAMS_BY_CONFIG``.
 
 Every command is deterministic given config + seed (no wall-clock
 seeding) and writes a reproducibility record to workdir/runs/, which
@@ -18,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +62,6 @@ class ExperimentConfig:
         [0, 0], [1, 1], [2, 2], [5, 5], [10, 10], [0, 20], [20, 0],
     ])
     split: str = "test"
-    limit: int = 0  # 0 means no cap on utterances
     hidden_width: int = 128
     hidden_layers: int = 3
     learning_rate: float = 1.0
@@ -73,7 +74,6 @@ class ExperimentConfig:
     lambda_grid: list = field(default_factory=lambda: [
         round(0.05 * i, 2) for i in range(21)
     ])
-    mix_configs: list = field(default_factory=lambda: [1, 2, 3, 4])
     n_subsets: int = 2
     streams_dir: str = ""
     max_lag: int = 100
@@ -108,9 +108,9 @@ class ExperimentConfig:
             self.ridge = float(self.ridge)
             if not 0.0 <= self.ridge < float("inf"):
                 raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
-        for name, low in (("p", 0), ("q", 0), ("enhancer_p", 0), ("limit", 0),
-                          ("n_subsets", 1), ("hidden_width", 1),
-                          ("hidden_layers", 0), ("rir_count", 0), ("jobs", 1)):
+        for name, low in (("p", 0), ("q", 0), ("enhancer_p", 0), ("n_subsets", 1),
+                          ("hidden_width", 1), ("hidden_layers", 0), ("rir_count", 0),
+                          ("jobs", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 <= self.tail_from_lag <= self.max_lag:
@@ -132,12 +132,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"lambda_grid must be a non-empty list of values in [0, 1], "
                 f"got {self.lambda_grid}")
-        if not self.mix_configs or not all(
-                type(v) is int and v in mixing.STREAMS_BY_CONFIG
-                for v in self.mix_configs):
-            raise ConfigError(
-                f"mix_configs must be a non-empty list of ids in "
-                f"{sorted(mixing.STREAMS_BY_CONFIG)}, got {self.mix_configs}")
         # the messages of these checks name the key
         try:
             _train_config(self)
@@ -286,16 +280,18 @@ def _train_config(cfg) -> mlp.TrainConfig:
     return mlp.TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(mlp.TrainConfig)})
 
 
-def _manifest_rows(cfg, split=None):
+def _manifest_rows(cfg):
     path = _manifest_path(cfg)
-    rows = corpus.read_manifest(path, _read_upstream(cfg, "make-corpus", path))
-    if split and split != "all":
-        rows = [r for r in rows if r.split == split]
-        if not rows:
-            raise DataError(f"no utterances in split {split!r}")
-    if cfg.limit:
-        rows = rows[:cfg.limit]
-    return rows
+    return corpus.read_manifest(path, _read_upstream(cfg, "make-corpus", path))
+
+
+def _split_rows(rows, split):
+    """The manifest rows of ``split`` ("all" keeps every row); DataError
+    if there are none."""
+    picked = [r for r in rows if split in ("all", r.split)]
+    if not picked:
+        raise DataError(f"no utterances in split {split!r}")
+    return picked
 
 
 def _load_reverb(cfg, row):
@@ -359,7 +355,7 @@ def cmd_featurize(cfg) -> int:
 
 
 def cmd_fit_fir(cfg) -> int:
-    rows = _manifest_rows(cfg, cfg.split)
+    rows = _split_rows(_manifest_rows(cfg), cfg.split)
     out_dir = _fir_dir(cfg)
     out_dir.mkdir(exist_ok=True)
     err_rows = []
@@ -383,12 +379,13 @@ def cmd_fit_fir(cfg) -> int:
 
 
 def cmd_sweep_context(cfg) -> int:
-    rows = _manifest_rows(cfg, cfg.split)
+    rows = _split_rows(_manifest_rows(cfg), cfg.split)
     pairs = (_load_pair(cfg, row) for row in rows)
     grid = [tuple(cell) for cell in cfg.context_grid]
     sweep_rows = fir.context_sweep(pairs, grid, ridge=cfg.ridge)
     out = Path(cfg.workdir) / "context_sweep.csv"
-    fileformats.write_sweep_csv(sweep_rows, _out(cfg, out))
+    fileformats.write_csv(_out(cfg, out), [f.name for f in fields(fir.SweepRow)],
+                          map(astuple, sweep_rows))
     _write_run_record(cfg, "sweep-context")
     print(f"wrote {out} ({len(sweep_rows)} grid cells x {len(rows)} utterances)")
     return 0
@@ -413,13 +410,11 @@ def _dataset_from_rows(cfg, rows):
 
 
 def cmd_train_mlp(cfg) -> int:
-    train_x, train_y = _dataset_from_rows(cfg, _manifest_rows(cfg, "train"))
-    try:
-        dev_rows = _manifest_rows(cfg, "dev")
-    except DataError:  # no dev utterances: the training loss drives the schedule
-        valid_x = valid_y = None
-    else:
-        valid_x, valid_y = _dataset_from_rows(cfg, dev_rows)
+    rows = _manifest_rows(cfg)
+    train_x, train_y = _dataset_from_rows(cfg, _split_rows(rows, "train"))
+    dev_rows = [r for r in rows if r.split == "dev"]
+    # no dev utterances: the training loss drives the schedule
+    valid_x, valid_y = _dataset_from_rows(cfg, dev_rows) if dev_rows else (None, None)
     n_mels = len(MEL_BANK)
     dims = ([(cfg.p + cfg.q + 1) * n_mels]
             + [cfg.hidden_width] * cfg.hidden_layers + [n_mels])
@@ -451,38 +446,35 @@ def _load_model(cfg) -> mlp.MlpModel:
 def cmd_derev(cfg) -> int:
     workdir = Path(cfg.workdir)
     model = _load_model(cfg)
-    rows = _manifest_rows(cfg, cfg.split)
+    rows = _split_rows(_manifest_rows(cfg), cfg.split)
     _features_dir(cfg, "derev").mkdir(parents=True, exist_ok=True)
-    mses = {"derev": [], "reverb": []}
-    header = ["utterance", "n_frames", "mse"]
-    # each utterance's MSE rows are written before the next one is loaded
-    with fileformats.csv_rows(_out(cfg, workdir / "derev_mse.csv"), header) as write_derev, \
-            fileformats.csv_rows(_out(cfg, workdir / "reverb_mse.csv"), header) as write_reverb:
-        for row in rows:
-            reverb_feats = _require_features(cfg, "reverb", row.utterance)
-            clean_feats = _require_features(cfg, "clean", row.utterance)
-            estimate = mlp.dereverberate_features(model, reverb_feats, cfg.p, cfg.q)
-            fileformats.write_features(estimate,
-                                       _out(cfg, _features_path(cfg, "derev", row.utterance)))
-            for name, write_row, feats in (("derev", write_derev, estimate),
-                                           ("reverb", write_reverb, reverb_feats)):
-                report_row = diagnostics.mse_row(row.utterance, feats, clean_feats)
-                write_row(report_row)
-                mses[name].append(report_row[2])
-    means = {name: diagnostics.corpus_mse(values) for name, values in mses.items()}
+    reports = {"derev": [], "reverb": []}
+    for row in rows:
+        reverb_feats = _require_features(cfg, "reverb", row.utterance)
+        clean_feats = _require_features(cfg, "clean", row.utterance)
+        estimate = mlp.dereverberate_features(model, reverb_feats, cfg.p, cfg.q)
+        fileformats.write_features(estimate,
+                                   _out(cfg, _features_path(cfg, "derev", row.utterance)))
+        for name, feats in (("derev", estimate), ("reverb", reverb_feats)):
+            reports[name].append(diagnostics.mse_row(row.utterance, feats, clean_feats))
+    for name, report in reports.items():
+        fileformats.write_csv(_out(cfg, workdir / f"{name}_mse.csv"),
+                              ["utterance", "n_frames", "mse"], report)
+    means = {name: diagnostics.corpus_mse([mse for _, _, mse in report])
+             for name, report in reports.items()}
     _write_run_record(cfg, "derev")
     print(f"corpus MSE: derev {means['derev']!r} vs reverb {means['reverb']!r} "
           f"({len(rows)} utterances)")
     return 0
 
 
-def _fit_enhancer(cfg):
+def _fit_enhancer(cfg, rows):
     """None for "identity", else the (bins, enhancer_p + 1) taps of per-bin
-    causal filters fitted on the train split."""
+    causal filters fitted on the train split of the manifest ``rows``."""
     if cfg.enhancer == "identity":
         return None
     # one train pair in memory at a time: the fit sums their Grams as they come
-    pairs = (_load_pair(cfg, row) for row in _manifest_rows(cfg, "train"))
+    pairs = (_load_pair(cfg, row) for row in _split_rows(rows, "train"))
     return fir.fit_pooled_filters(pairs, cfg.enhancer_p, 0, cfg.ridge)
 
 
@@ -496,14 +488,17 @@ def _stream_override(cfg, utt, name):
 def cmd_mix_sweep(cfg) -> int:
     workdir = Path(cfg.workdir)
     model = _load_model(cfg)
-    rows = _manifest_rows(cfg, "dev")
-    enhancer_taps = _fit_enhancer(cfg)
+    manifest = _manifest_rows(cfg)
+    rows = _split_rows(manifest, "dev")
+    overrides = [{name: _stream_override(cfg, row.utterance, name) for name in mixing.STREAMS}
+                 for row in rows]
+    # the enhancer serves only utterances without a ref_enhanced stream file
+    enhancer_taps = (_fit_enhancer(cfg, manifest)
+                     if any(streams["ref_enhanced"] is None for streams in overrides) else None)
 
     utterances = []
-    for row in rows:
+    for row, streams in zip(rows, overrides):
         clean_feats = _require_features(cfg, "clean", row.utterance)
-        streams = {name: _stream_override(cfg, row.utterance, name)
-                   for name in mixing.STREAMS}
         if streams["reverb"] is None:
             streams["reverb"] = _require_features(cfg, "reverb", row.utterance)
         if streams["ref_enhanced"] is None:
@@ -526,7 +521,7 @@ def cmd_mix_sweep(cfg) -> int:
 
     cell_rows = []
     summary_rows = []
-    for config_id in cfg.mix_configs:
+    for config_id in mixing.STREAMS_BY_CONFIG:
         per_subset, average, cells = mixing.lambda_sweep(
             subsets, cfg.lambda_grid, config_id
         )
@@ -561,7 +556,7 @@ def _diagnose_one(cfg, row, sums, export_dir=None) -> None:
 
 
 def cmd_diagnose(cfg) -> int:
-    rows = _manifest_rows(cfg, cfg.split)
+    rows = _split_rows(_manifest_rows(cfg), cfg.split)
     # fit-fir's estimates serve only the same fit; a missing one fails
     # before anything is written
     _require_run(cfg, "fit-fir", ("p", "q", "ridge", "split"))
@@ -613,14 +608,14 @@ COMMANDS = {
 # key that it reads, named after the key with "-" for "_"
 FLAGS = {
     "make-corpus": ("--clean-dir", "--rir-count", "--jobs"),
-    "featurize": ("--limit",),
-    "fit-fir": ("--split", "--limit", "--p", "--q"),
-    "sweep-context": ("--split", "--limit"),
-    "train-mlp": ("--limit", "--p", "--q", "--epochs", "--hidden-width",
-                  "--learning-rate", "--batch-size"),
-    "derev": ("--split", "--limit", "--p", "--q"),
-    "mix-sweep": ("--limit", "--p", "--q", "--enhancer", "--streams-dir"),
-    "diagnose": ("--split", "--limit", "--p", "--q", "--max-lag"),
+    "featurize": (),
+    "fit-fir": ("--split", "--p", "--q"),
+    "sweep-context": ("--split",),
+    "train-mlp": ("--p", "--q", "--epochs", "--hidden-width", "--learning-rate",
+                  "--batch-size"),
+    "derev": ("--split", "--p", "--q"),
+    "mix-sweep": ("--p", "--q", "--enhancer", "--streams-dir"),
+    "diagnose": ("--split", "--p", "--q", "--max-lag"),
 }
 CHOICES = {"split": SPLITS, "enhancer": mixing.ENHANCERS}
 

@@ -4,26 +4,26 @@ Binary formats (all little-endian) open with one block: the 4-byte magic
 that names the format, u32 dims, then the row-major f32 payload they declare.
     NCSP: complex matrix; dims rows, bins; (re, im) pairs per cell. The
           rows are frames for spectrograms and taps for fit-fir's filters.
-    NCIR: impulse response; dims tap count; then the room spec and what
-          calibration measured (measured_rt60, renders, images) as a
-          trailing key=value text block.
+    NCIR: impulse response; dims tap count; then the room spec, the rate
+          and tap budget (sample_rate, max_rir_len) and what calibration
+          measured (measured_rt60, renders, images) as a trailing
+          key=value text block.
     NCFT: feature matrix; dims rows, cols.
 
 CSV outputs use repr() for floats (shortest round-trip form), which keeps
 rerun outputs byte-identical.
 """
 
-import contextlib
 import csv
 import math
 import os
 import struct
-from dataclasses import astuple, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .fir import SweepRow
+from .dsp import SAMPLE_RATE
 from .rir import Rir, RoomSpec
 
 
@@ -35,10 +35,9 @@ def fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-@contextlib.contextmanager
-def csv_rows(path, header):
-    """Open a CSV for writing one row at a time; yields a function that
-    writes one row of mixed scalars with deterministic float formatting.
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of mixed scalars with deterministic float
+    formatting.
 
     Fields holding a comma or a quote are quoted, so any reader that
     follows RFC 4180 (such as Python's csv module) gets them back intact.
@@ -46,14 +45,7 @@ def csv_rows(path, header):
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        yield lambda row: writer.writerow([fmt(v) for v in row])
-
-
-def write_csv(path, header, rows) -> None:
-    """Write all rows at once, formatted as by ``csv_rows``."""
-    with csv_rows(path, header) as write_row:
-        for row in rows:
-            write_row(row)
+        writer.writerows([fmt(v) for v in row] for row in rows)
 
 
 def _write_block(path, magic: bytes, values, ndims: int, tail: bytes = b"") -> None:
@@ -136,13 +128,15 @@ def features_shape(path) -> tuple:
     return _block_layout(path, head, size, b"NCFT", 2)[0]
 
 
-# Rir's calibration record: its fields after taps, sample_rate and spec
-_CALIBRATION = fields(Rir)[3:]
+# Rir's calibration record: its fields after taps and spec
+_CALIBRATION = fields(Rir)[2:]
 
 
 def write_rir(rir: Rir, path) -> None:
-    """Dump taps, then the room spec and calibration record as key=value lines."""
+    """Dump taps, then the room spec, its rate and tap budget and the
+    calibration record as key=value lines."""
     pairs = ([(f.name, getattr(rir.spec, f.name)) for f in fields(RoomSpec)]
+             + [("sample_rate", SAMPLE_RATE), ("max_rir_len", rir.spec.max_rir_len)]
              + [(f.name, getattr(rir, f.name)) for f in _CALIBRATION])
     text = "".join(
         f"{key}={','.join(map(fmt, value)) if isinstance(value, tuple) else fmt(value)}\n"
@@ -151,17 +145,18 @@ def write_rir(rir: Rir, path) -> None:
 
 
 def read_rir(path) -> Rir:
-    """Read an NCIR dump; a missing calibration key keeps Rir's default."""
+    """Read an NCIR dump; a missing calibration key keeps Rir's default.
+
+    Raises ValueError naming the file unless its sample_rate is SAMPLE_RATE.
+    """
     taps, tail = _read_block(path, b"NCIR", 1)
     text = dict(line.split("=", 1) for line in tail.decode("ascii").splitlines()
                 if line.strip())
+    if text.get("sample_rate") != str(SAMPLE_RATE):
+        raise ValueError(f"{path} is sampled at {text.get('sample_rate')} Hz; "
+                         f"only {SAMPLE_RATE} Hz is accepted")
     spec = RoomSpec(**{f.name: tuple(map(float, text[f.name].split(",")))
                        if f.type is tuple else f.type(text[f.name])
                        for f in fields(RoomSpec)})
-    return Rir(taps.astype(np.float64), spec.sample_rate, spec,
+    return Rir(taps.astype(np.float64), spec,
                **{f.name: f.type(text[f.name]) for f in _CALIBRATION if f.name in text})
-
-
-def write_sweep_csv(rows, path) -> None:
-    """Context-sweep table: one line per SweepRow, its fields as the columns."""
-    write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))

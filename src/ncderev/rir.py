@@ -4,13 +4,15 @@ Rooms are sampled around nominal meeting-room dimensions with +/-20%
 uniform jitter, source and microphone are placed by rejection sampling
 under margin/height/distance constraints, and a target reverberation
 time drawn from U(0.4, 1.99) s sets one reflection coefficient for all
-six surfaces. ``estimate_rt60`` measures a response's RT60 through
-Schroeder backward integration, and ``image_method_rir`` calibrates the
-coefficient with it. One pass over the image lattice tabulates the
-arrivals by reflection order, keeping for each window of taps only the
-orders that can arrive in it; then, from an Eyring seed, each secant
-step renders those windows at a new coefficient and measures the RT60,
-up to four renders or until it lies within 4% of the target.
+six surfaces. Responses are sampled at ``dsp.SAMPLE_RATE``, the one
+rate every command reads, with sound travelling at SPEED_OF_SOUND.
+``estimate_rt60`` measures a response's RT60 through Schroeder backward
+integration, and ``image_method_rir`` calibrates the coefficient with
+it. One pass over the image lattice tabulates the arrivals by reflection
+order, keeping for each window of taps only the orders that can arrive
+in it; then, from an Eyring seed, each secant step renders those windows
+at a new coefficient and measures the RT60, up to four renders or until
+it lies within 4% of the target.
 """
 
 import math
@@ -49,17 +51,11 @@ class RoomSpec:
     src: tuple
     mic: tuple
     rt60: float
-    sample_rate: int = SAMPLE_RATE
-    max_rir_len: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(float(v) for v in self.dims))
         object.__setattr__(self, "src", tuple(float(v) for v in self.src))
         object.__setattr__(self, "mic", tuple(float(v) for v in self.mic))
-        if self.max_rir_len == 0:
-            object.__setattr__(
-                self, "max_rir_len", default_rir_len(self.rt60, self.sample_rate)
-            )
         problems = placement_problems(self.dims, self.src, self.mic)
         if not RT60_RANGE[0] <= self.rt60 <= RT60_RANGE[1]:
             problems.append(f"rt60 {self.rt60} outside [{RT60_RANGE[0]}, {RT60_RANGE[1]}]")
@@ -69,6 +65,11 @@ class RoomSpec:
     @property
     def distance(self) -> float:
         return math.dist(self.src, self.mic)
+
+    @property
+    def max_rir_len(self) -> int:
+        """Tap budget capturing the 60 dB decay with 20% margin."""
+        return int(math.ceil(1.2 * self.rt60 * SAMPLE_RATE))
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ class Rir:
     """
 
     taps: np.ndarray
-    sample_rate: int
     spec: RoomSpec
     measured_rt60: float = math.nan
     renders: int = 0
@@ -97,11 +97,6 @@ class Rir:
         if not np.any(taps != 0):
             raise ValueError("impulse response has zero energy")
         object.__setattr__(self, "taps", taps)
-
-
-def default_rir_len(rt60: float, sample_rate: int) -> int:
-    """Tap budget capturing the 60 dB decay with 20% margin."""
-    return int(math.ceil(1.2 * rt60 * sample_rate))
 
 
 def placement_rules(dims, src, mic):
@@ -165,8 +160,7 @@ def check_room_settings(nominal_dims, rt60_range) -> None:
                             f"{list(RT60_RANGE)}, got {rt60_range}")
 
 
-def sample_room(rng, nominal_dims=NOMINAL_DIMS, sample_rate=SAMPLE_RATE,
-                rt60_range=RT60_RANGE) -> RoomSpec:
+def sample_room(rng, nominal_dims=NOMINAL_DIMS, rt60_range=RT60_RANGE) -> RoomSpec:
     """Sample one room: dims ~ U(0.8, 1.2) x nominal, positions by rejection.
 
     Source and microphone are drawn uniformly over the room volume and
@@ -187,34 +181,28 @@ def sample_room(rng, nominal_dims=NOMINAL_DIMS, sample_rate=SAMPLE_RATE,
         hits = np.flatnonzero(np.all(inside & margin & height, axis=-1) & distance)
         if hits.size:
             i = hits[0]
-            return RoomSpec(
-                dims=tuple(dims),
-                src=tuple(src[i]),
-                mic=tuple(mic[i]),
-                rt60=rt60,
-                sample_rate=sample_rate,
-            )
+            return RoomSpec(dims=tuple(dims), src=tuple(src[i]), mic=tuple(mic[i]), rt60=rt60)
     raise GeometryError(
         f"no valid source/microphone placement in room {tuple(dims)} after "
         f"{MAX_POSITION_DRAWS} draws"
     )
 
 
-def absorption_for_rt60(dims, rt60, c=SPEED_OF_SOUND) -> float:
+def absorption_for_rt60(dims, rt60) -> float:
     """Uniform wall absorption coefficient from Eyring's reverberation formula.
 
-    Inverts T60 = 24 ln(10) V / (c S kappa) with kappa = -ln(1 - alpha),
-    so alpha = 1 - exp(-24 ln(10) V / (c S T60)). Image-method responses
-    measure longer than this diffuse-field value predicts (Lehmann and
-    Johansson, JASA 2008), so ``image_method_rir`` uses it as the seed of
-    a measured calibration.
+    Inverts T60 = 24 ln(10) V / (c S kappa), with c = SPEED_OF_SOUND and
+    kappa = -ln(1 - alpha), so alpha = 1 - exp(-24 ln(10) V / (c S T60)).
+    Image-method responses measure longer than this diffuse-field value
+    predicts (Lehmann and Johansson, JASA 2008), so ``image_method_rir``
+    uses it as the seed of a measured calibration.
 
     Raises GeometryError when the required absorption is outside (0, 1).
     """
     lx, ly, lz = dims
     volume = lx * ly * lz
     surface = 2.0 * (lx * ly + lx * lz + ly * lz)
-    kappa = 24.0 * math.log(10.0) * volume / (c * surface * rt60)
+    kappa = 24.0 * math.log(10.0) * volume / (SPEED_OF_SOUND * surface * rt60)
     alpha = 1.0 - math.exp(-kappa)
     if not 0.0 < alpha < 1.0:
         raise GeometryError(
@@ -244,15 +232,13 @@ def image_method_rir(spec: RoomSpec) -> Rir:
     the renders taken and the number of in-range images.
     """
     bands, images = kernels.rir_order_table(
-        spec.max_rir_len, spec.dims, spec.src, spec.mic, spec.sample_rate,
-        c=SPEED_OF_SOUND,
-    )
+        spec.max_rir_len, spec.dims, spec.src, spec.mic, SAMPLE_RATE, c=SPEED_OF_SOUND)
     kappa = -math.log(1.0 - absorption_for_rt60(spec.dims, spec.rt60))
     best_taps = best_rt60 = None
     best_gap = np.inf
     for renders in range(1, 5):
         taps = kernels.render_orders(bands, math.exp(-0.5 * kappa))
-        measured = estimate_rt60(taps, spec.sample_rate)
+        measured = estimate_rt60(taps)
         gap = abs(measured / spec.rt60 - 1.0)
         if gap < best_gap:
             best_gap = gap
@@ -260,8 +246,7 @@ def image_method_rir(spec: RoomSpec) -> Rir:
         if gap <= RT60_TOLERANCE:
             break
         kappa *= measured / spec.rt60
-    return Rir(best_taps, spec.sample_rate, spec, measured_rt60=best_rt60,
-               renders=renders, images=images)
+    return Rir(best_taps, spec, measured_rt60=best_rt60, renders=renders, images=images)
 
 
 def schroeder_curve(taps) -> np.ndarray:
@@ -279,25 +264,18 @@ def schroeder_curve(taps) -> np.ndarray:
     return edc / total
 
 
-def estimate_rt60(rir, sample_rate=None) -> float:
+def estimate_rt60(rir) -> float:
     """RT60 from a Schroeder decay-line fit on the -5 dB to -35 dB segment.
 
     The fitted slope of that 30 dB span is extrapolated to the 60 dB
     decay time (RT60 = 2 x time for 30 dB).
 
     Args:
-        rir: an ``Rir`` or a raw tap array (then sample_rate is required).
+        rir: an ``Rir`` or a raw tap array at SAMPLE_RATE.
 
     Raises DecayRangeError when the decay range is under 40 dB.
     """
-    if isinstance(rir, Rir):
-        taps = rir.taps
-        sample_rate = rir.sample_rate
-    else:
-        taps = np.asarray(rir, dtype=np.float64)
-        if sample_rate is None:
-            raise ValueError("sample_rate is required for raw tap arrays")
-    edc = schroeder_curve(taps)
+    edc = schroeder_curve(rir.taps if isinstance(rir, Rir) else rir)
     db = 10.0 * np.log10(edc)
     # range is judged just ahead of the truncation plunge: the very last
     # backward-integration samples always crash to the single-tap level
@@ -309,15 +287,14 @@ def estimate_rt60(rir, sample_rate=None) -> float:
     seg = np.flatnonzero((db <= -5.0) & (db >= -35.0))
     if seg.size < 2:
         raise DecayRangeError("decay curve has no usable -5..-35 dB segment")
-    t = seg / float(sample_rate)
+    t = seg / float(SAMPLE_RATE)
     slope, _ = np.polyfit(t, db[seg], 1)
     if slope >= 0:
         raise DecayRangeError("decay curve is not decreasing on the fit segment")
     return float(-60.0 / slope)
 
 
-def make_rir_set(seed: int, count: int, nominal_dims=NOMINAL_DIMS,
-                 sample_rate=SAMPLE_RATE, rt60_range=RT60_RANGE):
+def make_rir_set(seed: int, count: int, nominal_dims=NOMINAL_DIMS, rt60_range=RT60_RANGE):
     """Sample the RoomSpecs of ``count`` independent impulse responses.
 
     Each item gets its own generator derived from (seed, index), so the
@@ -328,7 +305,6 @@ def make_rir_set(seed: int, count: int, nominal_dims=NOMINAL_DIMS,
     if count < 1:
         raise ValueError("count must be >= 1")
     return [
-        sample_room(np.random.default_rng((seed, i)), nominal_dims,
-                    sample_rate=sample_rate, rt60_range=rt60_range)
+        sample_room(np.random.default_rng((seed, i)), nominal_dims, rt60_range=rt60_range)
         for i in range(count)
     ]

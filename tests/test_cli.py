@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -167,10 +168,13 @@ class TestMakeCorpus:
 
 
 class TestConfigHandling:
-    def test_unknown_key_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"workdir": str(tmp_path), "frobnicate": 1}))
-        assert cli.main(["featurize", "--config", str(bad)]) == 2
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # no key caps the utterances (limit) or picks the mixtures (mix_configs)
+        for key, value in (("frobnicate", 1), ("limit", 2), ("mix_configs", [1, 2])):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({"workdir": str(tmp_path), key: value}))
+            assert cli.main(["featurize", "--config", str(bad)]) == 2
+            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
     def test_malformed_json_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -184,7 +188,7 @@ class TestConfigHandling:
         ("p", -1),
         ("q", -1),
         ("enhancer_p", -1),
-        ("limit", -1),
+        ("split", "validation"),
         ("n_subsets", 0),
         ("max_lag", -3),
         ("tail_from_lag", -1),
@@ -201,8 +205,8 @@ class TestConfigHandling:
         ("context_grid", []),
         ("lambda_grid", [1.5]),
         ("lambda_grid", []),
-        ("mix_configs", [5]),
-        ("mix_configs", []),
+        ("context_grid", [[1, 2, 3]]),
+        ("context_grid", [[1.0, 1]]),
         ("ridge", "0.5"),
         ("ridge", True),
         ("ridge", False),
@@ -214,7 +218,7 @@ class TestConfigHandling:
         ("hidden_width", 8.0),
         ("seed", True),
         ("epochs", 2.5),
-        ("limit", 1.5),
+        ("n_subsets", 1.5),
         ("jobs", 1.5),
         ("rt60_range", 0.5),
         ("rt60_range", [0.5]),
@@ -269,9 +273,11 @@ class TestConfigHandling:
         assert code == 3
 
     def test_jobs_flag_only_on_make_corpus(self, capsys):
-        # each command takes flags only for the config keys it reads
+        # each command takes flags only for the config keys it reads, and
+        # no command caps its utterances
         for argv in (["fit-fir", "--jobs", "2"], ["make-corpus", "--p", "3"],
-                     ["featurize", "--split", "dev"], ["sweep-context", "--q", "1"]):
+                     ["featurize", "--split", "dev"], ["sweep-context", "--q", "1"],
+                     *([command, "--limit", "2"] for command in cli.COMMANDS)):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
@@ -329,6 +335,15 @@ class TestPipeline:
         lines = (workdir / "context_sweep.csv").read_text().splitlines()
         assert lines[0] == "p,q,taps,ratio_percent,mean_err,utterance_count"
         assert len(lines) == 4
+        # one line per grid cell, a SweepRow's fields in order; the test split is utt003
+        for line, (p, q) in zip(lines[1:], [(0, 0), (1, 1), (2, 0)]):
+            row = fir.SweepRow(*(kind(v) for kind, v in zip(
+                (int, int, int, float, float, int), line.split(","))))
+            assert (row.p, row.q, row.taps, row.utterance_count) == (p, q, p + q + 1, 1)
+            assert fileformats.fmt(row.ratio_percent) == (
+                fileformats.fmt(100.0 * p / (p + q)) if p + q else "nan")
+            assert row.mean_err > 0.0
+            assert line == ",".join(map(fileformats.fmt, dataclasses.astuple(row)))
 
     def test_train_derev_mix_diagnose(self, built_corpus):
         config_path, workdir = built_corpus
@@ -441,7 +456,11 @@ def test_mix_sweep_identity_enhancer(trained, tmp_path):
     assert abs(at_zero[1] - at_zero[4]) <= 1e-6 * at_zero[4]
 
 
-def test_mix_sweep_accepts_external_stream_files(trained, tmp_path):
+def _no_fit(*args, **kwargs):
+    raise AssertionError("the causal-FIR enhancer was fitted")
+
+
+def test_mix_sweep_accepts_external_stream_files(trained, tmp_path, monkeypatch):
     # an external enhancer is plugged in by dropping NCFT stream files; a
     # stream equal to the clean features drives every config that mixes it
     # first to lambda 0 and every config that mixes it second to lambda 1
@@ -455,7 +474,10 @@ def test_mix_sweep_accepts_external_stream_files(trained, tmp_path):
         override = dict(json.loads(config_path.read_text()), streams_dir=str(streams))
         cfg = tmp_path / f"{stream}.json"
         cfg.write_text(json.dumps(override))
-        assert cli.main(["mix-sweep", "--config", str(cfg)]) == 0
+        with monkeypatch.context() as patch:
+            if stream == "ref_enhanced":  # utt001, the one dev utterance, needs no enhancer
+                patch.setattr(fir, "fit_pooled_filters", _no_fit)
+            assert cli.main(["mix-sweep", "--config", str(cfg)]) == 0
         summary = (workdir / "mix_summary.csv").read_text().splitlines()[1:]
         optimum = {int(c): lam for c, subset, lam in (line.split(",") for line in summary)
                    if subset == "rt60_band0"}
@@ -591,7 +613,7 @@ def test_train_mlp_dataset_holds_one_feature_file_beside_the_set(built_corpus, m
     config_path, workdir = built_corpus
     cfg = cli.resolve_config(cli.build_parser().parse_args(
         ["train-mlp", "--config", str(config_path)]))
-    rows = cli._manifest_rows(cfg, "train")
+    rows = cli._split_rows(cli._manifest_rows(cfg), "train")
     x, y = _stacked_split(workdir, "train", cfg.p, cfg.q)
     read = fileformats.read_features
     largest = max(read(workdir / "features" / kind / f"{r.utterance}.ncft").nbytes
@@ -954,6 +976,22 @@ def test_every_artifact_is_listed_in_one_run_record(root_copy):
     assert len(list((work / "runs").iterdir())) == len(cli.COMMANDS)
 
 
+def test_each_command_reads_the_manifest_once(root_copy, monkeypatch):
+    # a command filters the rows it read for each split it works on
+    read_upstream, reads = cli._read_upstream, []
+
+    def reading(cfg, producer, path):
+        reads.append(Path(path).name)
+        return read_upstream(cfg, producer, path)
+
+    monkeypatch.setattr(cli, "_read_upstream", reading)
+    for command in ("featurize", "fit-fir", "sweep-context", "train-mlp", "derev",
+                    "mix-sweep", "diagnose"):
+        reads.clear()
+        assert cli.main([command, "--config", "config.json"]) == 0
+        assert reads.count("manifest.csv") == 1, command
+
+
 def test_diagnose_holds_one_utterance_at_a_time(fitted_all, monkeypatch):
     # each utterance's three spectrograms are folded into the sums and
     # released before the next utterance is loaded
@@ -1121,3 +1159,16 @@ def test_benchmark_train_mlp_check_passes(root_copy, monkeypatch):
     finally:
         for name in names:
             sys.modules.pop(name, None)
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README's "| command | flags |" table, whose rows may name two commands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines():
+        commands, flags = line.strip("|").split("|")
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            assert command not in listed, command
+            listed[command] = tuple(re.findall(r"`(--[a-z-]+)`", flags))
+    assert listed == cli.FLAGS

@@ -5,7 +5,6 @@ import pytest
 
 from ncderev import corpus
 from ncderev import fileformats as ff
-from ncderev.fir import SweepRow
 from ncderev.rir import Rir, RoomSpec
 
 
@@ -44,11 +43,11 @@ def test_features_roundtrip(tmp_path):
 
 
 def test_rir_roundtrip(tmp_path):
-    spec = RoomSpec((7.0, 5.0, 4.0), (2.0, 2.0, 1.5), (3.0, 3.0, 1.5), 0.75, 16000)
+    spec = RoomSpec((7.0, 5.0, 4.0), (2.0, 2.0, 1.5), (3.0, 3.0, 1.5), 0.75)
     taps = np.zeros(100)
     taps[10] = 0.5
     taps[40] = -0.1
-    impulse = Rir(taps, 16000, spec)
+    impulse = Rir(taps, spec)
     path = tmp_path / "h.ncir"
     ff.write_rir(impulse, path)
     back = ff.read_rir(path)
@@ -60,8 +59,8 @@ def test_rir_roundtrip(tmp_path):
 
 
 def test_rir_calibration_record_roundtrip(tmp_path):
-    spec = RoomSpec((7.0, 5.0, 4.0), (2.0, 2.0, 1.5), (3.0, 3.0, 1.5), 0.75, 16000)
-    impulse = Rir(np.array([0.0, 1.0, 0.25]), 16000, spec,
+    spec = RoomSpec((7.0, 5.0, 4.0), (2.0, 2.0, 1.5), (3.0, 3.0, 1.5), 0.75)
+    impulse = Rir(np.array([0.0, 1.0, 0.25]), spec,
                   measured_rt60=0.7612345678901234, renders=3, images=123456)
     path = tmp_path / "h.ncir"
     ff.write_rir(impulse, path)
@@ -69,16 +68,25 @@ def test_rir_calibration_record_roundtrip(tmp_path):
     assert back.measured_rt60 == impulse.measured_rt60
     assert (back.renders, back.images) == (3, 123456)
     block = path.read_bytes()[8 + 3 * 4:].decode("ascii").splitlines()
-    assert block[-3:] == ["measured_rt60=0.7612345678901234", "renders=3",
-                          "images=123456"]
+    assert block[-5:] == ["sample_rate=16000", "max_rir_len=14400",
+                          "measured_rt60=0.7612345678901234", "renders=3", "images=123456"]
+
+
+def test_rir_of_another_rate_is_value_error_naming_the_file(tmp_path):
+    spec = RoomSpec((7.0, 5.0, 4.0), (2.0, 2.0, 1.5), (3.0, 3.0, 1.5), 0.75)
+    path = tmp_path / "h.ncir"
+    ff.write_rir(Rir(np.ones(3), spec), path)
+    path.write_bytes(path.read_bytes().replace(b"sample_rate=16000", b"sample_rate=8000"))
+    with pytest.raises(ValueError, match=r"h\.ncir is sampled at 8000 Hz"):
+        ff.read_rir(path)
 
 
 BLOCKS = {  # writer of a small file, reader, header bytes
     "NCSP": (lambda path: ff.write_spectrogram(np.ones((3, 2)) * 1j, path),
              ff.read_spectrogram, 12),
     "NCFT": (lambda path: ff.write_features(np.ones((3, 2)), path), ff.read_features, 12),
-    "NCIR": (lambda path: ff.write_rir(Rir(np.ones(3), 16000, RoomSpec(
-        (7.0, 5.0, 4.0), (2.0, 2.0, 1.5), (3.0, 3.0, 1.5), 0.75, 16000)), path),
+    "NCIR": (lambda path: ff.write_rir(Rir(np.ones(3), RoomSpec(
+        (7.0, 5.0, 4.0), (2.0, 2.0, 1.5), (3.0, 3.0, 1.5), 0.75)), path),
         ff.read_rir, 8),
 }
 
@@ -113,14 +121,6 @@ def test_features_shape_rejects_another_magic(tmp_path):
     ff.write_spectrogram(np.ones((2, 2)), path)
     with pytest.raises(ValueError, match="not an NCFT file"):
         ff.features_shape(path)
-
-
-def test_sweep_csv(tmp_path):
-    rows = [SweepRow(p=2, q=2, taps=5, ratio_percent=50.0, mean_err=0.125,
-                     utterance_count=3)]
-    path = tmp_path / "sweep.csv"
-    ff.write_sweep_csv(rows, path)
-    assert path.read_text().splitlines()[1] == "2,2,5,50.0,0.125,3"
 
 
 def test_csv_writes_are_byte_deterministic(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncderev import rir
+from ncderev import dsp, rir
 
 
 def masked_sample_room(rng, nominal_dims=rir.NOMINAL_DIMS):
@@ -68,19 +68,19 @@ class TestSampleRoom:
 class TestRoomSpecInvariants:
     def test_rejects_position_on_margin_violation(self):
         with pytest.raises(rir.GeometryError, match="wall"):
-            rir.RoomSpec((7, 5, 4), (0.5, 2.0, 1.5), (3.0, 2.0, 1.5), 0.6, 16000)
+            rir.RoomSpec((7, 5, 4), (0.5, 2.0, 1.5), (3.0, 2.0, 1.5), 0.6)
 
     def test_rejects_height_outside_band(self):
         with pytest.raises(rir.GeometryError, match="height"):
-            rir.RoomSpec((7, 5, 4), (2.0, 2.0, 2.5), (3.0, 2.0, 1.5), 0.6, 16000)
+            rir.RoomSpec((7, 5, 4), (2.0, 2.0, 2.5), (3.0, 2.0, 1.5), 0.6)
 
     def test_rejects_bad_distance(self):
         with pytest.raises(rir.GeometryError, match="distance"):
-            rir.RoomSpec((7, 5, 4), (2.0, 2.0, 1.5), (2.05, 2.0, 1.5), 0.6, 16000)
+            rir.RoomSpec((7, 5, 4), (2.0, 2.0, 1.5), (2.05, 2.0, 1.5), 0.6)
 
     def test_rejects_rt60_out_of_range(self):
         with pytest.raises(rir.GeometryError, match="rt60"):
-            rir.RoomSpec((7, 5, 4), (2.0, 2.0, 1.5), (3.0, 2.0, 1.5), 2.5, 16000)
+            rir.RoomSpec((7, 5, 4), (2.0, 2.0, 1.5), (3.0, 2.0, 1.5), 2.5)
 
     @pytest.mark.parametrize("src, mic, message", [
         ((0.0, 2.0, 1.5), (1.5, 2.0, 1.5), "src not strictly inside the room"),
@@ -97,17 +97,17 @@ class TestRoomSpecInvariants:
     ])
     def test_problems_are_named_in_order(self, src, mic, message):
         with pytest.raises(rir.GeometryError) as info:
-            rir.RoomSpec((7, 5, 4), src, mic, 0.6, 16000)
+            rir.RoomSpec((7, 5, 4), src, mic, 0.6)
         assert str(info.value) == "invalid RoomSpec: " + message
 
     def test_infinite_positions_rejected_without_warning(self):
         inf = float("inf")
         with pytest.raises(rir.GeometryError, match="src not strictly inside the room; "
                            "mic not strictly inside the room; src-mic distance nan"):
-            rir.RoomSpec((7, 5, 4), (inf, 2.0, 1.5), (inf, 2.0, 1.5), 0.6, 16000)
+            rir.RoomSpec((7, 5, 4), (inf, 2.0, 1.5), (inf, 2.0, 1.5), 0.6)
 
     def test_default_rir_len(self):
-        spec = rir.RoomSpec((7, 5, 4), (2.0, 2.0, 1.5), (3.0, 2.0, 1.5), 0.5, 16000)
+        spec = rir.RoomSpec((7, 5, 4), (2.0, 2.0, 1.5), (3.0, 2.0, 1.5), 0.5)
         assert spec.max_rir_len == int(np.ceil(1.2 * 0.5 * 16000))
 
 
@@ -116,20 +116,20 @@ class TestImageMethod:
         spec = rir.sample_room(np.random.default_rng(11), rt60_range=(0.4, 0.6))
         impulse = rir.image_method_rir(spec)
         first = int(np.flatnonzero(impulse.taps)[0])
-        expected = round(spec.distance / rir.SPEED_OF_SOUND * spec.sample_rate)
+        expected = round(spec.distance / rir.SPEED_OF_SOUND * dsp.SAMPLE_RATE)
         assert abs(first - expected) <= 2
 
     @pytest.mark.parametrize("side", [14.5, 20.0])
     def test_large_room_at_shortest_rt60_calibrates(self, side):
         # a large room at the shortest RT60 needs near-total absorption
         spec = rir.RoomSpec((side, side, side), (5.0, 5.0, 1.5), (5.0, 6.5, 1.5),
-                            0.4, 16000)
+                            0.4)
         impulse = rir.image_method_rir(spec)
         assert abs(rir.estimate_rt60(impulse) - 0.4) <= 0.2 * 0.4
 
     def test_schroeder_estimate_near_target(self):
         spec = rir.RoomSpec((7.95, 5.68, 4.5), (2.0, 2.0, 1.5), (3.5, 2.8, 1.5),
-                            0.6, 16000)
+                            0.6)
         impulse = rir.image_method_rir(spec)
         assert abs(rir.estimate_rt60(impulse) - 0.6) <= 0.2 * 0.6
 
@@ -175,8 +175,8 @@ class TestImageMethod:
         edc = rir.schroeder_curve(impulse.taps)
         assert np.all(np.diff(edc) <= 0)
         # strict decay over any 20 ms window once reflections are dense
-        window = int(0.020 * spec.sample_rate)
-        span = int(spec.rt60 * spec.sample_rate)
+        window = int(0.020 * dsp.SAMPLE_RATE)
+        span = int(spec.rt60 * dsp.SAMPLE_RATE)
         start = int(np.flatnonzero(impulse.taps)[0]) + window
         values = edc[start:span]
         assert np.all(values[window:] < values[:-window])
@@ -201,28 +201,28 @@ class TestAbsorptionForRt60:
 class TestEstimateRt60:
     def test_constructed_exponential_decay(self):
         # amplitude e^(-6.9078 t / T) decays 60 dB in energy over T seconds
-        fs = 16000
+        fs = dsp.SAMPLE_RATE
         for target in (0.4, 0.8, 1.5):
             n = int(1.3 * target * fs)
             t = np.arange(n) / fs
             taps = np.exp(-6.907755278982137 * t / target)
-            est = rir.estimate_rt60(taps, fs)
+            est = rir.estimate_rt60(taps)
             assert abs(est - target) <= 0.02 * target
 
     def test_unit_impulse_has_no_decay_range(self):
         with pytest.raises(rir.DecayRangeError):
-            rir.estimate_rt60(np.array([1.0]), 16000)
+            rir.estimate_rt60(np.array([1.0]))
 
     def test_short_decay_range_rejected(self):
-        fs = 16000
+        fs = dsp.SAMPLE_RATE
         t = np.arange(int(0.2 * fs)) / fs
         taps = np.exp(-6.9078 * t / 1.0)  # only ~12 dB of range
         with pytest.raises(rir.DecayRangeError, match="40 dB"):
-            rir.estimate_rt60(taps, fs)
+            rir.estimate_rt60(taps)
 
     def test_generated_rir_within_20_percent(self):
         spec = rir.RoomSpec((7.95, 5.68, 4.5), (2.0, 2.0, 1.5), (3.5, 2.8, 1.5),
-                            1.0, 16000)
+                            1.0)
         impulse = rir.image_method_rir(spec)
         assert abs(rir.estimate_rt60(impulse) - 1.0) <= 0.2
 
