@@ -1,10 +1,12 @@
 import csv
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 from ncderev import corpus
 from ncderev import fileformats as ff
+from ncderev.fir import SweepRow
 from ncderev.rir import Rir, RoomSpec
 
 
@@ -121,6 +123,16 @@ def test_features_shape_rejects_another_magic(tmp_path):
     ff.write_spectrogram(np.ones((2, 2)), path)
     with pytest.raises(ValueError, match="not an NCFT file"):
         ff.features_shape(path)
+
+
+def test_sweep_csv(tmp_path):
+    # sweep-context writes one line per SweepRow, its fields as the columns
+    rows = [SweepRow(p=2, q=2, taps=5, ratio_percent=50.0, mean_err=0.125,
+                     utterance_count=3)]
+    path = tmp_path / "sweep.csv"
+    ff.write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))
+    assert path.read_text().splitlines() == [
+        "p,q,taps,ratio_percent,mean_err,utterance_count", "2,2,5,50.0,0.125,3"]
 
 
 def test_csv_writes_are_byte_deterministic(tmp_path):
