@@ -393,7 +393,8 @@ def cmd_sweep_context(cfg) -> int:
 
 def _dataset_from_rows(cfg, rows):
     """The rows' reverberant features as (p, q) ContextFrames, which hold
-    them unstacked, and their clean features concatenated as targets.
+    them unstacked, and their clean features concatenated as targets, both
+    at the float32 they are stored in.
 
     The frame counts come from the file headers first, so each file is
     read straight into its place and released.
@@ -478,11 +479,20 @@ def _fit_enhancer(cfg, rows):
     return fir.fit_pooled_filters(pairs, cfg.enhancer_p, 0, cfg.ridge)
 
 
-def _stream_override(cfg, utt, name):
+def _stream_override(cfg, utt, name, shape):
+    """The features of ``<streams_dir>/<utt>__<name>.ncft``, or None when
+    there is no such file; DataError naming it unless they are of
+    ``shape``, that of the utterance's clean features."""
     if not cfg.streams_dir:
         return None
     path = Path(cfg.streams_dir) / f"{utt}__{name}.ncft"
-    return fileformats.read_features(path) if path.is_file() else None
+    if not path.is_file():
+        return None
+    feats = fileformats.read_features(path)
+    if feats.shape != shape:
+        raise DataError(f"stream file {path} holds {feats.shape} features, but {utt}'s "
+                        f"clean features are {shape}")
+    return feats
 
 
 def cmd_mix_sweep(cfg) -> int:
@@ -490,15 +500,16 @@ def cmd_mix_sweep(cfg) -> int:
     model = _load_model(cfg)
     manifest = _manifest_rows(cfg)
     rows = _split_rows(manifest, "dev")
-    overrides = [{name: _stream_override(cfg, row.utterance, name) for name in mixing.STREAMS}
-                 for row in rows]
+    cleans = [_require_features(cfg, "clean", row.utterance) for row in rows]
+    overrides = [{name: _stream_override(cfg, row.utterance, name, clean.shape)
+                  for name in mixing.STREAMS}
+                 for row, clean in zip(rows, cleans)]
     # the enhancer serves only utterances without a ref_enhanced stream file
     enhancer_taps = (_fit_enhancer(cfg, manifest)
                      if any(streams["ref_enhanced"] is None for streams in overrides) else None)
 
     utterances = []
-    for row, streams in zip(rows, overrides):
-        clean_feats = _require_features(cfg, "clean", row.utterance)
+    for row, streams, clean_feats in zip(rows, overrides, cleans):
         if streams["reverb"] is None:
             streams["reverb"] = _require_features(cfg, "reverb", row.utterance)
         if streams["ref_enhanced"] is None:

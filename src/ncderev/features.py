@@ -2,12 +2,16 @@
 
 The Mel filter bank is a plain (n_mels, fft_size//2 + 1) weight array, and
 ``log_mel`` takes a complex (frames, bins) spectrogram array of ``dsp.stft``.
-Feature matrices are plain float64 arrays of shape (frames, 40). Each
+Feature matrices are plain arrays of shape (frames, 40): float64 as
+computed here, float32 as stored in NCFT files and read back. Each
 frame's context vector concatenates the p previous, the current, and the
 q future frames in that order, with zero vectors beyond the utterance
 bounds. ContextFrames gathers those vectors on demand from the unstacked
-features; stack_context materializes them for one utterance.
+features, in the features' own dtype; stack_context materializes them
+for one utterance.
 """
+
+import itertools
 
 import numpy as np
 
@@ -99,9 +103,12 @@ class ContextFrames:
 
     Each utterance's (frames, d) block is held once, with p zero rows
     before it and q after it, so the set takes (frames + (p+q)·utterances)
-    × d floats instead of the (frames, (p+q+1)·d) stacked matrix. Frames
-    are numbered across the utterances in block order; ``rows(idx)`` is
-    the stacked matrix's rows ``idx``, bit for bit.
+    × d floats instead of the (frames, (p+q+1)·d) stacked matrix. The
+    floats are of the first block's floating dtype (float64 for integer
+    blocks), so float32 features take half the memory of float64 ones and
+    later blocks are cast to it. Frames are numbered across
+    the utterances in block order; ``rows(idx)`` is the stacked matrix's
+    rows ``idx``, bit for bit.
     """
 
     def __init__(self, blocks, p: int, q: int, shapes=None):
@@ -111,7 +118,7 @@ class ContextFrames:
         if p < 0 or q < 0:
             raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
         if shapes is None:
-            blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+            blocks = [np.asarray(b) for b in blocks]
             shapes = [b.shape for b in blocks]
         shapes = [tuple(shape) for shape in shapes]
         if not shapes or any(len(shape) != 2 or shape[1] != shapes[0][1]
@@ -123,9 +130,12 @@ class ContextFrames:
         self.starts = (np.arange(sum(lengths))
                        + (p + q) * np.repeat(np.arange(len(shapes)), lengths))
         d = shapes[0][1]
-        self.padded = np.zeros((len(self.starts) + (p + q) * len(shapes), d))
+        blocks = iter(blocks)
+        head = np.asarray(next(blocks, None))
+        dtype = head.dtype if np.issubdtype(head.dtype, np.floating) else np.float64
+        self.padded = np.zeros((len(self.starts) + (p + q) * len(shapes), d), dtype)
         first = p
-        for shape, b in zip(shapes, blocks, strict=True):
+        for shape, b in zip(shapes, itertools.chain([head], blocks), strict=True):
             if np.shape(b) != shape:
                 raise ValueError(f"features block of shape {np.shape(b)}, "
                                  f"expected {shape}")

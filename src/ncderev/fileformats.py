@@ -116,7 +116,9 @@ def write_features(feats, path) -> None:
 
 
 def read_features(path, data=None) -> np.ndarray:
-    return _read_block(path, b"NCFT", 2, data=data)[0].astype(np.float64)
+    """Read an NCFT dump as its stored, read-only little-endian f32 matrix;
+    callers that compute at float64 widen it themselves."""
+    return _read_block(path, b"NCFT", 2, data=data)[0]
 
 
 def features_shape(path) -> tuple:

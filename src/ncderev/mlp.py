@@ -2,9 +2,14 @@
 clean 40-dim log-Mel out, trained by mini-batch gradient descent on MSE.
 
 Hidden layers use the sigmoid, computed as 0.5 + 0.5·tanh(z/2); the
-output layer is affine. Parameters and activations are float64. Training
-follows plain SGD with a halving learning-rate schedule driven by the
-validation loss, and returns the parameters of the best validation epoch.
+output layer is affine. ``forward`` and ``gradients`` compute in the
+dtype of the model's weights, and ``train`` in the floating dtype of its
+inputs: the float32 of the stored features in train-mlp, so that the
+kept model is the saved one and each step costs about half. ``init_model``
+and ``load_model`` give float64 models, so inference runs at float64.
+Training follows plain SGD with a halving learning-rate schedule driven
+by the validation loss, and returns the parameters of the best validation
+epoch.
 Each epoch forwards the validation set once; the train set is forwarded
 once in all, for the kept model. Without a validation set the train
 loss drives the schedule, so the train set is forwarded every epoch.
@@ -134,11 +139,12 @@ def _forward_all(model, x):
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
-    """Map context vectors to 40-dim clean-frame estimates.
+    """Map context vectors to 40-dim clean-frame estimates, in the
+    dtype of the model's weights.
 
     Accepts a single vector or a (batch, d_in) matrix.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=model.weights[0].dtype)
     single = x.ndim == 1
     if single:
         x = x[None, :]
@@ -163,15 +169,17 @@ def mse_loss(outputs, targets) -> float:
 
 
 def gradients(model: MlpModel, x, targets):
-    """Backpropagated gradients of mse_loss for one batch.
+    """Backpropagated gradients of mse_loss for one batch, in the dtype
+    of the model's weights.
 
     Returns (weight_grads, bias_grads, loss).
     """
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    dtype = model.weights[0].dtype
+    x = np.asarray(x, dtype=dtype)
+    targets = np.asarray(targets, dtype=dtype)
     acts = _forward_all(model, x)
     delta = acts[-1] - targets
-    loss = float(np.mean(delta ** 2))
+    loss = float(np.mean(delta ** 2, dtype=np.float64))
     delta *= 2.0
     delta /= x.shape[0] * targets.shape[1]
     w_grads = [None] * len(model.weights)
@@ -219,7 +227,7 @@ def _forward_chunked(model, inputs) -> np.ndarray:
     does below 1e6 multiply-adds), so a short last chunk could give rows
     other than a full-set forward's."""
     n = len(inputs)
-    out = np.empty((n, model.layer_dims[-1]))
+    out = np.empty((n, model.layer_dims[-1]), model.weights[0].dtype)
     for start in range(0, n, LOSS_CHUNK):
         chunk = slice(max(min(start, n - LOSS_CHUNK), 0), start + LOSS_CHUNK)
         out[chunk] = forward(model, inputs.rows(chunk))
@@ -238,6 +246,9 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
 
     ``inputs`` and ``valid_inputs`` are (rows, d_in) arrays or
     features.ContextFrames; each batch and loss chunk gathers its rows.
+    Training computes in the floating dtype of ``inputs``: the model copy
+    and the targets are cast to it, and the learning rate stays a Python
+    float. Every loss is summed at float64.
 
     Returns:
         (best_model, trace) where best_model holds the parameters of the
@@ -252,7 +263,8 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
     loss becomes non-finite.
     """
     inputs = _context_frames(inputs)
-    targets = np.asarray(targets, dtype=np.float64)
+    dtype = inputs.padded.dtype
+    targets = np.asarray(targets, dtype=dtype)
     if len(inputs) == 0:
         raise ValueError("empty training set")
     if len(inputs) != targets.shape[0]:
@@ -263,7 +275,8 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
         valid_targets = np.asarray(valid_targets, dtype=np.float64)
 
     rng = np.random.default_rng(config.seed)
-    model = model.copy()
+    model = MlpModel(list(model.layer_dims), [w.astype(dtype) for w in model.weights],
+                     [b.astype(dtype) for b in model.biases])
     lr = config.learning_rate
     trace = []
     best = model.copy()

@@ -48,9 +48,10 @@ def write_wav_at_rate(samples, path, sample_rate):
 
 def hstack_context(feats, p, q):
     """Context-stacking oracle: the (frames, (p+q+1)·d) matrix built by
-    concatenating p+q+1 shifted, zero-padded copies of the features."""
+    concatenating p+q+1 shifted, zero-padded copies of the features, in
+    their dtype."""
     n, d = feats.shape
-    padded = np.zeros((p + n + q, d))
+    padded = np.zeros((p + n + q, d), feats.dtype)
     padded[p:p + n] = feats
     return np.hstack([padded[j:j + n] for j in range(p + q + 1)])
 

@@ -487,6 +487,25 @@ def test_mix_sweep_accepts_external_stream_files(trained, tmp_path, monkeypatch)
         assert {c: optimum[c] for c in expected} == expected, stream
 
 
+@pytest.mark.parametrize("stream", mixing.STREAMS)
+@pytest.mark.parametrize("damage", [
+    lambda clean: clean[:-5],     # 5 frames short
+    lambda clean: clean[:, :20],  # 20 of the 40 bands
+], ids=["short", "narrow"])
+def test_mix_sweep_names_a_stream_file_of_another_shape(trained, tmp_path, capsys, stream,
+                                                        damage):
+    config_path, workdir = trained
+    clean = fileformats.read_features(workdir / "features" / "clean" / "utt001.ncft")
+    path = tmp_path / f"utt001__{stream}.ncft"
+    fileformats.write_features(damage(clean), path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(json.loads(config_path.read_text()),
+                                   streams_dir=str(tmp_path))))
+    assert cli.main(["mix-sweep", "--config", str(cfg)]) == 3
+    assert (f"stream file {path} holds {damage(clean).shape} features, but utt001's "
+            f"clean features are {clean.shape}") in capsys.readouterr().err
+
+
 def test_mix_sweep_fits_enhancer_one_train_pair_at_a_time(trained, monkeypatch):
     # each train pair's Gram is summed before the next pair is loaded
     config_path, workdir = trained
@@ -557,7 +576,8 @@ def test_derev_reports_match_mse_rows_of_the_whole_split(trained, capsys):
 
 def _stacked_split(workdir, split, p, q):
     """The split's context matrix and targets as train-mlp built them before
-    it gathered context per batch: hstack_context per utterance, stacked."""
+    it gathered context per batch: hstack_context per utterance, stacked,
+    at the float32 the features are stored in."""
     rows = [r for r in corpus.read_manifest(workdir / "manifest.csv") if r.split == split]
     feats = {kind: [fileformats.read_features(workdir / "features" / kind / f"{r.utterance}.ncft")
                     for r in rows] for kind in ("reverb", "clean")}
@@ -628,8 +648,57 @@ def test_train_mlp_dataset_holds_one_feature_file_beside_the_set(built_corpus, m
     assert np.array_equal(inputs.rows(slice(None)), x)
     assert np.array_equal(targets, y)
     kept = inputs.padded.nbytes + inputs.starts.nbytes + targets.nbytes
-    # one file's float64 matrix and its f32 bytes, beside what is kept
-    assert peak <= kept + 1.5 * largest + 64 * 1024
+    # one file's f32 bytes, which its features view, beside what is kept
+    assert peak <= kept + largest + 64 * 1024
+
+
+def test_train_mlp_steps_at_float32(built_corpus, tmp_path, monkeypatch):
+    # train-mlp trains at the float32 its features are stored in; a float64
+    # step takes about twice as long
+    config_path, _ = _copy_of(built_corpus, tmp_path)
+    dtypes, steps = set(), []
+    train, gradients = mlp.train, mlp.gradients
+
+    def training(model, inputs, targets, config, valid_inputs, valid_targets):
+        dtypes.update(a.dtype for a in (inputs.padded, targets,
+                                        valid_inputs.padded, valid_targets))
+        return train(model, inputs, targets, config, valid_inputs, valid_targets)
+
+    def stepping(model, x, targets):
+        steps.append(len(x))
+        dtypes.update(a.dtype for a in (x, targets, *model.weights, *model.biases))
+        return gradients(model, x, targets)
+
+    monkeypatch.setattr(mlp, "train", training)
+    monkeypatch.setattr(mlp, "gradients", stepping)
+    assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
+    assert steps and dtypes == {np.dtype(np.float32)}
+
+
+def test_train_mlp_saves_the_model_it_kept(built_corpus, tmp_path, monkeypatch):
+    # the kept model is float32, so the saved f32 blocks are its parameters
+    # bit for bit, and a rerun writes the same bytes
+    config_path, workdir = _copy_of(built_corpus, tmp_path)
+    kept = []
+    train = mlp.train
+
+    def keeping(*args):
+        best, trace = train(*args)
+        kept.append(best)
+        return best, trace
+
+    monkeypatch.setattr(mlp, "train", keeping)
+    written = []
+    for _ in range(2):
+        assert cli.main(["train-mlp", "--config", str(config_path)]) == 0
+        written.append([(workdir / name).read_bytes()
+                        for name in ("mlp_model.json", "mlp_loss.csv")])
+    assert written[0] == written[1]
+    layers = json.loads(written[0][0])["layers"]
+    for layer, w, b in zip(layers, kept[0].weights, kept[0].biases, strict=True):
+        for key, param in (("weights", w), ("bias", b)):
+            assert param.dtype == np.float32
+            assert base64.b64decode(layer[key]) == param.astype("<f4").tobytes()
 
 
 def test_train_mlp_missing_dev_features_is_data_error(built_corpus, tmp_path, capsys):

@@ -199,6 +199,17 @@ class TestContextFrames:
         if p == q == 0:  # the padded block is the blocks concatenated
             assert np.array_equal(frames.padded, np.concatenate(blocks))
 
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_float32_blocks_held_at_float32(self, drawn):
+        # as train-mlp reads them: drawn one at a time, given their shapes
+        blocks = [b.astype(np.float32) for b in self.blocks([25, 3, 40], seed=7)]
+        frames = (features.ContextFrames(iter(blocks), 2, 3, shapes=[b.shape for b in blocks])
+                  if drawn else features.ContextFrames(blocks, 2, 3))
+        assert frames.padded.dtype == np.float32
+        rows = frames.rows(slice(None))
+        assert rows.dtype == np.float32
+        assert np.array_equal(rows, self.oracle(blocks, 2, 3))
+
     @pytest.mark.parametrize("shapes", [
         [(25, 40), (4, 40)],            # a block longer than its shape says
         [(25, 40), (3, 40), (1, 40)],   # more shapes than blocks

@@ -191,7 +191,33 @@ class TestMseLoss:
             mlp.mse_loss(np.zeros((2, 4)), np.zeros((3, 4)))
 
 
+def cast(model, dtype):
+    """A copy of ``model`` with every parameter cast to ``dtype``."""
+    return mlp.MlpModel(list(model.layer_dims), [w.astype(dtype) for w in model.weights],
+                        [b.astype(dtype) for b in model.biases])
+
+
 class TestGradients:
+    def test_float32_gradients_match_the_float64_oracle(self):
+        # mlp-training's 840 -> 3x128 -> 40 net on one batch of 64 rows, with
+        # parameters and data rounded to float32 first, so the two runs differ
+        # only in the precision they compute in. The bound is 32 float32
+        # epsilons of each array's largest entry; about 4 were measured.
+        dims = [840, 128, 128, 128, 40]
+        single = cast(mlp.init_model(dims, seed=16), np.float32)
+        double = cast(single, np.float64)
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(64, 840)).astype(np.float32)
+        targets = rng.normal(size=(64, 40)).astype(np.float32)
+        w32, b32, loss32 = mlp.gradients(single, x, targets)
+        w64, b64, loss64 = mlp.gradients(double, x.astype(np.float64),
+                                         targets.astype(np.float64))
+        bound = 32 * np.finfo(np.float32).eps
+        for got, want in zip(w32 + b32, w64 + b64):
+            assert got.dtype == np.float32 and want.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+        assert abs(loss32 - loss64) <= bound * loss64
+
     def test_full_parameter_gradient_matches_central_differences(self):
         model = mlp.init_model([8, 6, 6, 6, 4], seed=11)
         rng = np.random.default_rng(11)
@@ -229,18 +255,16 @@ class TestTrain:
         final = mlp.mse_loss(mlp.forward(trained, x), y)
         assert final <= 1e-3
 
-    @pytest.mark.parametrize("chunk", [64, 100, 101, 512])
-    def test_context_frames_train_like_the_stacked_matrix(self, monkeypatch, chunk):
-        # the batches gather the stacked matrix's rows, and each loss chunk's
-        # rows equal a full-set forward's, so trace and parameters are equal
-        # bit for bit. The 32-wide layer keeps every chunk's first product
-        # above the 1e6 multiply-adds below which OpenBLAS sums in another
-        # order, as the full set's is.
+    @staticmethod
+    def train_both_ways(monkeypatch, chunk, dtype):
+        """Train on ContextFrames of ``dtype`` features, LOSS_CHUNK ``chunk``,
+        and on their stacked matrix in one forward call per set; both must
+        train at ``dtype`` and agree bit for bit."""
         from ncderev.features import ContextFrames, stack_context
 
         rng = np.random.default_rng(11)
-        utts = [rng.normal(size=(n, 40)) for n in (90, 3, 150, 61)]
-        devs = [rng.normal(size=(n, 40)) for n in (70, 45)]
+        utts = [rng.normal(size=(n, 40)).astype(dtype) for n in (90, 3, 150, 61)]
+        devs = [rng.normal(size=(n, 40)).astype(dtype) for n in (70, 45)]
         y = np.tanh(np.vstack(utts))
         vy = np.tanh(np.vstack(devs))
         p, q = 10, 10
@@ -257,7 +281,23 @@ class TestTrain:
         assert got_trace == want_trace
         for a, b in zip(got_model.weights + got_model.biases,
                         want_model.weights + want_model.biases):
+            assert a.dtype == b.dtype == dtype
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk", [64, 100, 101, 512])
+    def test_context_frames_train_like_the_stacked_matrix(self, monkeypatch, chunk):
+        # the batches gather the stacked matrix's rows, and each loss chunk's
+        # rows equal a full-set forward's, so trace and parameters are equal
+        # bit for bit. The 32-wide layer keeps every chunk's first product
+        # above the 1e6 multiply-adds below which OpenBLAS sums in another
+        # order, as the full set's is.
+        self.train_both_ways(monkeypatch, chunk, np.float64)
+
+    @pytest.mark.parametrize("chunk", [64, 100, 101, 512])
+    def test_float32_context_frames_train_like_the_stacked_float32_matrix(self, monkeypatch,
+                                                                         chunk):
+        # as train-mlp reads its features: both runs train at float32
+        self.train_both_ways(monkeypatch, chunk, np.float32)
 
     @pytest.mark.parametrize("chunk", [64, 100, 101, 512])
     def test_loss_chunks_give_the_full_set_forward(self, monkeypatch, chunk):
