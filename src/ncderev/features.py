@@ -105,10 +105,10 @@ class ContextFrames:
     before it and q after it, so the set takes (frames + (p+q)·utterances)
     × d floats instead of the (frames, (p+q+1)·d) stacked matrix. The
     floats are of the first block's floating dtype (float64 for integer
-    blocks), so float32 features take half the memory of float64 ones and
-    later blocks are cast to it. Frames are numbered across
-    the utterances in block order; ``rows(idx)`` is the stacked matrix's
-    rows ``idx``, bit for bit.
+    blocks), and later blocks are cast to it, so float32 features take
+    half the memory of float64 ones. Frames are numbered across the
+    utterances in block order; ``rows(idx)`` is the stacked matrix's rows
+    ``idx``, bit for bit.
     """
 
     def __init__(self, blocks, p: int, q: int, shapes=None):

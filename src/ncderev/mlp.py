@@ -63,11 +63,12 @@ class MlpModel:
                 )
         self.layer_dims = dims
 
-    def copy(self) -> "MlpModel":
+    def astype(self, dtype) -> "MlpModel":
+        """A copy with every parameter cast to ``dtype``."""
         return MlpModel(
             list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
+            [w.astype(dtype) for w in self.weights],
+            [b.astype(dtype) for b in self.biases],
         )
 
 
@@ -275,11 +276,10 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
         valid_targets = np.asarray(valid_targets, dtype=np.float64)
 
     rng = np.random.default_rng(config.seed)
-    model = MlpModel(list(model.layer_dims), [w.astype(dtype) for w in model.weights],
-                     [b.astype(dtype) for b in model.biases])
+    model = model.astype(dtype)
     lr = config.learning_rate
     trace = []
-    best = model.copy()
+    best = model.astype(dtype)
     best_row = None
     best_valid = np.inf
     prev_valid = None
@@ -316,7 +316,7 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
         trace.append((epoch, train_mse, valid_mse, lr, loss_sum / n))
         if valid_mse < best_valid:
             best_valid = valid_mse
-            best = model.copy()
+            best = model.astype(dtype)
             best_row = len(trace) - 1
         if prev_valid is not None:
             if _plateaued(prev_valid, valid_mse, config.improvement_threshold):

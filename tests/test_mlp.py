@@ -191,12 +191,6 @@ class TestMseLoss:
             mlp.mse_loss(np.zeros((2, 4)), np.zeros((3, 4)))
 
 
-def cast(model, dtype):
-    """A copy of ``model`` with every parameter cast to ``dtype``."""
-    return mlp.MlpModel(list(model.layer_dims), [w.astype(dtype) for w in model.weights],
-                        [b.astype(dtype) for b in model.biases])
-
-
 class TestGradients:
     def test_float32_gradients_match_the_float64_oracle(self):
         # mlp-training's 840 -> 3x128 -> 40 net on one batch of 64 rows, with
@@ -204,8 +198,8 @@ class TestGradients:
         # only in the precision they compute in. The bound is 32 float32
         # epsilons of each array's largest entry; about 4 were measured.
         dims = [840, 128, 128, 128, 40]
-        single = cast(mlp.init_model(dims, seed=16), np.float32)
-        double = cast(single, np.float64)
+        single = mlp.init_model(dims, seed=16).astype(np.float32)
+        double = single.astype(np.float64)
         rng = np.random.default_rng(16)
         x = rng.normal(size=(64, 840)).astype(np.float32)
         targets = rng.normal(size=(64, 40)).astype(np.float32)
