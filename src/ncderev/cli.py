@@ -300,10 +300,15 @@ def _load_reverb(cfg, row):
     return dsp.stft(dsp.read_wav(path, _read_upstream(cfg, "make-corpus", path)))
 
 
+def _load_clean(cfg, row):
+    """Clean spectrogram of one manifest row."""
+    return dsp.stft(dsp.read_wav(row.clean_path,
+                                 _read_upstream(cfg, "make-corpus", row.clean_path)))
+
+
 def _load_pair(cfg, row):
     """(reverb, clean) spectrograms for one manifest row."""
-    clean = dsp.read_wav(row.clean_path, _read_upstream(cfg, "make-corpus", row.clean_path))
-    return _load_reverb(cfg, row), dsp.stft(clean)
+    return _load_reverb(cfg, row), _load_clean(cfg, row)
 
 
 def _require_features(cfg, kind, utt) -> np.ndarray:
@@ -354,23 +359,28 @@ def cmd_featurize(cfg) -> int:
     return 0
 
 
+def _fit_one(cfg, row, out_dir):
+    """Fit, apply and write one utterance's per-bin filters; returns its
+    errors.csv row. Its arrays are released on return, before the next
+    utterance is loaded."""
+    reverb_spec, clean_spec = _load_pair(cfg, row)
+    estimate, taps, errors = fir.dereverberate_spectrogram(
+        reverb_spec, clean_spec, cfg.p, cfg.q, ridge=cfg.ridge
+    )
+    # row i holds tap i of every bin, which multiplies x(n + q - i)
+    fileformats.write_spectrogram(taps.T, _out(cfg, out_dir / f"{row.utterance}_filters.ncsp"))
+    fileformats.write_spectrogram(estimate, _out(cfg, _estimate_path(cfg, row.utterance)))
+    dsp.write_wav(dsp.istft(estimate), _out(cfg, out_dir / f"{row.utterance}_estimate.wav"))
+    denom = float(np.sum(np.abs(clean_spec) ** 2))
+    return (row.utterance, float(errors.sum()),
+            float(errors.sum()) / denom if denom else 0.0)
+
+
 def cmd_fit_fir(cfg) -> int:
     rows = _split_rows(_manifest_rows(cfg), cfg.split)
     out_dir = _fir_dir(cfg)
     out_dir.mkdir(exist_ok=True)
-    err_rows = []
-    for row in rows:
-        reverb_spec, clean_spec = _load_pair(cfg, row)
-        estimate, taps, errors = fir.dereverberate_spectrogram(
-            reverb_spec, clean_spec, cfg.p, cfg.q, ridge=cfg.ridge
-        )
-        # row i holds tap i of every bin, which multiplies x(n + q - i)
-        fileformats.write_spectrogram(taps.T, _out(cfg, out_dir / f"{row.utterance}_filters.ncsp"))
-        fileformats.write_spectrogram(estimate, _out(cfg, _estimate_path(cfg, row.utterance)))
-        dsp.write_wav(dsp.istft(estimate), _out(cfg, out_dir / f"{row.utterance}_estimate.wav"))
-        denom = float(np.sum(np.abs(clean_spec) ** 2))
-        err_rows.append((row.utterance, float(errors.sum()),
-                         float(errors.sum()) / denom if denom else 0.0))
+    err_rows = [_fit_one(cfg, row, out_dir) for row in rows]
     fileformats.write_csv(_out(cfg, out_dir / "errors.csv"),
                           ["utterance", "total_err", "normalized_err"], err_rows)
     _write_run_record(cfg, "fit-fir")
@@ -526,9 +536,9 @@ def cmd_mix_sweep(cfg) -> int:
     # band j holds [edge j, edge j+1); the last band also holds the maximum
     rt60s = [row.rt60 for row in rows]
     edges = np.linspace(min(rt60s), max(rt60s), cfg.n_subsets + 1)
-    bands = np.searchsorted(edges[1:-1], rt60s, side="right")
+    bands = np.searchsorted(edges[1:-1], rt60s, side="right").tolist()
     subsets = {f"rt60_band{j}": [u for u, band in zip(utterances, bands) if band == j]
-               for j in np.unique(bands)}
+               for j in sorted(set(bands))}
 
     cell_rows = []
     summary_rows = []
@@ -549,21 +559,26 @@ def cmd_mix_sweep(cfg) -> int:
 
 
 def _diagnose_one(cfg, row, sums, export_dir=None) -> None:
-    """Fold one utterance's clean, reverberant and fit-fir estimate
-    spectrograms into ``sums`` (one AutocorrSums per corpus); with
-    ``export_dir`` set, also export the three for inspection."""
-    reverb_spec, clean_spec = _load_pair(cfg, row)
+    """Fold one utterance's reverberant, clean and fit-fir estimate
+    spectrograms into ``sums`` (one AutocorrSums per corpus), loading
+    each only after the one before is released; with ``export_dir`` set,
+    also export each for inspection."""
     path = _estimate_path(cfg, row.utterance)
-    estimate = fileformats.read_spectrogram(path, _read_upstream(cfg, "fit-fir", path))
-    specs = {"clean": clean_spec, "reverb": reverb_spec, "fir_derev": estimate}
-    for name, spec in specs.items():
+    loaders = {
+        "reverb": lambda: _load_reverb(cfg, row),
+        "clean": lambda: _load_clean(cfg, row),
+        "fir_derev": lambda: fileformats.read_spectrogram(
+            path, _read_upstream(cfg, "fit-fir", path)),
+    }
+    for name, load in loaders.items():
+        spec = load()
         sums[name].add(spec)
-    if export_dir is not None:
-        for name, spec in specs.items():
+        if export_dir is not None:
             stem = export_dir / f"{row.utterance}_{name}"
             diagnostics.export_spectrogram(spec, _out(cfg, f"{stem}.pgm"), "pgm")
             diagnostics.export_spectrogram(_mvn_logmel(spec), _out(cfg, f"{stem}_logmel.csv"),
                                            "csv")
+        del spec
 
 
 def cmd_diagnose(cfg) -> int:

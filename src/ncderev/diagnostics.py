@@ -7,11 +7,21 @@ tau is the value at lag tau, for lags 0..max_lag. Reverberation shows up
 as heavier autocorrelation tails in the complex trajectory of each
 frequency bin; the corpus-average curve and its tail mass scalarize that
 comparison between clean, reverberated and dereverberated material.
+
+The autocorrelations run BLOCK trajectories at a time: each block's
+trajectories are copied into contiguous rows, so that the FFTs and the
+prefix sums read memory in order, and the block's buffers (a few
+hundred kB for a few hundred frames) are reused. Transforming every
+trajectory at once along the strided frame axis would allocate half a
+dozen spectrogram-sized temporaries per call.
 """
 
 import numpy as np
 
 from .mlp import mse_loss
+
+# bin trajectories _autocorr_columns transforms at once
+BLOCK = 32
 
 
 def _check_max_lag(max_lag: int) -> None:
@@ -27,37 +37,69 @@ def _autocorr_columns(values: np.ndarray, max_lag: int, magnitude: bool):
     sums of the energy. Columns that are constant, have (numerically) zero
     energy, or are not longer than max_lag are unusable.
 
+    The column means, energies and energy totals are reduced over the
+    whole array, whose bits a reduction over fewer columns need not give.
+    The usable columns then go through the FFTs and prefix sums BLOCK at a
+    time, each column by itself, into the one output array. Complex input
+    is taken as complex128.
+
     Returns:
         (curves, usable): curves is (max_lag + 1, n_usable), usable is a
         boolean mask over the columns.
     """
-    s = np.abs(values) if magnitude else values
-    if not np.iscomplexobj(s):
-        s = s.astype(np.float64)
+    # a real array is the function's own, and its mean is removed in place
+    if magnitude:
+        s = np.abs(values).astype(np.float64, copy=False)
+    elif np.iscomplexobj(values):
+        s = values.astype(np.complex128, copy=False)
+    else:
+        s = values.astype(np.float64)
     n = s.shape[0]
     usable = np.zeros(s.shape[1], dtype=bool)
     if n > max_lag:
         # compared exactly: a constant column's mean need not round to its value
         usable = np.any(s != s[0], axis=0)
-        s = s - s.mean(axis=0)
-        energy = s.real ** 2 + s.imag ** 2
+        if np.iscomplexobj(s):
+            s = s - s.mean(axis=0)
+            energy = s.real ** 2 + s.imag ** 2
+        else:
+            s -= s.mean(axis=0)
+            energy = np.square(s)
         usable &= ~(energy.sum(axis=0) < 1e-300)  # a NaN column stays and shows
-    if not usable.any():
-        return np.zeros((max_lag + 1, 0)), usable
-    s, energy = s[:, usable], energy[:, usable]
+    columns = np.flatnonzero(usable)
+    curves = np.empty((max_lag + 1, len(columns)))
+    if not len(columns):
+        return curves, usable
     # Re sum_n conj(s(n)) s(n+tau) is the sum of the real and imaginary
     # parts' autocorrelations; padding to n + max_lag avoids wrap-around
     nfft = 1 << (n + max_lag - 1).bit_length()
-    power = np.abs(np.fft.rfft(s.real, nfft, axis=0)) ** 2
-    if np.iscomplexobj(s):
-        power += np.abs(np.fft.rfft(s.imag, nfft, axis=0)) ** 2
-    num = np.fft.irfft(power, nfft, axis=0)[:max_lag + 1]
-    head = np.cumsum(energy, axis=0)           # head[i] = sum of energy[:i+1]
-    tail = np.cumsum(energy[::-1], axis=0)[::-1]
-    lags = np.arange(max_lag + 1)
-    denom = np.sqrt(head[n - lags - 1] * tail[lags])
-    positive = denom > 0
-    curves = np.where(positive, num / np.where(positive, denom, 1.0), 0.0)
+    parts = (s.real, s.imag) if np.iscomplexobj(s) else (s,)
+    width = min(BLOCK, len(columns))
+    spectra = np.empty((width, nfft // 2 + 1), dtype=np.complex128)
+    power = np.empty((width, nfft // 2 + 1))
+    square = np.empty_like(power) if len(parts) > 1 else None
+    lagged = np.empty((width, nfft))
+    sums = np.empty((width, n))
+    ends = n - 1 - np.arange(max_lag + 1)  # head[n-1-tau] and tail[tau] sit here
+    for first in range(0, len(columns), BLOCK):
+        block = columns[first:first + BLOCK]
+        m = len(block)
+        for j, part in enumerate(parts):
+            # part.T[block] gathers the block's columns as contiguous rows
+            np.fft.rfft(part.T[block], nfft, axis=1, out=spectra[:m])
+            mag = np.abs(spectra[:m], out=square[:m] if j else power[:m])
+            np.square(mag, out=mag)
+            if j:
+                power[:m] += mag
+        # the real power as a complex input, which irfft would cast it to
+        spectra[:m] = power[:m]
+        num = np.fft.irfft(spectra[:m], nfft, axis=1, out=lagged[:m])[:, :max_lag + 1]
+        head = np.cumsum(energy.T[block], axis=1, out=sums[:m])[:, ends]
+        tail = np.cumsum(energy[::-1].T[block], axis=1, out=sums[:m])[:, ends]
+        denom = np.sqrt(head * tail)
+        positive = denom > 0
+        curves[:, first:first + m] = np.where(
+            positive, num / np.where(positive, denom, 1.0), 0.0).T
     return curves, usable
 
 

@@ -49,13 +49,14 @@ def write_csv(path, header, rows) -> None:
 
 
 def _write_block(path, magic: bytes, values, ndims: int, tail: bytes = b"") -> None:
-    """Write ``magic``, the first ``ndims`` dims of ``values`` as u32,
-    ``values`` as f32 and then ``tail``."""
-    values = np.asarray(values, dtype="<f4")
+    """Write ``magic``, the first ``ndims`` dims of ``values`` as u32, the
+    cells of ``values`` (little-endian f32, or ``<c8`` for (re, im) f32
+    pairs) in row-major order and then ``tail``."""
+    values = np.ascontiguousarray(values)
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack(f"<{ndims}I", *values.shape[:ndims]))
-        fh.write(values.tobytes())
+        fh.write(values.data)
         fh.write(tail)
 
 
@@ -95,16 +96,14 @@ def write_spectrogram(values, path) -> None:
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
-    inter = np.empty(values.shape + (2,), dtype="<f4")
-    inter[:, :, 0] = values.real
-    inter[:, :, 1] = values.imag
-    _write_block(path, b"NCSP", inter, 2)
+    _write_block(path, b"NCSP", values.astype("<c8"), 2)
 
 
 def read_spectrogram(path, data=None) -> np.ndarray:
     """Read an NCSP dump back as a complex128 (rows, bins) matrix."""
-    values = _read_block(path, b"NCSP", 2, (2,), data)[0].astype(np.float64)
-    return values[:, :, 0] + 1j * values[:, :, 1]
+    # the interleaved (re, im) f32 pairs are little-endian complex64 cells
+    values = _read_block(path, b"NCSP", 2, (2,), data)[0]
+    return values.view("<c8")[:, :, 0].astype(np.complex128)
 
 
 def write_features(feats, path) -> None:
@@ -112,7 +111,7 @@ def write_features(feats, path) -> None:
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {feats.shape}")
-    _write_block(path, b"NCFT", feats, 2)
+    _write_block(path, b"NCFT", feats.astype("<f4"), 2)
 
 
 def read_features(path, data=None) -> np.ndarray:
@@ -143,7 +142,7 @@ def write_rir(rir: Rir, path) -> None:
     text = "".join(
         f"{key}={','.join(map(fmt, value)) if isinstance(value, tuple) else fmt(value)}\n"
         for key, value in pairs)
-    _write_block(path, b"NCIR", rir.taps, 1, text.encode("ascii"))
+    _write_block(path, b"NCIR", np.asarray(rir.taps, dtype="<f4"), 1, text.encode("ascii"))
 
 
 def read_rir(path) -> Rir:

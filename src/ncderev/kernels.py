@@ -10,9 +10,11 @@ The second builds the per-bin complex normal equations (ZᴴZ) g = Zᴴy
 of the FIR fits without forming Z: each bin's Zᴴy and first Gram row
 are two lag correlations of its zero-padded trajectory, and a rank-2
 recursion along the Gram's diagonals fills the rest in O(taps²) per
-bin. The third applies filters to all frequency bins at once. The two
-FIR kernels take bin trajectories only as (frames, bins) arrays; one
-bin is a one-column array.
+bin. The third applies filters to all frequency bins at once, ROWS
+output frames at a time, so that each tap's product lands in one reused
+buffer of about 130 kB instead of a new output-sized array. The two FIR
+kernels take bin trajectories only as (frames, bins) arrays; one bin is
+a one-column array.
 """
 
 import numpy as np
@@ -23,6 +25,8 @@ BLOCK = 1 << 16
 WINDOW = 1 << 10
 # bins normal_blocks transposes, and mirrors into its lower triangles, at once
 MIRROR = 8
+# output frames apply_fir computes at once
+ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,8 @@ def apply_fir(g, x, q, out_len):
     """Apply per-bin complex FIR filters to bin trajectories.
 
     out[n, k] = sum_i g[k, i] * x[n + q - i, k], with x treated as zero
-    outside its support.
+    outside its support. The taps are added in order i = 0, 1, ..., ROWS
+    output frames at a time, each tap's product in one reused buffer.
 
     Args:
         g: complex taps, shape (K, taps).
@@ -265,10 +270,15 @@ def apply_fir(g, x, q, out_len):
     q, out_len = int(q), int(out_len)
     lx, n_bins = x.shape
     out = np.zeros((out_len, n_bins), dtype=np.complex128)
-    for i in range(g.shape[1]):
-        s = q - i
-        lo = max(0, -s)
-        hi = min(out_len, lx - s)
-        if lo < hi:
-            out[lo:hi] += g[None, :, i] * x[lo + s:hi + s]
+    product = np.empty((min(ROWS, out_len), n_bins), dtype=np.complex128)
+    for first in range(0, out_len, ROWS):
+        last = min(first + ROWS, out_len)
+        for i in range(g.shape[1]):
+            s = q - i
+            lo = max(first, -s)
+            hi = min(last, lx - s)
+            if lo < hi:
+                term = product[:hi - lo]
+                np.multiply(g[:, i], x[lo + s:hi + s], out=term)
+                out[lo:hi] += term
     return out

@@ -441,6 +441,20 @@ def test_mix_sweep_reads_no_dev_clean_wav(trained, monkeypatch):
         assert Path(row.clean_path).resolve() not in read
 
 
+def test_mix_sweep_loads_no_numpy_ma(trained):
+    # nothing in mix-sweep uses masked arrays, and importing numpy.ma
+    # costs every mix-sweep process 10-30 ms
+    config_path, _ = trained
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys; from ncderev.cli import main; "
+             f"code = main(['mix-sweep', '--config', {str(config_path)!r}]); "
+             "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1].split() == ["0", "False"]
+
+
 def test_mix_sweep_identity_enhancer(trained, tmp_path):
     # with identity, ref_enhanced is the reverberant log-Mel recomputed in
     # float64, so configs 1 and 4 agree at lambda 0 up to the float32
@@ -1062,35 +1076,57 @@ def test_each_command_reads_the_manifest_once(root_copy, monkeypatch):
 
 
 def test_diagnose_holds_one_utterance_at_a_time(fitted_all, monkeypatch):
-    # each utterance's three spectrograms are folded into the sums and
-    # released before the next utterance is loaded
+    # each of an utterance's three spectrograms is loaded only after the
+    # one before it was folded into the sums and released
     config_path, _ = fitted_all
     calls, loaded = [], []
-    load_pair, read_spectrogram = cli._load_pair, fileformats.read_spectrogram
     add = diagnostics.AutocorrSums.add
 
-    def loading(*args, **kwargs):
-        assert all(ref() is None for ref in loaded)
-        calls.append("pair")
-        pair = load_pair(*args, **kwargs)
-        loaded.extend(weakref.ref(spec) for spec in pair)
-        return pair
-
-    def reading(*args, **kwargs):
-        calls.append("estimate")
-        estimate = read_spectrogram(*args, **kwargs)
-        loaded.append(weakref.ref(estimate))
-        return estimate
+    def tracking(name, load):
+        def loading(*args, **kwargs):
+            assert all(ref() is None for ref in loaded)
+            calls.append(name)
+            spec = load(*args, **kwargs)
+            loaded.append(weakref.ref(spec))
+            return spec
+        return loading
 
     def adding(self, spec):
         calls.append("add")
         return add(self, spec)
 
-    monkeypatch.setattr(cli, "_load_pair", loading)
-    monkeypatch.setattr(fileformats, "read_spectrogram", reading)
+    monkeypatch.setattr(cli, "_load_reverb", tracking("reverb", cli._load_reverb))
+    monkeypatch.setattr(cli, "_load_clean", tracking("clean", cli._load_clean))
+    monkeypatch.setattr(fileformats, "read_spectrogram",
+                        tracking("estimate", fileformats.read_spectrogram))
     monkeypatch.setattr(diagnostics.AutocorrSums, "add", adding)
     assert cli.main(["diagnose", "--config", str(config_path)]) == 0
-    assert calls == ["pair", "estimate", "add", "add", "add"] * len(UTTS)
+    assert calls == ["reverb", "add", "clean", "add", "estimate", "add"] * len(UTTS)
+    assert all(ref() is None for ref in loaded)
+
+
+def test_fit_fir_holds_one_utterance_at_a_time(fitted_all, monkeypatch):
+    # nothing of one utterance (its pair, estimate, filters or errors) is
+    # alive when the next utterance's pair is loaded
+    config_path, _ = fitted_all
+    loaded = []
+    load_pair, dereverberate = cli._load_pair, fir.dereverberate_spectrogram
+
+    def loading(*args, **kwargs):
+        assert all(ref() is None for ref in loaded)
+        pair = load_pair(*args, **kwargs)
+        loaded.extend(weakref.ref(spec) for spec in pair)
+        return pair
+
+    def fitting(*args, **kwargs):
+        result = dereverberate(*args, **kwargs)
+        loaded.extend(weakref.ref(array) for array in result)
+        return result
+
+    monkeypatch.setattr(cli, "_load_pair", loading)
+    monkeypatch.setattr(fir, "dereverberate_spectrogram", fitting)
+    assert cli.main(["fit-fir", "--config", str(config_path)]) == 0
+    assert len(loaded) == 5 * len(UTTS)
     assert all(ref() is None for ref in loaded)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,35 @@ def loop_autocorr(series, max_lag, magnitude=False):
         denom = np.sqrt(head[s.size - tau - 1] * tail[tau])
         values[tau] = num / denom if denom > 0 else 0.0
     return values
+
+
+def oneshot_autocorr_columns(values, max_lag, magnitude):
+    """Every column's curve from one FFT along the frame axis of the
+    whole array: (curves of the usable columns, usable mask)."""
+    s = np.abs(values) if magnitude else values
+    if not np.iscomplexobj(s):
+        s = s.astype(np.float64)
+    n = s.shape[0]
+    usable = np.zeros(s.shape[1], dtype=bool)
+    if n > max_lag:
+        usable = np.any(s != s[0], axis=0)
+        s = s - s.mean(axis=0)
+        energy = s.real ** 2 + s.imag ** 2
+        usable &= ~(energy.sum(axis=0) < 1e-300)
+    if not usable.any():
+        return np.zeros((max_lag + 1, 0)), usable
+    s, energy = s[:, usable], energy[:, usable]
+    nfft = 1 << (n + max_lag - 1).bit_length()
+    power = np.abs(np.fft.rfft(s.real, nfft, axis=0)) ** 2
+    if np.iscomplexobj(s):
+        power += np.abs(np.fft.rfft(s.imag, nfft, axis=0)) ** 2
+    num = np.fft.irfft(power, nfft, axis=0)[:max_lag + 1]
+    head = np.cumsum(energy, axis=0)
+    tail = np.cumsum(energy[::-1], axis=0)[::-1]
+    lags = np.arange(max_lag + 1)
+    denom = np.sqrt(head[n - lags - 1] * tail[lags])
+    positive = denom > 0
+    return np.where(positive, num / np.where(positive, denom, 1.0), 0.0), usable
 
 
 def loop_average(spectrograms, max_lag, magnitude=False):
@@ -137,6 +168,31 @@ class TestAgainstLoopOracle:
         assert np.max(np.abs(curve - want)) <= 1e-12
 
 
+    @pytest.mark.parametrize("kind", ["complex", "real", "magnitude"])
+    @pytest.mark.parametrize("n, max_lag", [(300, 20), (101, 100), (100, 100), (1000, 100)])
+    def test_257_bins_match_the_one_shot_fft_bit_for_bit(self, kind, n, max_lag):
+        # constant, silent and tiny columns at the edges of the blocks of
+        # diagnostics.BLOCK = 32 columns; at n <= max_lag every column is
+        # too short
+        rng = np.random.default_rng(n)
+        spec = rng.normal(size=(n, 257)) + 1j * rng.normal(size=(n, 257))
+        if kind == "real":
+            spec = spec.real.copy()
+        spec[:, 0] = spec[0, 0]
+        spec[:, [31, 64, 256]] = 0.0
+        spec[:, 32] = 0.5
+        spec[:, 63] = 3e-200 * rng.normal(size=n)
+        magnitude = kind == "magnitude"
+        got, usable = diagnostics._autocorr_columns(spec, max_lag, magnitude)
+        want, want_usable = oneshot_autocorr_columns(spec, max_lag, magnitude)
+        assert np.array_equal(usable, want_usable)
+        assert usable.sum() == (251 if n > max_lag else 0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        sums = diagnostics.AutocorrSums(max_lag, magnitude)
+        sums.add(spec)
+        assert sums.sums.tobytes() == want.sum(axis=1).tobytes()
+
+
 class TestAverageAutocorr:
     def test_single_trajectory_corpus(self):
         rng = np.random.default_rng(5)
@@ -172,6 +228,25 @@ class TestAverageAutocorr:
     def test_negative_max_lag_rejected(self):
         with pytest.raises(ValueError, match="max_lag must be >= 0"):
             diagnostics.AutocorrSums(-1)
+
+    def test_add_holds_the_magnitudes_their_energy_and_one_block(self):
+        # diagnose's fold of a 2000-frame spectrogram: the column statistics
+        # need the magnitudes and their energy as two whole real arrays; the
+        # FFTs and prefix sums hold about five (BLOCK, nfft) real arrays
+        n, max_lag = 2000, 20
+        rng = np.random.default_rng(9)
+        spec = rng.normal(size=(n, 257)) + 1j * rng.normal(size=(n, 257))
+        sums = diagnostics.AutocorrSums(max_lag, magnitude=True)
+        real = n * 257 * 8
+        block = diagnostics.BLOCK * (1 << (n + max_lag - 1).bit_length()) * 8
+        tracemalloc.start()
+        try:
+            sums.add(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sums.used == 257
+        assert peak <= 2 * real + 6 * block
 
 
 class TestTailMass:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import wave
 
 import numpy as np
@@ -161,13 +162,28 @@ class TestStft:
             spectrum_energy = half[0] + 2 * half[1:-1].sum() + half[-1]
             assert abs(time_energy - spectrum_energy / 512) <= 1e-9 * time_energy
 
-    @pytest.mark.parametrize("n", [400, 401, 559, 16000, 88123])
+    # 10480, 10640 and 20880 samples make 64, 65 and 129 frames: one
+    # block, one more frame and two blocks and one
+    @pytest.mark.parametrize("n", [400, 401, 559, 16000, 88123, 10480, 10640, 20880])
     def test_matches_index_matrix_framing(self, n):
         # row n of the index matrix is n*shift + arange(frame_len)
         x = np.random.default_rng(n).normal(size=n)
         idx = np.arange(1 + (n - 400) // 160)[:, None] * 160 + np.arange(400)
         want = np.fft.rfft(x[idx] * WINDOW, n=512, axis=1)
         assert np.array_equal(stft(x), want)
+
+    def test_allocates_the_output_and_one_block(self):
+        # 2000 frames: the whole windowed-frame array would be 6.4 MB beside
+        # the 8.2 MB output
+        x = np.random.default_rng(5).normal(size=FRAME_LEN + 1999 * FRAME_SHIFT)
+        tracemalloc.start()
+        try:
+            out = stft(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2000, 257)
+        assert peak <= out.nbytes + 1e6
 
     def test_frame_coverage_offsets(self):
         # frame n covers samples [n*shift, n*shift + frame_len)
@@ -197,12 +213,26 @@ class TestIstft:
         nz = WINDOW > 1e-6
         assert np.allclose(back[nz], w[nz], atol=1e-9)
 
-    @pytest.mark.parametrize("n_frames", [1, 2, 37])
+    @pytest.mark.parametrize("n_frames", [1, 2, 37, 63, 64, 65, 128, 129])
     def test_matches_per_frame_overlap_add(self, n_frames):
         # same additions in the same order: bit-identical, not just close
         rng = np.random.default_rng(n_frames)
         values = rng.normal(size=(n_frames, 257)) + 1j * rng.normal(size=(n_frames, 257))
         assert np.array_equal(istft(values), loop_istft(values))
+
+    def test_allocates_the_output_and_one_block(self):
+        # 2000 frames: the whole synthesized-frame array would be 8.2 MB and
+        # the window sum another output-sized array, beside the 2.6 MB output
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(2000, 257)) + 1j * rng.normal(size=(2000, 257))
+        tracemalloc.start()
+        try:
+            out = istft(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == FRAME_LEN + 1999 * FRAME_SHIFT
+        assert peak <= out.nbytes + 1e6
 
     def test_inconsistent_bins_rejected(self):
         with pytest.raises(ValueError, match="bins"):

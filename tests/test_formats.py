@@ -169,3 +169,15 @@ def test_manifest_roundtrip_name_with_comma(tmp_path):
     path = tmp_path / "manifest.csv"
     corpus.write_manifest([row], path)
     assert corpus.read_manifest(path) == [row]
+
+
+def test_spectrogram_roundtrip_keeps_signed_zeros(tmp_path):
+    # each stored f32 (re, im) pair comes back as it was, -0.0 parts included
+    values = np.array([[complex(-0.0, -0.0), complex(-0.0, 0.0)],
+                       [complex(0.0, -0.0), complex(1.5, -0.0)],
+                       [complex(-2.25, 0.0), complex(0.0, 0.0)]])
+    path = tmp_path / "zeros.ncsp"
+    ff.write_spectrogram(values, path)
+    back = ff.read_spectrogram(path)
+    assert back.dtype == np.complex128
+    assert back.view(np.float64).tobytes() == values.view(np.float64).tobytes()

@@ -250,6 +250,39 @@ class TestApplyFir:
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+    # q < 0, out_len past Lx, out_len shorter than one block, and block
+    # edges at 32, 64 and 65 output frames
+    @pytest.mark.parametrize("lx, q, taps, out_len", [
+        (100, -3, 5, 100), (40, 2, 5, 90), (50, 1, 4, 7), (64, 10, 21, 64),
+        (70, 5, 11, 65), (32, 0, 1, 32), (20, 25, 3, 40), (30, 1, 4, 0)])
+    def test_matches_the_per_tap_sum_bit_for_bit(self, lx, q, taps, out_len):
+        # the same products added in the same tap order, so the same bits
+        rng = np.random.default_rng(lx + taps)
+        g = rng.normal(size=(257, taps)) + 1j * rng.normal(size=(257, taps))
+        x = rng.normal(size=(lx, 257)) + 1j * rng.normal(size=(lx, 257))
+        want = np.zeros((out_len, 257), dtype=complex)
+        for i in range(taps):
+            s = q - i
+            lo, hi = max(0, -s), min(out_len, lx - s)
+            if lo < hi:
+                want[lo:hi] += g[None, :, i] * x[lo + s:hi + s]
+        assert np.array_equal(kernels.apply_fir(g, x, q, out_len), want)
+
+    def test_allocates_the_output_and_one_block(self):
+        # 2000 frames and 21 taps: each tap's whole product would be
+        # another 8.2 MB beside the 8.2 MB output
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(257, 21)) + 1j * rng.normal(size=(257, 21))
+        x = rng.normal(size=(2000, 257)) + 1j * rng.normal(size=(2000, 257))
+        tracemalloc.start()
+        try:
+            out = kernels.apply_fir(g, x, 10, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 1e6
+
+
 def check_normal_blocks(x, y, q, taps):
     """normal_blocks against the explicit product of fir.design_matrix, bin
     by bin within 1e-12 of the bin's largest Gram entry; the Gram must be
