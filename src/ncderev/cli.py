@@ -343,17 +343,23 @@ def cmd_make_corpus(cfg) -> int:
     return 0
 
 
+def _featurize_one(cfg, row) -> None:
+    """Write one utterance's clean and reverberant features. Its arrays
+    are released on return, before the next utterance is loaded."""
+    reverb_spec, clean_spec = _load_pair(cfg, row)
+    clean_feats = _mvn_logmel(clean_spec)
+    reverb_feats = _mvn_logmel(reverb_spec)
+    reverb_feats, clean_feats = features.align_pairs(reverb_feats, clean_feats)
+    for kind, feats in (("clean", clean_feats), ("reverb", reverb_feats)):
+        fileformats.write_features(feats, _out(cfg, _features_path(cfg, kind, row.utterance)))
+
+
 def cmd_featurize(cfg) -> int:
     rows = _manifest_rows(cfg)
     for kind in ("clean", "reverb"):
         _features_dir(cfg, kind).mkdir(parents=True, exist_ok=True)
     for row in rows:
-        reverb_spec, clean_spec = _load_pair(cfg, row)
-        clean_feats = _mvn_logmel(clean_spec)
-        reverb_feats = _mvn_logmel(reverb_spec)
-        reverb_feats, clean_feats = features.align_pairs(reverb_feats, clean_feats)
-        for kind, feats in (("clean", clean_feats), ("reverb", reverb_feats)):
-            fileformats.write_features(feats, _out(cfg, _features_path(cfg, kind, row.utterance)))
+        _featurize_one(cfg, row)
     _write_run_record(cfg, "featurize")
     print(f"wrote features for {len(rows)} utterances under {_features_dir(cfg, 'clean').parent}")
     return 0
@@ -527,6 +533,8 @@ def cmd_mix_sweep(cfg) -> int:
             if enhancer_taps is not None:
                 spec = kernels.apply_fir(enhancer_taps, spec, 0, len(spec))
             streams["ref_enhanced"] = _mvn_logmel(spec)[:clean_feats.shape[0]]
+            # released before the next utterance's spectrogram is loaded
+            del spec
         for source in ("reverb", "ref_enhanced"):
             if streams[f"derev_of_{source}"] is None:
                 streams[f"derev_of_{source}"] = mlp.dereverberate_features(

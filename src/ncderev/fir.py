@@ -272,7 +272,9 @@ def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
 
     The Gram ZᴴZ and correlation Zᴴy are additive over utterances, so
     pooling sums them before a single per-bin solve; with one pair this
-    is that pair's own fit.
+    is that pair's own fit. Each pair and its Gram are released before
+    the next pair is drawn, so a generator of pairs holds one utterance
+    at a time beside the sums.
 
     Args:
         pairs: iterable of (reverb, clean) complex (frames, bins)
@@ -298,6 +300,9 @@ def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
         else:
             gram_sum += gram
             corr_sum += corr
+        # the generator builds the next pair while these names still hold
+        # this one
+        del reverb, clean, gram, corr
     if gram_sum is None:
         raise ValueError("no pairs supplied")
     return _solve(gram_sum, corr_sum, ridge)

@@ -10,7 +10,8 @@ The second builds the per-bin complex normal equations (ZᴴZ) g = Zᴴy
 of the FIR fits without forming Z: each bin's Zᴴy and first Gram row
 are two lag correlations of its zero-padded trajectory, and a rank-2
 recursion along the Gram's diagonals fills the rest in O(taps²) per
-bin. The third applies filters to all frequency bins at once, ROWS
+bin. The padded trajectories are filled MIRROR bins at a time into one
+reused buffer, never as one (bins, frames + taps - 1) copy. The third applies filters to all frequency bins at once, ROWS
 output frames at a time, so that each tap's product lands in one reused
 buffer of about 130 kB instead of a new output-sized array. The two FIR
 kernels take bin trajectories only as (frames, bins) arrays; one bin is
@@ -20,7 +21,7 @@ a one-column array.
 import numpy as np
 
 # most image candidates rir_order_table holds at once
-BLOCK = 1 << 16
+BLOCK = 1 << 14
 # taps per window of rir_order_table, each of which stores its own rows
 WINDOW = 1 << 10
 # bins normal_blocks transposes, and mirrors into its lower triangles, at once
@@ -181,7 +182,9 @@ def normal_blocks(x, y, q, taps):
     it. The recursion fills the upper triangle row by row with bins on
     the fast axis, and the lower triangle is its conjugate mirror, so
     the Gram is exactly Hermitian with a real diagonal. No design,
-    window copy or (K, taps²) temporary is built.
+    window copy or (K, taps²) temporary is built, nor the whole padded
+    copy of x: its rows are filled MIRROR bins at a time into one reused
+    buffer, and a and b are read from x as two (taps - 1, K) arrays.
 
     Args:
         x: complex reverberant trajectories, shape (Lx, K).
@@ -199,29 +202,36 @@ def normal_blocks(x, y, q, taps):
     y = np.asarray(y, dtype=np.complex128)
     q, taps = int(q), int(taps)
     n_c, n_bins = y.shape
-    # padded[k, j] = x[j - lead, k], so Z[n, i] = padded[k, n + taps - 1 - i]
+    # the padded row of bin k: padded[k, j] = x[j - lead, k], so
+    # Z[n, i] = padded[k, n + taps - 1 - i]; it holds x[lo:hi] at
+    # lo + lead:hi + lead and zeros elsewhere
     lead = taps - 1 - q
     lo, hi = max(0, -lead), min(x.shape[0], n_c + q)
-    padded = np.zeros((n_bins, n_c + taps - 1), dtype=np.complex128)
-    if lo < hi:
-        padded[:, lo + lead:hi + lead] = x[lo:hi].T
     gram = np.empty((n_bins, taps, taps), dtype=np.complex128)
     corr = np.empty((n_bins, taps), dtype=np.complex128)
     # row[w, k] holds G[i, i + w] of bin k while the recursion is at row i
     row = np.empty((taps, n_bins), dtype=np.complex128)
-    # the clean trajectories, transposed MIRROR bins at a time so that
-    # np.correlate reads contiguous rows instead of copying each column
+    # the padded rows and the clean trajectories, transposed MIRROR bins at
+    # a time so that np.correlate reads contiguous rows instead of copying
+    # each column; the padded rows' zeros are written once
+    padded = np.zeros((min(MIRROR, n_bins), n_c + taps - 1), dtype=np.complex128)
     clean = np.empty((min(MIRROR, n_bins), n_c), dtype=np.complex128)
     for k in range(n_bins):
         if k % MIRROR == 0:
-            np.copyto(clean[:min(MIRROR, n_bins - k)], y[:, k:k + MIRROR].T)
+            count = min(MIRROR, n_bins - k)
+            if lo < hi:
+                np.copyto(padded[:count, lo + lead:hi + lead], x[lo:hi, k:k + count].T)
+            np.copyto(clean[:count], y[:, k:k + MIRROR].T)
+        pad = padded[k % MIRROR]
         # np.correlate conjugates its second argument, and its lag w is
         # tap taps - 1 - w
-        corr[k] = np.correlate(padded[k], clean[k % MIRROR], "valid")[::-1]
-        row[::-1, k] = np.correlate(padded[k], padded[k, taps - 1:], "valid")
+        corr[k] = np.correlate(pad, clean[k % MIRROR], "valid")[::-1]
+        row[::-1, k] = np.correlate(pad, pad[taps - 1:], "valid")
     np.conjugate(corr, out=corr)
-    a = padded[:, :taps - 1][:, ::-1].T  # a[i] = Z[-1, i], shape (taps-1, K)
-    b = padded[:, n_c:][:, ::-1].T  # b[i] = Z[Nc-1, i]
+    # a[i] = Z[-1, i] = x[q - 1 - i] and b[i] = Z[Nc-1, i] = x[Nc + q - 1 - i],
+    # zero outside x, each of shape (taps-1, K)
+    a = _shifted_rows(x, q - 1, taps - 1)
+    b = _shifted_rows(x, n_c + q - 1, taps - 1)
     term = np.empty_like(row)
     row[0].imag = 0.0
     gram[:, 0] = row.T
@@ -243,6 +253,17 @@ def normal_blocks(x, y, q, taps):
         np.conjugate(block.transpose(0, 2, 1), out=flipped)
         np.copyto(block, flipped, where=lower)
     return gram, corr
+
+
+def _shifted_rows(x, first, count):
+    """Rows x[first - i] for i = 0..count-1, zero where first - i lies
+    outside x; shape (count, K)."""
+    out = np.zeros((count, x.shape[1]), dtype=x.dtype)
+    # row i is inside x for first - len(x) < i <= first
+    i_lo, i_hi = max(0, first - len(x) + 1), min(count, first + 1)
+    if i_lo < i_hi:
+        out[i_lo:i_hi] = x[first - i_hi + 1:first - i_lo + 1][::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------

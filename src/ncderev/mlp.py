@@ -125,15 +125,17 @@ def _sigmoid(z):
     return z
 
 
-def _forward_all(model, x):
-    """Activations of every layer for a (B, d_in) batch."""
+def _forward_all(model, x, buffers=None):
+    """Activations of every layer for a (B, d_in) batch; layer i's lands
+    in the first B rows of ``buffers[i]`` when they are given."""
     acts = [x]
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w
+        z = np.matmul(h, w, out=None if buffers is None else buffers[i][:len(x)])
         z += b
-        # z is fresh, so the in-place sigmoid never touches an earlier act
+        # z is fresh or its own buffer, so the in-place sigmoid never
+        # touches an earlier act
         h = z if i == last else _sigmoid(z)
         acts.append(h)
     return acts
@@ -169,29 +171,90 @@ def mse_loss(outputs, targets) -> float:
     return float(np.mean(np.square(diff, out=diff)))
 
 
-def gradients(model: MlpModel, x, targets):
+def _layer_views(flat, layer_dims):
+    """Per-layer (fan_in, fan_out) weight and (fan_out,) bias views of one
+    flat vector, which holds each layer's weights and then its bias."""
+    weights, biases = [], []
+    end = 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        start, end = end, end + fan_in * fan_out
+        weights.append(flat[start:end].reshape(fan_in, fan_out))
+        start, end = end, end + fan_out
+        biases.append(flat[start:end])
+    return weights, biases
+
+
+def _parameter_count(layer_dims) -> int:
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
+
+
+def _flat_copy(model, dtype):
+    """(copy, theta): a copy of ``model`` at ``dtype`` whose weights and
+    biases are views of the one flat vector theta."""
+    theta = np.empty(_parameter_count(model.layer_dims), dtype)
+    weights, biases = _layer_views(theta, model.layer_dims)
+    for view, param in zip(weights + biases, model.weights + model.biases):
+        view[...] = param
+    return MlpModel(list(model.layer_dims), weights, biases), theta
+
+
+class StepWorkspace:
+    """The buffers of one SGD step on batches of up to ``batch`` rows.
+
+    ``grad`` is one flat vector laid out as a flat model copy's
+    parameters, and ``w_grads``/``b_grads`` are its per-layer views, so
+    one update ``theta -= lr·grad`` steps every parameter. Each layer
+    has an activation and a delta buffer of ``batch`` rows, and the
+    output layer a buffer for the squared error.
+    """
+
+    def __init__(self, layer_dims, batch: int, dtype):
+        dims = _checked_dims(layer_dims)
+        self.grad = np.empty(_parameter_count(dims), dtype)
+        self.w_grads, self.b_grads = _layer_views(self.grad, dims)
+        self.acts = [np.empty((batch, d), dtype) for d in dims[1:]]
+        self.deltas = [np.empty((batch, d), dtype) for d in dims[1:]]
+        self.square = np.empty((batch, dims[-1]), dtype)
+
+
+def gradients(model: MlpModel, x, targets, workspace=None):
     """Backpropagated gradients of mse_loss for one batch, in the dtype
     of the model's weights.
 
-    Returns (weight_grads, bias_grads, loss).
+    Every array of the step is written into ``workspace`` (a
+    StepWorkspace of the model's dims and dtype, at least as many rows as
+    the batch), so that steps on one workspace allocate no per-batch
+    array; without one, the call allocates its own.
+
+    Returns (weight_grads, bias_grads, loss); the gradients are views of
+    the workspace's ``grad``, overwritten by the next step on it.
     """
     dtype = model.weights[0].dtype
     x = np.asarray(x, dtype=dtype)
     targets = np.asarray(targets, dtype=dtype)
-    acts = _forward_all(model, x)
-    delta = acts[-1] - targets
-    loss = float(np.mean(delta ** 2, dtype=np.float64))
+    if workspace is None:
+        workspace = StepWorkspace(model.layer_dims, len(x), dtype)
+    rows = len(x)
+    acts = _forward_all(model, x, workspace.acts)
+    delta = np.subtract(acts[-1], targets, out=workspace.deltas[-1][:rows])
+    square = np.square(delta, out=workspace.square[:rows])
+    # np.mean's float64 sum and division, without its Python overhead
+    loss = float(np.add.reduce(square, axis=None, dtype=np.float64) / square.size)
     delta *= 2.0
-    delta /= x.shape[0] * targets.shape[1]
-    w_grads = [None] * len(model.weights)
-    b_grads = [None] * len(model.weights)
+    delta /= rows * targets.shape[1]
     for i in range(len(model.weights) - 1, -1, -1):
-        w_grads[i] = acts[i].T @ delta
-        b_grads[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=workspace.w_grads[i])
+        np.add.reduce(delta, axis=0, out=workspace.b_grads[i])
         if i > 0:
             h = acts[i]
-            delta = (delta @ model.weights[i].T) * h * (1.0 - h)
-    return w_grads, b_grads, loss
+            delta = np.matmul(delta, model.weights[i].T,
+                              out=workspace.deltas[i - 1][:rows])
+            delta *= h
+            # h's last read is above, so its buffer takes 1 - h
+            np.subtract(1.0, h, out=h)
+            delta *= h
+    return workspace.w_grads, workspace.b_grads, loss
 
 
 def _plateaued(prev_valid, valid_mse, threshold) -> bool:
@@ -249,7 +312,10 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
     features.ContextFrames; each batch and loss chunk gathers its rows.
     Training computes in the floating dtype of ``inputs``: the model copy
     and the targets are cast to it, and the learning rate stays a Python
-    float. Every loss is summed at float64.
+    float. Every loss is summed at float64. The model copy's parameters
+    are views of one flat vector, and every step runs in one
+    StepWorkspace whose flat gradient lines up with it, so each update
+    is one scaling and one subtraction.
 
     Returns:
         (best_model, trace) where best_model holds the parameters of the
@@ -276,7 +342,8 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
         valid_targets = np.asarray(valid_targets, dtype=np.float64)
 
     rng = np.random.default_rng(config.seed)
-    model = model.astype(dtype)
+    model, theta = _flat_copy(model, dtype)
+    workspace = StepWorkspace(model.layer_dims, min(config.batch_size, len(inputs)), dtype)
     lr = config.learning_rate
     trace = []
     best = model.astype(dtype)
@@ -291,21 +358,17 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, config.batch_size):
                 sel = order[start:start + config.batch_size]
-                w_grads, b_grads, batch_loss = gradients(
-                    model, inputs.rows(sel), targets[sel])
+                _, _, batch_loss = gradients(
+                    model, inputs.rows(sel), targets[sel], workspace)
                 if not np.isfinite(batch_loss):
                     raise TrainingDivergedError(
                         f"non-finite loss in epoch {epoch}", trace
                     )
                 loss_sum += batch_loss * len(sel)
                 if lr:
-                    for w, b, gw, gb in zip(model.weights, model.biases,
-                                            w_grads, b_grads):
-                        # lr·g in the gradient's own buffer: no temporary
-                        gw *= lr
-                        gb *= lr
-                        w -= gw
-                        b -= gb
+                    # lr·g in the gradient's own buffer: no temporary
+                    workspace.grad *= lr
+                    theta -= workspace.grad
             if has_valid:
                 train_mse = None
                 valid_mse = mse_loss(_forward_chunked(model, valid_inputs), valid_targets)

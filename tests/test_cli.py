@@ -678,10 +678,10 @@ def test_train_mlp_steps_at_float32(built_corpus, tmp_path, monkeypatch):
                                         valid_inputs.padded, valid_targets))
         return train(model, inputs, targets, config, valid_inputs, valid_targets)
 
-    def stepping(model, x, targets):
+    def stepping(model, x, targets, workspace):
         steps.append(len(x))
         dtypes.update(a.dtype for a in (x, targets, *model.weights, *model.biases))
-        return gradients(model, x, targets)
+        return gradients(model, x, targets, workspace)
 
     monkeypatch.setattr(mlp, "train", training)
     monkeypatch.setattr(mlp, "gradients", stepping)
@@ -1128,6 +1128,51 @@ def test_fit_fir_holds_one_utterance_at_a_time(fitted_all, monkeypatch):
     assert cli.main(["fit-fir", "--config", str(config_path)]) == 0
     assert len(loaded) == 5 * len(UTTS)
     assert all(ref() is None for ref in loaded)
+
+
+def _tracking(loaded, func, check=True, record=True):
+    """``func`` wrapped to assert, with ``check``, that every array in
+    ``loaded`` (weak references) is released when it is called, and to
+    add, with ``record``, the arrays it returns."""
+    def tracked(*args, **kwargs):
+        assert not check or all(ref() is None for ref in loaded)
+        result = func(*args, **kwargs)
+        if record:
+            arrays = result if isinstance(result, tuple) else (result,)
+            loaded.extend(weakref.ref(array) for array in arrays)
+        return result
+    return tracked
+
+
+def test_featurize_holds_one_utterance_at_a_time(built_corpus, tmp_path, monkeypatch):
+    # nothing of one utterance (its pair or its features) is alive when
+    # the next utterance's pair is loaded
+    config_path, _ = _copy_of(built_corpus, tmp_path)
+    loaded = []
+    monkeypatch.setattr(cli, "_load_pair", _tracking(loaded, cli._load_pair))
+    monkeypatch.setattr(cli, "_mvn_logmel", _tracking(loaded, cli._mvn_logmel, check=False))
+    assert cli.main(["featurize", "--config", str(config_path)]) == 0
+    assert len(loaded) == 4 * len(UTTS)
+    assert all(ref() is None for ref in loaded)
+
+
+def test_mix_sweep_holds_one_utterance_at_a_time(trained, monkeypatch):
+    # the enhancer fit loads each train pair after the previous one is
+    # released, and the dev loop loads each reverberant spectrogram after
+    # the previous one and its enhanced copy are; both are released once
+    # their log-Mel features are formed, before the MLP maps them
+    config_path, workdir = trained
+    loaded = []
+    monkeypatch.setattr(cli, "_load_pair", _tracking(loaded, cli._load_pair))
+    monkeypatch.setattr(cli, "_load_reverb", _tracking(loaded, cli._load_reverb))
+    monkeypatch.setattr(kernels, "apply_fir", _tracking(loaded, kernels.apply_fir, check=False))
+    monkeypatch.setattr(mlp, "dereverberate_features",
+                        _tracking(loaded, mlp.dereverberate_features, record=False))
+    assert cli.main(["mix-sweep", "--config", str(config_path)]) == 0
+    splits = [r.split for r in corpus.read_manifest(workdir / "manifest.csv")]
+    # a train pair records its reverb twice, once from inside _load_pair
+    assert len(loaded) == 3 * splits.count("train") + 2 * splits.count("dev")
+    assert splits.count("train") > 1 and splits.count("dev") >= 1
 
 
 def test_diagnose_matches_average_autocorr_over_the_split(fitted_all):

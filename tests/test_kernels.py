@@ -213,7 +213,7 @@ class TestRirAccumulate:
         # every block is a view of one flat store
         store = bands[0][1].base
         assert all(block.base is store for _, block in bands)
-        assert peak - store.nbytes <= 8e6
+        assert peak - store.nbytes <= 3e6
         # the dense table runs to the highest order present over every tap
         rows = len(dense_table(bands, n_taps))
         assert store.nbytes <= 0.45 * rows * n_taps * 8
@@ -308,7 +308,69 @@ def random_pair(rng, lx, n_c, bins):
     return x, y
 
 
+def whole_array_normal_blocks(x, y, q, taps):
+    """normal_blocks as built from one (bins, Nc + taps - 1) zero-padded
+    copy of x, whose rows also give the recursion's edge rows."""
+    n_c, n_bins = y.shape
+    lead = taps - 1 - q
+    lo, hi = max(0, -lead), min(x.shape[0], n_c + q)
+    padded = np.zeros((n_bins, n_c + taps - 1), dtype=np.complex128)
+    if lo < hi:
+        padded[:, lo + lead:hi + lead] = x[lo:hi].T
+    gram = np.empty((n_bins, taps, taps), dtype=np.complex128)
+    corr = np.empty((n_bins, taps), dtype=np.complex128)
+    row = np.empty((taps, n_bins), dtype=np.complex128)
+    clean = np.ascontiguousarray(y.T)
+    for k in range(n_bins):
+        corr[k] = np.correlate(padded[k], clean[k], "valid")[::-1]
+        row[::-1, k] = np.correlate(padded[k], padded[k, taps - 1:], "valid")
+    np.conjugate(corr, out=corr)
+    a = padded[:, :taps - 1][:, ::-1].T
+    b = padded[:, n_c:][:, ::-1].T
+    row[0].imag = 0.0
+    gram[:, 0] = row.T
+    for i in range(taps - 1):
+        nxt = row[:taps - 1 - i]
+        nxt += a[i].conj() * a[i:]
+        nxt -= b[i].conj() * b[i:]
+        nxt[0].imag = 0.0
+        gram[:, i + 1, i + 1:] = nxt.T
+    lower = np.tri(taps, k=-1, dtype=bool)
+    np.copyto(gram, gram.transpose(0, 2, 1).conj(), where=lower)
+    return gram, corr
+
+
 class TestNormalBlocks:
+    @pytest.mark.parametrize("bins", [1, 7, 8, 9, 17, 257])
+    @pytest.mark.parametrize("lx, n_c, q, taps", [
+        (30, 25, -3, 5),  # delayed taps
+        (30, 25, 0, 6),  # causal
+        (30, 25, 3, 6),
+        (20, 25, 24, 4),  # q >= Lx: every tap reads past x or at its last frame
+        (18, 25, 3, 6),  # Lx < Nc
+        (30, 25, 0, 1),  # one tap
+    ])
+    def test_matches_the_whole_array_build_bit_for_bit(self, bins, lx, n_c, q, taps):
+        x, y = random_pair(np.random.default_rng(bins * 1000 + taps), lx, n_c, bins)
+        gram, corr = kernels.normal_blocks(x, y, q, taps)
+        want_gram, want_corr = whole_array_normal_blocks(x, y, q, taps)
+        assert gram.tobytes() == want_gram.tobytes()
+        assert corr.tobytes() == want_corr.tobytes()
+
+    def test_memory_above_the_outputs_is_a_few_bins(self):
+        # 2000 frames, 257 bins and 21 taps: a whole padded copy of x would
+        # take 8.3 MB; MIRROR rows of it, the clean rows and the (taps, bins)
+        # recursion arrays take under 1 MB
+        n_c, taps, bins = 2000, 21, 257
+        x, y = random_pair(np.random.default_rng(11), n_c, n_c, bins)
+        tracemalloc.start()
+        try:
+            gram, corr = kernels.normal_blocks(x, y, 10, taps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - gram.nbytes - corr.nbytes <= 1.5e6
+
     def test_matches_explicit_design(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))

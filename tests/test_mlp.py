@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,49 @@ def central_diff_param_grads(model, x, targets, step=1e-5):
             b[idx] += step
             b_grads[layer][idx] = (hi - lo) / (2 * step)
     return w_grads, b_grads
+
+
+def allocating_gradients(model, x, targets):
+    """One step's gradients as mlp.gradients computes them, each
+    intermediate a fresh array."""
+    acts = [x]
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if i == len(model.weights) - 1 else mlp._sigmoid(z))
+    delta = acts[-1] - targets
+    loss = float(np.mean(delta ** 2, dtype=np.float64))
+    delta = delta * 2.0 / (x.shape[0] * targets.shape[1])
+    w_grads, b_grads = [], []
+    for i in range(len(model.weights) - 1, -1, -1):
+        w_grads.insert(0, acts[i].T @ delta)
+        b_grads.insert(0, delta.sum(axis=0))
+        if i > 0:
+            h = acts[i]
+            delta = (delta @ model.weights[i].T) * h * (1.0 - h)
+    return w_grads, b_grads, loss
+
+
+def per_array_epochs(model, x, targets, config, rates):
+    """SGD over mlp.train's shuffled batches with allocating_gradients and
+    a separate update of each weight and bias, one epoch per learning
+    rate of ``rates``. Returns the parameters after each epoch and each
+    epoch's row-weighted mean batch loss."""
+    model = model.astype(x.dtype)
+    targets = targets.astype(x.dtype)
+    rng = np.random.default_rng(config.seed)
+    kept, batch_mse = [], []
+    for lr in rates:
+        order = rng.permutation(len(x))
+        loss_sum = 0.0
+        for start in range(0, len(x), config.batch_size):
+            sel = order[start:start + config.batch_size]
+            w_grads, b_grads, loss = allocating_gradients(model, x[sel], targets[sel])
+            loss_sum += loss * len(sel)
+            for param, grad in zip(model.weights + model.biases, w_grads + b_grads):
+                param -= lr * grad
+        kept.append(model.astype(x.dtype))
+        batch_mse.append(loss_sum / len(x))
+    return kept, batch_mse
 
 
 class TestInitModel:
@@ -113,8 +158,8 @@ class TestSigmoid:
         batches = []
         gradients = mlp.gradients
 
-        def recording(model, xb, yb):
-            w_grads, b_grads, loss = gradients(model, xb, yb)
+        def recording(model, xb, yb, workspace):
+            w_grads, b_grads, loss = gradients(model, xb, yb, workspace)
             batches.append((len(xb), loss))
             return w_grads, b_grads, loss
 
@@ -224,7 +269,66 @@ class TestGradients:
             assert np.max(rel) <= 1e-4
 
 
+    def test_steps_on_one_workspace_reuse_its_buffers(self):
+        dims = [120, 64, 64, 40]
+        model = mlp.init_model(dims, seed=4).astype(np.float32)
+        rng = np.random.default_rng(4)
+        workspace = mlp.StepWorkspace(dims, 64, np.float32)
+        steps = []
+        for rows in (64, 64, 17):
+            x = rng.normal(size=(rows, 120)).astype(np.float32)
+            targets = rng.normal(size=(rows, 40)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                got = mlp.gradients(model, x, targets, workspace)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # nothing of the batch's size beside the workspace: a step that
+            # allocates its own gradients takes more than workspace.grad
+            assert peak < workspace.grad.nbytes
+            w_grads, b_grads, loss = allocating_gradients(model, x, targets)
+            assert got[2] == loss
+            for view, want in zip(got[0] + got[1], w_grads + b_grads):
+                assert np.shares_memory(view, workspace.grad)
+                assert view.tobytes() == want.tobytes()
+            steps.append(got)
+        for got in steps[1:]:
+            assert all(a is b for a, b in zip(got[0] + got[1], steps[0][0] + steps[0][1]))
+
+    def test_without_a_workspace_each_call_returns_its_own_arrays(self):
+        model = mlp.init_model([8, 6, 4], seed=5)
+        rng = np.random.default_rng(5)
+        first = mlp.gradients(model, rng.normal(size=(7, 8)), rng.normal(size=(7, 4)))
+        kept = [g.copy() for g in first[0] + first[1]]
+        second = mlp.gradients(model, rng.normal(size=(7, 8)), rng.normal(size=(7, 4)))
+        for a, b, want in zip(first[0] + first[1], second[0] + second[1], kept):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, want) and not np.array_equal(a, b)
+
+
 class TestTrain:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("threshold, halved", [(-1.0, False), (0.2, True)])
+    def test_trains_like_the_allocating_per_array_loop(self, dtype, threshold, halved):
+        # 203 rows in batches of 32 leave a short last batch
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(203, 12)).astype(dtype)
+        y = 0.5 * np.tanh(x @ rng.normal(size=(12, 5)))
+        vx = rng.normal(size=(40, 12)).astype(dtype)
+        vy = 0.5 * np.tanh(vx @ rng.normal(size=(12, 5)))
+        config = mlp.TrainConfig(learning_rate=0.3, batch_size=32, epochs=10,
+                                 improvement_threshold=threshold, seed=21)
+        model = mlp.init_model([12, 16, 16, 5], seed=21)
+        best, trace = mlp.train(model, x, y, config, vx, vy)
+        rates = [row[3] for row in trace]
+        assert (min(rates) < 0.3) == halved
+        kept, batch_mse = per_array_epochs(model, x, y, config, rates)
+        assert [row[4] for row in trace] == batch_mse
+        want = kept[int(np.argmin([row[2] for row in trace]))]
+        for got, param in zip(best.weights + best.biases, want.weights + want.biases):
+            assert got.dtype == dtype and got.tobytes() == param.tobytes()
+
     def test_zero_learning_rate_freezes_parameters(self):
         model = mlp.init_model([4, 3, 2], seed=0)
         rng = np.random.default_rng(0)
