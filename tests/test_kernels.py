@@ -346,7 +346,8 @@ class TestNormalBlocks:
         (30, 25, -3, 5),  # delayed taps
         (30, 25, 0, 6),  # causal
         (30, 25, 3, 6),
-        (20, 25, 24, 4),  # q >= Lx: every tap reads past x or at its last frame
+        (20, 25, 20, 4),  # q = Lx: only the first frames' late taps read x
+        (20, 25, 24, 4),  # q > Lx: every tap reads past x
         (18, 25, 3, 6),  # Lx < Nc
         (30, 25, 0, 1),  # one tap
     ])
