@@ -5,8 +5,9 @@ Spectrograms are complex (frames, bins) arrays, column k holding bin k's
 trajectory. An autocorrelation curve is a plain float64 array whose entry
 tau is the value at lag tau, for lags 0..max_lag. Reverberation shows up
 as heavier autocorrelation tails in the complex trajectory of each
-frequency bin; the corpus-average curve and its tail mass scalarize that
-comparison between clean, reverberated and dereverberated material.
+frequency bin; the corpus-average curve, folded one spectrogram at a time
+by ``AutocorrSums``, and its tail mass scalarize that comparison between
+clean, reverberated and dereverberated material.
 
 The autocorrelations run BLOCK trajectories at a time: each block's
 trajectories are copied into contiguous rows, so that the FFTs and the
@@ -22,11 +23,6 @@ from .mlp import mse_loss
 
 # bin trajectories _autocorr_columns transforms at once
 BLOCK = 32
-
-
-def _check_max_lag(max_lag: int) -> None:
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
 
 
 def _autocorr_columns(values: np.ndarray, max_lag: int, magnitude: bool):
@@ -103,42 +99,27 @@ def _autocorr_columns(values: np.ndarray, max_lag: int, magnitude: bool):
     return curves, usable
 
 
-def normalized_autocorr(series, max_lag: int, magnitude: bool = False) -> np.ndarray:
-    """Normalized autocorrelation of one (complex or real) sequence.
-
-    The series is mean-removed, then r(tau) = sum_n conj(s(n)) s(n+tau)
-    over the lag overlap, normalized per lag by the geometric mean of the
-    two windowed energies (Cauchy-Schwarz bound keeps |r| <= 1, and an
-    exactly periodic series scores exactly 1 at its period); the real
-    part is reported for complex input. With ``magnitude=True`` the
-    correlation is computed on |s|.
-
-    Returns the curve for lags 0..max_lag. Raises ValueError for a
-    negative max_lag, for constant (zero-variance) series or when the
-    series is not longer than max_lag.
-    """
-    _check_max_lag(max_lag)
-    s = np.asarray(series)
-    if s.ndim != 1:
-        raise ValueError("series must be 1-D")
-    if s.size <= max_lag:
-        raise ValueError(f"series length {s.size} must exceed max_lag {max_lag}")
-    curves, usable = _autocorr_columns(s[:, None], max_lag, magnitude)
-    if not usable[0]:
-        raise ValueError("constant series has no autocorrelation")
-    return curves[:, 0]
-
-
 class AutocorrSums:
-    """Running sums of ``average_autocorr`` over spectrograms added one at
-    a time, so a corpus never has to be held in memory at once.
+    """Mean normalized autocorrelation over all bins of all utterances,
+    folded from spectrograms added one at a time, so a corpus never has
+    to be held in memory at once.
+
+    Each bin trajectory is mean-removed, then r(tau) = sum_n conj(s(n))
+    s(n+tau) over the lag overlap, normalized per lag by the geometric
+    mean of the two windowed energies (Cauchy-Schwarz keeps |r| <= 1, and
+    an exactly periodic trajectory scores exactly 1 at its period); the
+    real part is kept for complex input. With ``magnitude=True`` the
+    correlation is computed on |s|. One sequence's curve is that of a
+    (frames, 1) spectrogram.
 
     ``sums`` holds the per-lag sum of the usable trajectories' curves;
-    ``used`` and ``skipped`` count usable and degenerate trajectories.
+    ``used`` and ``skipped`` count usable trajectories and degenerate ones
+    (constant, or not longer than max_lag), which are left out.
     """
 
     def __init__(self, max_lag: int, magnitude: bool = False):
-        _check_max_lag(max_lag)
+        if max_lag < 0:
+            raise ValueError(f"max_lag must be >= 0, got {max_lag}")
         self.max_lag = max_lag
         self.magnitude = magnitude
         self.sums = np.zeros(max_lag + 1)
@@ -157,28 +138,6 @@ class AutocorrSums:
         if self.used == 0:
             raise ValueError("no usable bin trajectories in the corpus")
         return self.sums / self.used
-
-
-def average_autocorr(spectrograms, max_lag: int, magnitude: bool = False):
-    """Mean normalized autocorrelation over all bins of all utterances.
-
-    Degenerate trajectories (constant, or shorter than max_lag + 1) are
-    skipped and counted.
-
-    Args:
-        spectrograms: iterable of complex (frames, bins) arrays.
-
-    Returns:
-        (curve, skipped): the averaged curve and the number of skipped
-        trajectories.
-
-    Raises ValueError for a negative max_lag, when every trajectory is
-    degenerate or when the corpus is empty.
-    """
-    sums = AutocorrSums(max_lag, magnitude)
-    for spec in spectrograms:
-        sums.add(spec)
-    return sums.curve(), sums.skipped
 
 
 def tail_mass(curve: np.ndarray, from_lag: int) -> float:

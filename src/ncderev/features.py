@@ -7,8 +7,8 @@ computed here, float32 as stored in NCFT files and read back. Each
 frame's context vector concatenates the p previous, the current, and the
 q future frames in that order, with zero vectors beyond the utterance
 bounds. ContextFrames gathers those vectors on demand from the unstacked
-features, in the features' own dtype; stack_context materializes them
-for one utterance.
+features, in the features' own dtype; ``rows(slice(None))`` of one
+utterance's ContextFrames is its whole stacked matrix.
 """
 
 import itertools
@@ -154,15 +154,6 @@ class ContextFrames:
         """Context vectors of frames ``idx`` (an index array or a slice):
         frames n-p..n+q concatenated per frame, shape (len(idx), (p+q+1)·d)."""
         return self.windows[self.starts[idx]]
-
-
-def stack_context(feats: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Concatenate frames n-p..n+q per frame, zero vectors past the edges.
-
-    Shape (N, d) -> (N, (p+q+1)*d); the center d columns of the output
-    equal the input. The one-utterance, all-frames case of ContextFrames.
-    """
-    return ContextFrames([feats], p, q).rows(slice(None))
 
 
 def align_pairs(reverb_feats: np.ndarray, clean_feats: np.ndarray):

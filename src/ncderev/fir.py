@@ -11,24 +11,15 @@ taps solves the complex normal equations
 
     (ZᴴZ) g = Zᴴy.
 
-This n x n complex solve, n = p+q+1, is the production path. The paper's
-stacked real system [[S, -D], [D, S]] [g_r; g_j] = [u1; u2] is the same
-equation split into real and imaginary parts: S = Re ZᴴZ, D = Im ZᴴZ,
-u1 = Re Zᴴy and u2 = Im Zᴴy. Its block-elimination closed form exists when
-S and D are both invertible and is kept as a verification path; D is
-antisymmetric, hence singular whenever the tap count is odd and whenever
-the trajectory is purely real or purely imaginary, so the closed form is
-never used for production fits.
-
-``ls_oracle`` solves the same problem independently through the explicit
-complex design matrix and a rank-revealing factorization.
-
-Every fit runs on complex (frames, bins) spectrogram arrays behind one
-pair check; the single-bin functions fit their 1-D trajectories as one
-column. Spectrogram fits (``fit_pooled_filters``,
-``dereverberate_spectrogram``) return the taps as one complex array of
+Every fit solves this n x n complex system, n = p+q+1, for every bin of
+complex (frames, bins) spectrogram arrays behind one pair check; one
+bin's fit is that of a (frames, 1) pair. ``fit_pooled_filters`` and
+``dereverberate_spectrogram`` return the taps as one complex array of
 shape (bins, p+q+1), row k holding bin k's g; ``kernels.apply_fir``
-applies it. ``NcFirFilter`` holds one bin's taps.
+applies it. The independent references that check these fits (an
+explicit design matrix solved by least squares, and the paper's
+block-elimination closed form of the real and imaginary parts) live with
+the tests, in ``tests/oracles.py``.
 
 Every Gram comes from ``kernels.normal_blocks``, which never forms Z:
 column i + 1 of Z is column i one frame later, so per bin two lag
@@ -44,63 +35,15 @@ With the recursion the wide Gram costs O(taps²) per bin beyond its two
 correlations, so the entries no cell reads cost little.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 
-COND_LIMIT = 1e12  # closed_form_filter calls S or D singular above this condition number
-
 
 class SingularSystemError(np.linalg.LinAlgError):
     """Normal equations are singular; a ridge term is required."""
-
-
-@dataclass(frozen=True)
-class NcFirFilter:
-    """Complex FIR taps of one bin; index i multiplies x(n + q - i)."""
-
-    taps: np.ndarray
-    p: int
-    q: int
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.complex128)
-        n = self.p + self.q + 1
-        if taps.shape != (n,):
-            raise ValueError(f"taps must have length p+q+1 = {n}, got {taps.shape}")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("taps must be finite")
-        object.__setattr__(self, "taps", taps)
-
-
-@dataclass(frozen=True)
-class NormalSystem:
-    """Complex normal equations (ZᴴZ) g = Zᴴy of one bin pair."""
-
-    gram: np.ndarray
-    corr: np.ndarray
-    p: int
-    q: int
-
-    def __post_init__(self):
-        n = self.p + self.q + 1
-        gram = np.asarray(self.gram, dtype=np.complex128)
-        corr = np.asarray(self.corr, dtype=np.complex128)
-        if gram.shape != (n, n):
-            raise ValueError(f"gram must be {n}x{n}, got {gram.shape}")
-        if corr.shape != (n,):
-            raise ValueError(f"corr must have length {n}, got {corr.shape}")
-        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(corr))):
-            raise ValueError("normal equations have non-finite entries")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "corr", corr)
-
-    @property
-    def taps(self) -> int:
-        return self.p + self.q + 1
 
 
 def _check_pair(x, y, p, q):
@@ -118,29 +61,6 @@ def _check_pair(x, y, p, q):
         raise ValueError(
             f"underdetermined: {p + q + 1} taps but only {len(y)} frames"
         )
-
-
-def _columns(x, y):
-    """One bin's (reverb, clean) trajectories as (frames, 1) columns."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("trajectories must be 1-D")
-    if x.size == 0 or y.size == 0:
-        raise ValueError("empty trajectory")
-    return x[:, None], y[:, None]
-
-
-def build_normal_system(x, y, p, q) -> NormalSystem:
-    """Gram ZᴴZ and correlation Zᴴy for one bin pair.
-
-    The regression range is n = 0..len(y)-1 and the reverberant
-    trajectory is zero-padded outside its support on both ends.
-    """
-    x, y = _columns(x, y)
-    _check_pair(x, y, p, q)
-    gram, corr = kernels.normal_blocks(x, y, q, p + q + 1)
-    return NormalSystem(gram=gram[0], corr=corr[0], p=p, q=q)
 
 
 def _solve(gram, corr, ridge):
@@ -176,95 +96,6 @@ def _solve(gram, corr, ridge):
             f"bin {bad[0]}: singular normal equations; supply ridge"
         )
     return g
-
-
-def solve_normal_system(system: NormalSystem, ridge=0.0) -> NcFirFilter:
-    """Solve the complex normal equations, optionally with a ridge on the diagonal."""
-    g = _solve(system.gram[None], system.corr[None], ridge)
-    return NcFirFilter(g[0], system.p, system.q)
-
-
-def fit_filter(x, y, p, q, ridge=0.0) -> NcFirFilter:
-    """MSE-optimal complex FIR taps for one bin trajectory pair.
-
-    Args:
-        x: reverberant bin trajectory (complex, len >= len(y)).
-        y: clean bin trajectory.
-        p, q: causal and non-causal context in frames.
-        ridge: nonnegative diagonal loading; "auto" selects a
-            scale-invariant floor of 1e-8 * Re tr(ZᴴZ)/(p+q+1).
-
-    Raises SingularSystemError when the normal equations are singular
-    and ridge is zero.
-    """
-    return solve_normal_system(build_normal_system(x, y, p, q), ridge=ridge)
-
-
-def closed_form_filter(system: NormalSystem) -> NcFirFilter:
-    """Block-elimination closed form of the stacked system (verification path).
-
-    The stacked real system [[S, -D], [D, S]] [g_r; g_j] = [u1; u2] is
-    the normal equations split into parts: S = Re ZᴴZ, D = Im ZᴴZ,
-    u1 = Re Zᴴy, u2 = Im Zᴴy. Eliminating each tap half in turn gives
-
-        g_r = (D^-1 S + S^-1 D)^-1 (D^-1 u1 + S^-1 u2)
-        g_j = (D^-1 S + S^-1 D)^-1 (D^-1 u2 - S^-1 u1)
-
-    which requires both S and the antisymmetric D to be invertible: D is
-    structurally singular for odd tap counts and for purely real or
-    purely imaginary trajectories, and those cases must go through
-    ``solve_normal_system`` instead.
-    """
-    s = system.gram.real
-    d = system.gram.imag
-    u1 = system.corr.real
-    u2 = system.corr.imag
-    if system.taps % 2 == 1:
-        raise SingularSystemError(
-            f"odd tap count {system.taps}: the antisymmetric intermediate "
-            "matrix is singular; use solve_normal_system"
-        )
-    for name, mat in (("S", s), ("D", d)):
-        if np.linalg.cond(mat) > COND_LIMIT:
-            raise SingularSystemError(
-                f"intermediate matrix {name} is singular or near-singular; "
-                "use solve_normal_system"
-            )
-    s_inv = np.linalg.inv(s)
-    d_inv = np.linalg.inv(d)
-    core = np.linalg.inv(d_inv @ s + s_inv @ d)
-    g_r = core @ (d_inv @ u1 + s_inv @ u2)
-    g_j = core @ (d_inv @ u2 - s_inv @ u1)
-    return NcFirFilter(g_r + 1j * g_j, system.p, system.q)
-
-
-def design_matrix(x, p, q, n_rows: int) -> np.ndarray:
-    """Explicit complex design matrix: column i holds x(n + q - i)."""
-    x = np.asarray(x, dtype=np.complex128)
-    taps = p + q + 1
-    idx = np.arange(n_rows)[:, None] + (q - np.arange(taps))[None, :]
-    valid = (idx >= 0) & (idx < x.size)
-    return np.where(valid, x[np.clip(idx, 0, x.size - 1)], 0.0 + 0.0j)
-
-
-def ls_oracle(x, y, p, q) -> NcFirFilter:
-    """Independent least-squares reference solved via the design matrix.
-
-    Builds the explicit complex design matrix of shifted x values and
-    solves with a rank-revealing factorization (SVD); rank deficiency is
-    reported with a warning and the minimum-norm solution is returned.
-    """
-    x, y = _columns(x, y)
-    _check_pair(x, y, p, q)
-    z = design_matrix(x[:, 0], p, q, len(y))
-    g, _, rank, _ = np.linalg.lstsq(z, y[:, 0], rcond=None)
-    if rank < p + q + 1:
-        warnings.warn(
-            f"rank-deficient design matrix (rank {rank} < {p + q + 1}); "
-            "returning the minimum-norm solution",
-            stacklevel=2,
-        )
-    return NcFirFilter(g, p, q)
 
 
 def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
@@ -326,7 +157,32 @@ def dereverberate_spectrogram(reverb, clean, p: int, q: int, ridge="auto"):
     """
     g = fit_pooled_filters([(reverb, clean)], p, q, ridge)
     estimate = kernels.apply_fir(g, reverb, q, len(clean))
-    return estimate, g, np.sum(np.abs(estimate - clean) ** 2, axis=0)
+    return estimate, g, _squared_errors(estimate, clean)
+
+
+def _squared_errors(estimate, clean):
+    """Per-bin sum over frames of |estimate - clean|², ``kernels.ROWS``
+    frames at a time into reused buffers.
+
+    Row 0 of the block buffer carries the running sum, and a sum over
+    axis 0 of more than one bin adds the rows in order, so the result is
+    ``np.sum(np.abs(estimate - clean) ** 2, axis=0)`` bit for bit without
+    its three arrays of the estimate's size. (numpy sums a single bin's
+    column pairwise instead, which differs in the last bits.)
+    """
+    frames, bins = estimate.shape
+    rows = min(kernels.ROWS, frames)
+    diff = np.empty((rows, bins), dtype=np.complex128)
+    block = np.zeros((rows + 1, bins))
+    total = np.zeros(bins)
+    for first in range(0, frames, rows):
+        m = min(rows, frames - first)
+        np.subtract(estimate[first:first + m], clean[first:first + m], out=diff[:m])
+        squares = np.abs(diff[:m], out=block[1:m + 1])
+        np.square(squares, out=squares)
+        block[0] = total
+        np.sum(block[:m + 1], axis=0, out=total)
+    return total
 
 
 @dataclass(frozen=True)

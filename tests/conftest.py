@@ -1,9 +1,12 @@
-"""Shared fixtures: synthetic speech-like signals and tiny corpora."""
+"""Shared fixtures and helpers: synthetic speech-like signals, tiny corpora,
+the context-stacking oracle and one bin's FIR fit."""
 
 import wave
 
 import numpy as np
 import pytest
+
+from ncderev import fir
 
 
 def synth_speech(rng, sample_rate=16000, duration=1.5):
@@ -59,3 +62,8 @@ def hstack_context(feats, p, q):
 @pytest.fixture(scope="session")
 def speech():
     return synth_speech(np.random.default_rng(7), duration=1.2)
+
+
+def fit_bin(x, y, p, q, ridge=0.0):
+    """One bin's (p+q+1,) taps: the batched fit of its (frames, 1) pair."""
+    return fir.fit_pooled_filters([(x[:, None], y[:, None])], p, q, ridge)[0]

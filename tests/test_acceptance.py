@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import synth_speech
-from ncderev import cli, corpus, diagnostics, dsp, features, fir, mixing, mlp, rir
+from conftest import fit_bin, synth_speech
+from ncderev import cli, corpus, diagnostics, dsp, features, fir, kernels, mixing, mlp, rir
+from oracles import closed_form_filter, ls_oracle
 
 
 def report(criterion, ok, detail):
@@ -72,10 +73,11 @@ def accept_corpus():
 
 
 def test_criterion_1_oracle_equivalence():
-    """fit_filter matches the complex least-squares oracle on 100 instances."""
+    """One bin's batched fit matches the complex least-squares oracle on
+    100 instances."""
     rng = np.random.default_rng(1000)
-    fir.fit_filter(rand_traj(rng, 30, "complex"),
-                   rand_traj(rng, 30, "complex"), 1, 1)  # kernel warmup
+    fit_bin(rand_traj(rng, 30, "complex"),
+            rand_traj(rng, 30, "complex"), 1, 1)  # kernel warmup
     start = time.perf_counter()
     worst = 0.0
     for i in range(100):
@@ -84,10 +86,9 @@ def test_criterion_1_oracle_equivalence():
         y = rand_traj(rng, 200, kind)
         p = int(rng.integers(0, 6))
         q = int(rng.integers(0, 6))
-        got = fir.fit_filter(x, y, p, q)
-        want = fir.ls_oracle(x, y, p, q)
-        worst = max(worst, np.linalg.norm(got.taps - want.taps)
-                    / np.linalg.norm(want.taps))
+        got = fit_bin(x, y, p, q)
+        want = ls_oracle(x, y, p, q)
+        worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     elapsed = time.perf_counter() - start
     report(1, worst <= 1e-6 and elapsed < 10.0,
            f"worst tap-norm rel {worst:.2e}, {elapsed:.2f}s for 100 instances")
@@ -104,21 +105,21 @@ def test_criterion_2_closed_form_agreement():
         for p, q in shapes:
             x = rand_traj(rng, 200, "complex")
             y = rand_traj(rng, 200, "complex")
-            system = fir.build_normal_system(x, y, p, q)
-            direct = fir.solve_normal_system(system)
-            closed = fir.closed_form_filter(system)
-            worst = max(worst, np.linalg.norm(closed.taps - direct.taps)
-                        / np.linalg.norm(direct.taps))
+            gram, corr = kernels.normal_blocks(x[:, None], y[:, None], q, p + q + 1)
+            direct = fit_bin(x, y, p, q)
+            closed = closed_form_filter(gram[0], corr[0])
+            worst = max(worst, np.linalg.norm(closed - direct)
+                        / np.linalg.norm(direct))
             count += 1
     x = rand_traj(rng, 150, "real")
     y = rand_traj(rng, 150, "real")
-    real_system = fir.build_normal_system(x, y, 2, 1)
+    gram, corr = kernels.normal_blocks(x[:, None], y[:, None], 1, 4)
     with pytest.raises(fir.SingularSystemError):
-        fir.closed_form_filter(real_system)
-    routed = fir.solve_normal_system(real_system)  # no error
-    oracle = fir.ls_oracle(x, y, 2, 1)
-    routed_ok = (np.linalg.norm(routed.taps - oracle.taps)
-                 / np.linalg.norm(oracle.taps) <= 1e-8)
+        closed_form_filter(gram[0], corr[0])
+    routed = fit_bin(x, y, 2, 1)  # no error
+    oracle = ls_oracle(x, y, 2, 1)
+    routed_ok = (np.linalg.norm(routed - oracle)
+                 / np.linalg.norm(oracle) <= 1e-8)
     report(2, worst <= 1e-8 and count >= 50 and routed_ok,
            f"worst rel {worst:.2e} over {count} instances; real case routed")
 
@@ -173,16 +174,18 @@ def test_criterion_5_autocorrelation_ordering(accept_corpus):
     magnitude domain exposes.
     """
     max_lag = 100
-    clean__, _ = diagnostics.average_autocorr(
-        [u.clean_spec for u in accept_corpus], max_lag, magnitude=True)
-    reverb__, _ = diagnostics.average_autocorr(
-        [u.reverb_spec for u in accept_corpus], max_lag, magnitude=True)
-    derev_specs = []
-    for u in accept_corpus:
-        estimate, _, _ = fir.dereverberate_spectrogram(
-            u.reverb_spec, u.clean_spec, 10, 10)
-        derev_specs.append(estimate)
-    derev__, _ = diagnostics.average_autocorr(derev_specs, max_lag, magnitude=True)
+
+    def average(specs):
+        sums = diagnostics.AutocorrSums(max_lag, magnitude=True)
+        for spec in specs:
+            sums.add(spec)
+        return sums.curve()
+
+    clean__ = average(u.clean_spec for u in accept_corpus)
+    reverb__ = average(u.reverb_spec for u in accept_corpus)
+    derev__ = average(
+        fir.dereverberate_spectrogram(u.reverb_spec, u.clean_spec, 10, 10)[0]
+        for u in accept_corpus)
     t_clean = diagnostics.tail_mass(clean__, 10)
     t_reverb = diagnostics.tail_mass(reverb__, 10)
     t_derev = diagnostics.tail_mass(derev__, 10)
@@ -226,7 +229,8 @@ def test_criterion_7_mlp_enhancement(accept_corpus):
     test = [u for u in accept_corpus if u.split == "test"]
 
     def dataset(utts):
-        xs = [features.stack_context(u.reverb_feats, p, q) for u in utts]
+        xs = [features.ContextFrames([u.reverb_feats], p, q).rows(slice(None))
+              for u in utts]
         ys = [u.clean_feats for u in utts]
         return np.concatenate(xs), np.concatenate(ys)
 

@@ -1176,24 +1176,25 @@ def test_mix_sweep_holds_one_utterance_at_a_time(trained, monkeypatch):
 
 
 def test_diagnose_matches_average_autocorr_over_the_split(fitted_all):
-    # clean and reverb are folded in the same utterance order as the list
-    # form, so they agree byte for byte; fir_derev comes from fit-fir's
+    # clean and reverb are folded into AutocorrSums in the same utterance
+    # order, so they agree byte for byte; fir_derev comes from fit-fir's
     # float32-stored estimates, so it agrees with float64 refits closely
     config_path, workdir = fitted_all
     assert cli.main(["diagnose", "--config", str(config_path)]) == 0
-    specs = {"clean": [], "reverb": [], "fir_derev": []}
+    sums = {name: diagnostics.AutocorrSums(20, magnitude=True)
+            for name in ("clean", "reverb", "fir_derev")}
     for row in corpus.read_manifest(workdir / "manifest.csv"):
         clean = dsp.stft(dsp.read_wav(row.clean_path))
         reverb = dsp.stft(dsp.read_wav(workdir / row.reverb_path))
-        specs["clean"].append(clean)
-        specs["reverb"].append(reverb)
-        specs["fir_derev"].append(fir.dereverberate_spectrogram(reverb, clean, 2, 2)[0])
+        sums["clean"].add(clean)
+        sums["reverb"].add(reverb)
+        sums["fir_derev"].add(fir.dereverberate_spectrogram(reverb, clean, 2, 2)[0])
     lines = (workdir / "diagnostics" / "autocorr_curves.csv").read_text().splitlines()
     columns = list(zip(*(line.split(",") for line in lines[1:])))
     record = json.loads((workdir / "runs" / "diagnose.json").read_text())
     assert record["estimate_source"] == "fit-fir"
-    for i, name in enumerate(specs, start=1):
-        curve, skipped = diagnostics.average_autocorr(specs[name], 20, magnitude=True)
+    for i, name in enumerate(sums, start=1):
+        curve, skipped = sums[name].curve(), sums[name].skipped
         if name == "fir_derev":
             got = np.array([float(v) for v in columns[i]])
             assert np.max(np.abs(got - curve)) <= 1e-6
@@ -1271,7 +1272,9 @@ def test_benchmark_traced_functions_exist():
               for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
               for target in node.targets
               if isinstance(target, ast.Name) and target.id in ("LAYERS", "IMPORTED_BY_NAME")}
-    gone = {"kernels.rir_accumulate"}  # removed from src; its metrics read 0
+    # removed from src; their metrics read 0
+    gone = {"kernels.rir_accumulate", "features.stack_context",
+            "diagnostics.normalized_autocorr", "diagnostics.average_autocorr"}
     traced = {f"{module}.{name.rstrip('*')}"
               for module, names in values["LAYERS"].items() for name in names}
     for dotted in sorted(traced - gone):

@@ -58,7 +58,7 @@ def oneshot_autocorr_columns(values, max_lag, magnitude):
 
 
 def loop_average(spectrograms, max_lag, magnitude=False):
-    """Per-bin oracle for average_autocorr: (mean curve, skipped count)."""
+    """Per-bin oracle for AutocorrSums: (mean curve, skipped count)."""
     curves, skipped = [], 0
     for values in spectrograms:
         for k in range(values.shape[1]):
@@ -69,25 +69,38 @@ def loop_average(spectrograms, max_lag, magnitude=False):
     return np.mean(curves, axis=0), skipped
 
 
+def folded(spectrograms, max_lag, magnitude=False):
+    """The spectrograms folded into one AutocorrSums, in order."""
+    sums = diagnostics.AutocorrSums(max_lag, magnitude)
+    for spec in spectrograms:
+        sums.add(spec)
+    return sums
+
+
+def series_curve(series, max_lag, magnitude=False):
+    """One sequence's curve: the mean over a (frames, 1) spectrogram."""
+    return folded([np.asarray(series)[:, None]], max_lag, magnitude).curve()
+
+
 class TestNormalizedAutocorr:
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(0)
         s = rng.normal(size=500) + 1j * rng.normal(size=500)
-        curve = diagnostics.normalized_autocorr(s, 20)
+        curve = series_curve(s, 20)
         assert curve[0] == pytest.approx(1.0)
         assert np.all(np.abs(curve) <= 1.0 + 1e-9)
 
     def test_white_noise_small_tails(self):
         rng = np.random.default_rng(1)
         s = rng.normal(size=10_000)
-        curve = diagnostics.normalized_autocorr(s, 50)
+        curve = series_curve(s, 50)
         assert np.max(np.abs(curve[1:])) <= 0.05
 
     def test_periodic_square_wave(self):
         period = 8
         s = np.tile(np.concatenate([np.ones(period // 2), -np.ones(period // 2)]),
                     200).astype(float)
-        curve = diagnostics.normalized_autocorr(s, 3 * period)
+        curve = series_curve(s, 3 * period)
         assert curve[period] == pytest.approx(1.0, abs=1e-9)
         assert curve[2 * period] == pytest.approx(1.0, abs=1e-9)
 
@@ -101,42 +114,46 @@ class TestNormalizedAutocorr:
         s[0] = e[0]
         for i in range(1, n):
             s[i] = a * s[i - 1] + e[i]
-        curve = diagnostics.normalized_autocorr(s, 30)
+        curve = series_curve(s, 30)
         want = a ** np.arange(31)
         assert np.max(np.abs(curve - want)) <= 0.05
 
     def test_constant_series_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            diagnostics.normalized_autocorr(np.ones(100), 10)
+        sums = folded([np.ones((100, 1))], 10)
+        assert (sums.used, sums.skipped) == (0, 1)
+        with pytest.raises(ValueError, match="no usable"):
+            sums.curve()
 
     @pytest.mark.parametrize("value", [np.sqrt(5.0), 0.1 + 0.7j, -3.3])
     def test_constant_series_with_inexact_mean_rejected(self, value):
         s = np.full(150, value)
-        with pytest.raises(ValueError, match="constant"):
-            diagnostics.normalized_autocorr(s, 10)
-        with pytest.raises(ValueError, match="constant"):
-            diagnostics.normalized_autocorr(s, 10, magnitude=True)
+        with pytest.raises(ValueError, match="no usable"):
+            series_curve(s, 10)
+        with pytest.raises(ValueError, match="no usable"):
+            series_curve(s, 10, magnitude=True)
 
     def test_too_short_series_rejected(self):
-        with pytest.raises(ValueError, match="exceed"):
-            diagnostics.normalized_autocorr(np.arange(10.0), 10)
+        sums = folded([np.arange(10.0)[:, None]], 10)
+        assert (sums.used, sums.skipped) == (0, 1)
+        with pytest.raises(ValueError, match="no usable"):
+            sums.curve()
 
     def test_negative_max_lag_rejected(self):
         with pytest.raises(ValueError, match="max_lag must be >= 0"):
-            diagnostics.normalized_autocorr(np.arange(10.0), -1)
+            series_curve(np.arange(10.0), -1)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         s = rng.normal(size=400) + 1j * rng.normal(size=400)
-        a = diagnostics.normalized_autocorr(s, 25)
-        b = diagnostics.normalized_autocorr((3.7 - 0.2j) * s, 25)
+        a = series_curve(s, 25)
+        b = series_curve((3.7 - 0.2j) * s, 25)
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_magnitude_domain_flag(self):
         rng = np.random.default_rng(4)
         s = rng.normal(size=400) + 1j * rng.normal(size=400)
-        a = diagnostics.normalized_autocorr(s, 10, magnitude=True)
-        b = diagnostics.normalized_autocorr(np.abs(s), 10)
+        a = series_curve(s, 10, magnitude=True)
+        b = series_curve(np.abs(s), 10)
         assert np.allclose(a, b)
 
 
@@ -149,7 +166,7 @@ class TestAgainstLoopOracle:
         if kind != "real":
             s = s + 1j * rng.normal(size=n)
         magnitude = kind == "magnitude"
-        got = diagnostics.normalized_autocorr(s, max_lag, magnitude=magnitude)
+        got = series_curve(s, max_lag, magnitude=magnitude)
         want = loop_autocorr(s, max_lag, magnitude)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -162,7 +179,8 @@ class TestAgainstLoopOracle:
         b = rng.normal(size=(90, 9)) + 1j * rng.normal(size=(90, 9))
         b[:, 3] = 0.5
         short = rng.normal(size=(30, 9)) + 0j   # too short for max_lag 30
-        curve, skipped = diagnostics.average_autocorr([a, b, short], 30, magnitude=magnitude)
+        sums = folded([a, b, short], 30, magnitude=magnitude)
+        curve, skipped = sums.curve(), sums.skipped
         want, want_skipped = loop_average([a, b, short], 30, magnitude)
         assert skipped == want_skipped == 2 + 1 + 9
         assert np.max(np.abs(curve - want)) <= 1e-12
@@ -198,32 +216,31 @@ class TestAverageAutocorr:
         rng = np.random.default_rng(5)
         values = rng.normal(size=(120, 9)) + 1j * rng.normal(size=(120, 9))
         one_bin = values[:, 4:5]
-        curve, skipped = diagnostics.average_autocorr([one_bin], 20)
-        want = diagnostics.normalized_autocorr(values[:, 4], 20)
-        assert skipped == 0
-        assert np.allclose(curve, want)
+        sums = folded([one_bin], 20)
+        want = loop_autocorr(values[:, 4], 20)
+        assert sums.skipped == 0
+        assert np.allclose(sums.curve(), want)
 
     def test_mean_over_bins(self):
         rng = np.random.default_rng(6)
         values = rng.normal(size=(200, 5)) + 1j * rng.normal(size=(200, 5))
-        curve, skipped = diagnostics.average_autocorr([values], 15)
-        manual = np.mean(
-            [diagnostics.normalized_autocorr(values[:, k], 15)
-             for k in range(5)], axis=0)
-        assert skipped == 0
-        assert np.allclose(curve, manual)
+        sums = folded([values], 15)
+        manual = np.mean([series_curve(values[:, k], 15) for k in range(5)], axis=0)
+        assert sums.skipped == 0
+        assert np.allclose(sums.curve(), manual)
 
     def test_degenerate_trajectories_skipped_with_count(self):
         rng = np.random.default_rng(7)
         values = rng.normal(size=(100, 4)).astype(complex)
         values[:, 2] = 1.0  # constant: zero variance
-        curve, skipped = diagnostics.average_autocorr([values], 10)
-        assert skipped == 1
+        sums = folded([values], 10)
+        curve = sums.curve()
+        assert sums.skipped == 1
         assert curve[0] == pytest.approx(1.0)
 
     def test_all_degenerate_rejected(self):
         with pytest.raises(ValueError, match="no usable"):
-            diagnostics.average_autocorr([np.ones((50, 3), complex)], 5)
+            folded([np.ones((50, 3), complex)], 5).curve()
 
     def test_negative_max_lag_rejected(self):
         with pytest.raises(ValueError, match="max_lag must be >= 0"):

@@ -107,15 +107,20 @@ class TestMvn:
             features.mvn(np.ones((1, 40)))
 
 
+def stack(feats, p, q):
+    """Every frame's context vector of one utterance, gathered by ContextFrames."""
+    return features.ContextFrames([feats], p, q).rows(slice(None))
+
+
 class TestStackContext:
     def test_identity_for_zero_context(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(7, 40))
-        assert np.array_equal(features.stack_context(x, 0, 0), x)
+        assert np.array_equal(stack(x, 0, 0), x)
 
     def test_edge_rule(self):
         x = np.arange(1.0, 4.0)[:, None] * np.ones((1, 2))  # frames 1, 2, 3
-        out = features.stack_context(x, 1, 1)
+        out = stack(x, 1, 1)
         assert out.shape == (3, 6)
         assert np.array_equal(out[0], [0, 0, 1, 1, 2, 2])
         assert np.array_equal(out[1], [1, 1, 2, 2, 3, 3])
@@ -123,13 +128,13 @@ class TestStackContext:
 
     def test_paper_dimensionality(self):
         x = np.zeros((30, 40))
-        assert features.stack_context(x, 10, 10).shape == (30, 840)
+        assert stack(x, 10, 10).shape == (30, 840)
 
     def test_center_columns_equal_input(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(12, 40))
         p, q = 3, 2
-        out = features.stack_context(x, p, q)
+        out = stack(x, p, q)
         assert np.array_equal(out[:, p * 40:(p + 1) * 40], x)
 
 
@@ -223,7 +228,7 @@ class TestContextFrames:
     def test_stack_context_is_the_gather_of_one_utterance(self):
         (x,) = self.blocks([45], d=8, seed=4)
         for p, q in [(0, 0), (10, 10), (2, 0), (0, 5)]:
-            assert np.array_equal(features.stack_context(x, p, q), hstack_context(x, p, q))
+            assert np.array_equal(stack(x, p, q), hstack_context(x, p, q))
 
     @pytest.mark.parametrize("blocks, p, q", [
         ([np.ones(5)], 1, 1),

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import hstack_context
 from ncderev import mlp
 
 
@@ -358,7 +359,7 @@ class TestTrain:
         """Train on ContextFrames of ``dtype`` features, LOSS_CHUNK ``chunk``,
         and on their stacked matrix in one forward call per set; both must
         train at ``dtype`` and agree bit for bit."""
-        from ncderev.features import ContextFrames, stack_context
+        from ncderev.features import ContextFrames
 
         rng = np.random.default_rng(11)
         utts = [rng.normal(size=(n, 40)).astype(dtype) for n in (90, 3, 150, 61)]
@@ -372,8 +373,8 @@ class TestTrain:
             return mlp.train(mlp.init_model([840, 32, 40], 11), x, y, config, vx, vy)
 
         monkeypatch.setattr(mlp, "LOSS_CHUNK", 10 ** 6)  # one forward call per set
-        want_model, want_trace = run(np.vstack([stack_context(u, p, q) for u in utts]),
-                                     np.vstack([stack_context(u, p, q) for u in devs]))
+        want_model, want_trace = run(np.vstack([hstack_context(u, p, q) for u in utts]),
+                                     np.vstack([hstack_context(u, p, q) for u in devs]))
         monkeypatch.setattr(mlp, "LOSS_CHUNK", chunk)
         got_model, got_trace = run(ContextFrames(utts, p, q), ContextFrames(devs, p, q))
         assert got_trace == want_trace
@@ -401,12 +402,12 @@ class TestTrain:
     def test_loss_chunks_give_the_full_set_forward(self, monkeypatch, chunk):
         # 304 = 3·101 + 1 = 3·100 + 4 rows: a short last chunk would be a
         # small product, which BLAS may sum in another order
-        from ncderev.features import ContextFrames, stack_context
+        from ncderev.features import ContextFrames
 
         rng = np.random.default_rng(12)
         utts = [rng.normal(size=(n, 40)) for n in (90, 3, 150, 61)]
         model = mlp.init_model([840, 32, 40], 12)
-        want = mlp.forward(model, np.vstack([stack_context(u, 10, 10) for u in utts]))
+        want = mlp.forward(model, np.vstack([hstack_context(u, 10, 10) for u in utts]))
         monkeypatch.setattr(mlp, "LOSS_CHUNK", chunk)
         got = mlp._forward_chunked(model, ContextFrames(utts, 10, 10))
         assert np.array_equal(got, want)
@@ -523,9 +524,7 @@ class TestDereverberateFeatures:
         # train clean -> clean: the mapper should approximate identity
         rng = np.random.default_rng(6)
         feats = rng.normal(size=(120, 8))
-        from ncderev.features import stack_context
-
-        x = stack_context(feats, 2, 2)
+        x = hstack_context(feats, 2, 2)
         model = mlp.init_model([40, 64, 8], seed=6)
         config = mlp.TrainConfig(learning_rate=1.0, batch_size=120, epochs=400,
                                  improvement_threshold=0.0, seed=6)
@@ -536,8 +535,6 @@ class TestDereverberateFeatures:
     @pytest.mark.parametrize("frames", [511, 512, 513, 1500])
     def test_equals_the_forward_of_the_stacked_matrix(self, frames):
         # rows are forwarded LOSS_CHUNK at a time, as in train's loss pass
-        from conftest import hstack_context
-
         rng = np.random.default_rng(frames)
         feats = rng.normal(size=(frames, 40))
         model = mlp.init_model([840, 32, 40], seed=frames)
