@@ -37,9 +37,6 @@ class DataError(RuntimeError):
     """Missing or malformed input data or upstream artifacts."""
 
 
-# every command takes 40 log-Mel bands of dsp's one rate and framing
-MEL_BANK = features.mel_bank(dsp.FFT_SIZE, dsp.SAMPLE_RATE)
-
 SPLITS = ("train", "dev", "test", "all")
 
 
@@ -53,7 +50,6 @@ class ExperimentConfig:
     jobs: int = 1
     nominal_dims: list = field(default_factory=lambda: list(rir.NOMINAL_DIMS))
     rt60_range: list = field(default_factory=lambda: list(rir.RT60_RANGE))
-    rir_count: int = 0  # 0 means one RIR per utterance
     absorption_mode: str = "calibrated"  # only accepted value; existing configs set it
     p: int = 10
     q: int = 10
@@ -109,8 +105,7 @@ class ExperimentConfig:
             if not 0.0 <= self.ridge < float("inf"):
                 raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
         for name, low in (("p", 0), ("q", 0), ("enhancer_p", 0), ("n_subsets", 1),
-                          ("hidden_width", 1), ("hidden_layers", 0), ("rir_count", 0),
-                          ("jobs", 1)):
+                          ("hidden_width", 1), ("hidden_layers", 0), ("jobs", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 <= self.tail_from_lag <= self.max_lag:
@@ -317,7 +312,7 @@ def _require_features(cfg, kind, utt) -> np.ndarray:
 
 
 def _mvn_logmel(spec) -> np.ndarray:
-    return features.mvn(features.log_mel(spec, MEL_BANK))
+    return features.mvn(features.log_mel(spec))
 
 
 def cmd_make_corpus(cfg) -> int:
@@ -330,7 +325,6 @@ def cmd_make_corpus(cfg) -> int:
         pairs, workdir, cfg.seed,
         nominal_dims=tuple(cfg.nominal_dims),
         rt60_range=tuple(cfg.rt60_range),
-        rir_count=cfg.rir_count or None,
         jobs=cfg.jobs,
     )
     for row, digest in made:  # the record also lists the clean WAVs it read
@@ -432,7 +426,7 @@ def cmd_train_mlp(cfg) -> int:
     dev_rows = [r for r in rows if r.split == "dev"]
     # no dev utterances: the training loss drives the schedule
     valid_x, valid_y = _dataset_from_rows(cfg, dev_rows) if dev_rows else (None, None)
-    n_mels = len(MEL_BANK)
+    n_mels = len(features.MEL_BANK)
     dims = ([(cfg.p + cfg.q + 1) * n_mels]
             + [cfg.hidden_width] * cfg.hidden_layers + [n_mels])
     model = mlp.init_model(dims, cfg.seed)
@@ -497,8 +491,8 @@ def _fit_enhancer(cfg, rows):
 
 def _stream_override(cfg, utt, name, shape):
     """The features of ``<streams_dir>/<utt>__<name>.ncft``, or None when
-    there is no such file; DataError naming it unless they are of
-    ``shape``, that of the utterance's clean features."""
+    there is no such file; DataError naming it unless they are finite and
+    of ``shape``, that of the utterance's clean features."""
     if not cfg.streams_dir:
         return None
     path = Path(cfg.streams_dir) / f"{utt}__{name}.ncft"
@@ -508,6 +502,8 @@ def _stream_override(cfg, utt, name, shape):
     if feats.shape != shape:
         raise DataError(f"stream file {path} holds {feats.shape} features, but {utt}'s "
                         f"clean features are {shape}")
+    if not np.all(np.isfinite(feats)):
+        raise DataError(f"stream file {path} holds a non-finite value")
     return feats
 
 
@@ -554,7 +550,7 @@ def cmd_mix_sweep(cfg) -> int:
         per_subset, average, cells = mixing.lambda_sweep(
             subsets, cfg.lambda_grid, config_id
         )
-        cell_rows.extend((c.subset, c.config_id, c.lam, c.mse) for c in cells)
+        cell_rows.extend(cells)
         summary_rows.extend((config_id, name, lam) for name, lam in per_subset.items())
         summary_rows.append((config_id, "average", average))
     fileformats.write_csv(_out(cfg, workdir / "mix_sweep.csv"),
@@ -598,8 +594,7 @@ def cmd_diagnose(cfg) -> int:
         _upstream(_estimate_path(cfg, row.utterance), "fit-fir")
     out_dir = Path(cfg.workdir) / "diagnostics"
     out_dir.mkdir(exist_ok=True)
-    # magnitude trajectories expose the smearing (criterion 5)
-    sums = {name: diagnostics.AutocorrSums(cfg.max_lag, magnitude=True)
+    sums = {name: diagnostics.AutocorrSums(cfg.max_lag)
             for name in ("clean", "reverb", "fir_derev")}
     # one utterance in memory at a time; the first one is also exported
     for i, row in enumerate(rows):
@@ -641,7 +636,7 @@ COMMANDS = {
 # each command's flags beyond --config, --seed and --workdir: one per config
 # key that it reads, named after the key with "-" for "_"
 FLAGS = {
-    "make-corpus": ("--clean-dir", "--rir-count", "--jobs"),
+    "make-corpus": ("--clean-dir", "--jobs"),
     "featurize": (),
     "fit-fir": ("--split", "--p", "--q"),
     "sweep-context": ("--split",),

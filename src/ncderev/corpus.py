@@ -92,14 +92,14 @@ def _synthesize_one(task):
 
 
 def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
-                 rt60_range=rir.RT60_RANGE, rir_count=None, jobs: int = 1) -> list:
+                 rt60_range=rir.RT60_RANGE, jobs: int = 1) -> list:
     """Convolve each clean utterance with its own sampled impulse response.
+
+    One RIR is sampled per utterance, and a seeded permutation assigns
+    them, so no two utterances share a response.
 
     Args:
         clean_pairs: (utterance_id, wav_path) pairs, e.g. from scan_clean_dir.
-        rir_count: size of the sampled RIR pool (default: one per
-            utterance). Must be at least the utterance count since no
-            two utterances may share a response.
 
     Returns:
         (manifest row, sha256 of the clean WAV bytes it convolved) pairs,
@@ -107,15 +107,8 @@ def build_corpus(clean_pairs, out_dir, seed: int, nominal_dims=rir.NOMINAL_DIMS,
     """
     clean_pairs = sorted(clean_pairs)
     n_utts = len(clean_pairs)
-    if rir_count is None:
-        rir_count = n_utts
-    if rir_count < n_utts:
-        raise ValueError(
-            f"{rir_count} RIRs for {n_utts} utterances: assignment without "
-            "replacement needs at least one RIR per utterance"
-        )
-    specs = rir.make_rir_set(seed, rir_count, nominal_dims, rt60_range=rt60_range)
-    order = np.random.default_rng((seed, rir_count)).permutation(rir_count)
+    specs = rir.make_rir_set(seed, n_utts, nominal_dims, rt60_range=rt60_range)
+    order = np.random.default_rng((seed, n_utts)).permutation(n_utts)
     tasks = [
         (utt, str(path), specs[order[i]], int(order[i]), str(out_dir))
         for i, (utt, path) in enumerate(clean_pairs)

@@ -4,7 +4,7 @@ spectrogram exports, and MSE rows.
 Spectrograms are complex (frames, bins) arrays, column k holding bin k's
 trajectory. An autocorrelation curve is a plain float64 array whose entry
 tau is the value at lag tau, for lags 0..max_lag. Reverberation shows up
-as heavier autocorrelation tails in the complex trajectory of each
+as heavier autocorrelation tails in the magnitude trajectory of each
 frequency bin; the corpus-average curve, folded one spectrogram at a time
 by ``AutocorrSums``, and its tail mass scalarize that comparison between
 clean, reverberated and dereverberated material.
@@ -25,68 +25,54 @@ from .mlp import mse_loss
 BLOCK = 32
 
 
-def _autocorr_columns(values: np.ndarray, max_lag: int, magnitude: bool):
-    """Normalized autocorrelation of every column of a 2-D array.
+def _autocorr_columns(values: np.ndarray, max_lag: int):
+    """Normalized autocorrelation of the magnitudes of every column of a
+    2-D array.
 
-    Each column is mean-removed; the numerators for all columns come from
-    one zero-padded FFT (Wiener-Khinchin), the denominators from prefix
-    sums of the energy. Columns that are constant, have (numerically) zero
-    energy, or are not longer than max_lag are unusable.
+    Each column's magnitudes are mean-removed; the numerators for all
+    columns come from one zero-padded FFT (Wiener-Khinchin), the
+    denominators from prefix sums of the energy. Columns whose magnitudes
+    are constant, have (numerically) zero energy, or are not longer than
+    max_lag are unusable.
 
     The column means, energies and energy totals are reduced over the
     whole array, whose bits a reduction over fewer columns need not give.
     The usable columns then go through the FFTs and prefix sums BLOCK at a
-    time, each column by itself, into the one output array. Complex input
-    is taken as complex128.
+    time, each column by itself, into the one output array.
 
     Returns:
         (curves, usable): curves is (max_lag + 1, n_usable), usable is a
         boolean mask over the columns.
     """
-    # a real array is the function's own, and its mean is removed in place
-    if magnitude:
-        s = np.abs(values).astype(np.float64, copy=False)
-    elif np.iscomplexobj(values):
-        s = values.astype(np.complex128, copy=False)
-    else:
-        s = values.astype(np.float64)
+    # the magnitudes are the function's own, and their mean is removed in place
+    s = np.abs(values).astype(np.float64, copy=False)
     n = s.shape[0]
     usable = np.zeros(s.shape[1], dtype=bool)
     if n > max_lag:
         # compared exactly: a constant column's mean need not round to its value
         usable = np.any(s != s[0], axis=0)
-        if np.iscomplexobj(s):
-            s = s - s.mean(axis=0)
-            energy = s.real ** 2 + s.imag ** 2
-        else:
-            s -= s.mean(axis=0)
-            energy = np.square(s)
+        s -= s.mean(axis=0)
+        energy = np.square(s)
         usable &= ~(energy.sum(axis=0) < 1e-300)  # a NaN column stays and shows
     columns = np.flatnonzero(usable)
     curves = np.empty((max_lag + 1, len(columns)))
     if not len(columns):
         return curves, usable
-    # Re sum_n conj(s(n)) s(n+tau) is the sum of the real and imaginary
-    # parts' autocorrelations; padding to n + max_lag avoids wrap-around
+    # padding to n + max_lag avoids wrap-around
     nfft = 1 << (n + max_lag - 1).bit_length()
-    parts = (s.real, s.imag) if np.iscomplexobj(s) else (s,)
     width = min(BLOCK, len(columns))
     spectra = np.empty((width, nfft // 2 + 1), dtype=np.complex128)
     power = np.empty((width, nfft // 2 + 1))
-    square = np.empty_like(power) if len(parts) > 1 else None
     lagged = np.empty((width, nfft))
     sums = np.empty((width, n))
     ends = n - 1 - np.arange(max_lag + 1)  # head[n-1-tau] and tail[tau] sit here
     for first in range(0, len(columns), BLOCK):
         block = columns[first:first + BLOCK]
         m = len(block)
-        for j, part in enumerate(parts):
-            # part.T[block] gathers the block's columns as contiguous rows
-            np.fft.rfft(part.T[block], nfft, axis=1, out=spectra[:m])
-            mag = np.abs(spectra[:m], out=square[:m] if j else power[:m])
-            np.square(mag, out=mag)
-            if j:
-                power[:m] += mag
+        # s.T[block] gathers the block's columns as contiguous rows
+        np.fft.rfft(s.T[block], nfft, axis=1, out=spectra[:m])
+        np.abs(spectra[:m], out=power[:m])
+        np.square(power[:m], out=power[:m])
         # the real power as a complex input, which irfft would cast it to
         spectra[:m] = power[:m]
         num = np.fft.irfft(spectra[:m], nfft, axis=1, out=lagged[:m])[:, :max_lag + 1]
@@ -104,12 +90,12 @@ class AutocorrSums:
     folded from spectrograms added one at a time, so a corpus never has
     to be held in memory at once.
 
-    Each bin trajectory is mean-removed, then r(tau) = sum_n conj(s(n))
-    s(n+tau) over the lag overlap, normalized per lag by the geometric
-    mean of the two windowed energies (Cauchy-Schwarz keeps |r| <= 1, and
-    an exactly periodic trajectory scores exactly 1 at its period); the
-    real part is kept for complex input. With ``magnitude=True`` the
-    correlation is computed on |s|. One sequence's curve is that of a
+    Each bin trajectory's magnitudes m = |s| are mean-removed, then
+    r(tau) = sum_n m(n) m(n+tau) over the lag overlap, normalized per lag
+    by the geometric mean of the two windowed energies (Cauchy-Schwarz
+    keeps |r| <= 1, and an exactly periodic trajectory scores exactly 1 at
+    its period). Magnitudes expose the smearing that per-bin phase drift
+    hides in the complex values. One sequence's curve is that of a
     (frames, 1) spectrogram.
 
     ``sums`` holds the per-lag sum of the usable trajectories' curves;
@@ -117,18 +103,17 @@ class AutocorrSums:
     (constant, or not longer than max_lag), which are left out.
     """
 
-    def __init__(self, max_lag: int, magnitude: bool = False):
+    def __init__(self, max_lag: int):
         if max_lag < 0:
             raise ValueError(f"max_lag must be >= 0, got {max_lag}")
         self.max_lag = max_lag
-        self.magnitude = magnitude
         self.sums = np.zeros(max_lag + 1)
         self.used = 0
         self.skipped = 0
 
     def add(self, spec) -> None:
         """Fold in every bin trajectory (column) of one spectrogram."""
-        curves, usable = _autocorr_columns(np.asarray(spec), self.max_lag, self.magnitude)
+        curves, usable = _autocorr_columns(np.asarray(spec), self.max_lag)
         self.sums += curves.sum(axis=1)
         self.used += int(usable.sum())
         self.skipped += int(np.count_nonzero(~usable))

@@ -1,7 +1,8 @@
 """Log-Mel filter energies, per-utterance normalization, and context stacking.
 
-The Mel filter bank is a plain (n_mels, fft_size//2 + 1) weight array, and
-``log_mel`` takes a complex (frames, bins) spectrogram array of ``dsp.stft``.
+The Mel filter bank ``MEL_BANK`` is a read-only (40, 257) weight array
+on the bins of ``dsp``'s FFT, and ``log_mel`` takes a complex
+(frames, bins) spectrogram array of ``dsp.stft``.
 Feature matrices are plain arrays of shape (frames, 40): float64 as
 computed here, float32 as stored in NCFT files and read back. Each
 frame's context vector concatenates the p previous, the current, and the
@@ -15,6 +16,8 @@ import itertools
 
 import numpy as np
 
+from . import dsp
+
 MEL_FLOOR_RELATIVE = 1e-10
 
 
@@ -26,39 +29,28 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_bank(fft_size: int, sample_rate: int, n_mels: int = 40) -> np.ndarray:
-    """Triangular filters on Mel-spaced centers between 0 Hz and Nyquist:
-    nonnegative weights of shape (n_mels, fft_size//2 + 1).
-
-    Raises ValueError when n_mels is infeasible for the FFT resolution
-    (fewer than 2 bins per filter, or a filter with empty support).
-    """
-    if n_mels < 1:
-        raise ValueError(f"n_mels must be >= 1, got {n_mels}")
-    if fft_size < 2 * n_mels:
-        raise ValueError(
-            f"fft_size {fft_size} too small for {n_mels} Mel filters"
-        )
-    n_bins = fft_size // 2 + 1
-    edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
-    edges_hz = mel_to_hz(edges_mel)
-    bin_freqs = np.arange(n_bins) * sample_rate / fft_size
-    weights = np.zeros((n_mels, n_bins))
-    for k in range(n_mels):
-        left, center, right = edges_hz[k], edges_hz[k + 1], edges_hz[k + 2]
-        rising = (bin_freqs - left) / (center - left)
-        falling = (right - bin_freqs) / (right - center)
-        weights[k] = np.maximum(0.0, np.minimum(rising, falling))
-        if not np.any(weights[k] > 0):
-            raise ValueError(
-                f"Mel filter {k} has empty support: {n_mels} filters are "
-                f"infeasible for fft_size {fft_size} at {sample_rate} Hz"
-            )
-    return weights
+def _triangular_filters() -> np.ndarray:
+    """Triangular filters on 40 Mel-spaced centers between 0 Hz and
+    Nyquist, over the bins of dsp's FFT: nonnegative weights of shape
+    (40, dsp.FFT_SIZE//2 + 1). Filter k rises from edge k to its peak at
+    edge k+1 and falls to zero at edge k+2."""
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(dsp.SAMPLE_RATE / 2.0),
+                                  42))[:, None]
+    bin_freqs = np.arange(dsp.FFT_SIZE // 2 + 1) * dsp.SAMPLE_RATE / dsp.FFT_SIZE
+    left, center, right = edges[:-2], edges[1:-1], edges[2:]
+    rising = (bin_freqs - left) / (center - left)
+    falling = (right - bin_freqs) / (right - center)
+    bank = np.maximum(0.0, np.minimum(rising, falling))
+    bank.flags.writeable = False
+    return bank
 
 
-def log_mel(spec, bank: np.ndarray) -> np.ndarray:
-    """Log filter energies of a complex (frames, bins) spectrogram:
+# the one filter bank: every feature is 40 log-Mel bands of dsp's rate and framing
+MEL_BANK = _triangular_filters()
+
+
+def log_mel(spec) -> np.ndarray:
+    """Log MEL_BANK energies of a complex (frames, bins) spectrogram:
     log(max(floor, sum_b w(k,b) |X(n,b)|^2)).
 
     The floor is 1e-10 relative to the utterance's maximum filter energy
@@ -66,12 +58,12 @@ def log_mel(spec, bank: np.ndarray) -> np.ndarray:
     -inf while preserving dynamic range.
     """
     spec = np.asarray(spec)
-    if spec.shape[-1] != bank.shape[1]:
+    if spec.shape[-1] != MEL_BANK.shape[1]:
         raise ValueError(
-            f"bin count mismatch: spectrogram {spec.shape[-1]}, bank {bank.shape[1]}"
+            f"bin count mismatch: spectrogram {spec.shape[-1]}, bank {MEL_BANK.shape[1]}"
         )
     power = spec.real ** 2 + spec.imag ** 2
-    energies = power @ bank.T
+    energies = power @ MEL_BANK.T
     peak = float(energies.max()) if energies.size else 0.0
     floor = MEL_FLOOR_RELATIVE * peak if peak > 0 else np.finfo(np.float64).tiny
     return np.log(np.maximum(energies, floor))

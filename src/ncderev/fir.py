@@ -67,25 +67,26 @@ def _solve(gram, corr, ridge):
     """Solve (G + ridge I) g = r for each bin; gram (K, n, n), corr (K, n).
 
     ridge is a nonnegative number shared by all bins, or "auto" for the
-    scale-invariant per-bin floor 1e-8 * Re tr(G) / n.
+    scale-invariant per-bin floor 1e-8 * Re tr(G) / n. The diagonal of
+    ``gram`` is loaded in place, so a caller passes a Gram it no longer
+    needs, or a copy.
     """
     taps = gram.shape[-1]
     if ridge == "auto":
         ridge = 1e-8 * np.trace(gram, axis1=1, axis2=2).real / taps
     elif ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    # one copy, loaded on its diagonal in place, for gram may be a view;
     # adding 0.0 turns -0.0 entries into +0.0 as adding ridge * I does
-    a = gram + 0.0
+    gram += 0.0
     diagonal = np.arange(taps)
-    a[:, diagonal, diagonal] += np.reshape(ridge, (-1, 1))
+    gram[:, diagonal, diagonal] += np.reshape(ridge, (-1, 1))
     try:
-        g = np.linalg.solve(a, corr[:, :, None])[:, :, 0]
+        g = np.linalg.solve(gram, corr[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         g = np.empty_like(corr)
-        for k in range(len(a)):
+        for k in range(len(gram)):
             try:
-                g[k] = np.linalg.solve(a[k], corr[k])
+                g[k] = np.linalg.solve(gram[k], corr[k])
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(
                     f"bin {k}: singular normal equations; supply ridge"
@@ -210,7 +211,8 @@ def _cell_errors(gram, corr, energy, frames, grid, ridge):
     for c, (p, q) in enumerate(grid):
         rows = slice(wide_q - q, wide_q + p + 1)
         g_cell, r_cell = gram[:, rows, rows], corr[:, rows]
-        g = _solve(g_cell, r_cell, ridge)
+        # the solve loads a copy: the quadratic form below reads the block
+        g = _solve(g_cell.copy(), r_cell, ridge)
         err = (energy - 2.0 * np.einsum("ki,ki->k", g.conj(), r_cell).real
                + np.einsum("ki,kij,kj->k", g.conj(), g_cell, g).real)
         # rounding in G, Zᴴy and ‖y‖² leaves err uncertain by up to

@@ -8,9 +8,13 @@ Four configurations differ in which two streams are combined:
     3: (1-l) * reverb       + l * derev_of_ref_enhanced
     4: (1-l) * reverb       + l * derev_of_reverb
 
-Mixing operates on MVN'd log-Mel features. The mixing weight is tuned
-per held-out subset by feature-domain MSE against clean references, and
-an average optimum is reported across subsets.
+Mixing operates on MVN'd log-Mel features. A mixture is named by its
+configuration id and weight, ``semi_enhance(config_id, lam, streams)``;
+the ids are the keys of ``STREAMS_BY_CONFIG`` and the weights come from
+the config's ``lambda_grid``, which is checked to lie in [0, 1] where it
+is read. The mixing weight is tuned per held-out subset by
+feature-domain MSE against clean references, and an average optimum is
+reported across subsets.
 
 The reference enhancer producing ``ref_enhanced`` is chosen once per run
 from ``ENHANCERS``: "identity" passes the reverberant spectrogram
@@ -18,8 +22,6 @@ through; "causal-fir" applies per-bin causal filters (q = 0), which
 ``fir.fit_pooled_filters`` fits on the train split and
 ``kernels.apply_fir`` applies, standing in for an external dereverberator.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,33 +39,17 @@ STREAMS_BY_CONFIG = {
 ENHANCERS = ("identity", "causal-fir")
 
 
-@dataclass(frozen=True)
-class MixConfig:
-    """Mixing configuration id (1-4) and weight in [0, 1]."""
+def semi_enhance(config_id: int, lam: float, streams) -> np.ndarray:
+    """Per-frame, per-dimension mixture (1-lam)*first + lam*second of the
+    two streams that ``STREAMS_BY_CONFIG[config_id]`` names.
 
-    config_id: int
-    lam: float
-
-    def __post_init__(self):
-        if self.config_id not in STREAMS_BY_CONFIG:
-            raise ValueError(f"config_id must be 1..4, got {self.config_id}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-
-
-def semi_enhance(config: MixConfig, streams) -> np.ndarray:
-    """Per-frame, per-dimension mixture (1-l)*first + l*second.
-
-    ``streams`` maps stream names to equal-shaped feature matrices; the
-    configuration selects which two are required. At l = 0 and l = 1 the
-    respective stream is returned bit-exactly.
+    ``streams`` maps stream names to equal-shaped feature matrices. At
+    lam = 0 and lam = 1 the respective stream is returned bit-exactly.
     """
-    first_name, second_name = STREAMS_BY_CONFIG[config.config_id]
+    first_name, second_name = STREAMS_BY_CONFIG[config_id]
     for name in (first_name, second_name):
         if name not in streams or streams[name] is None:
-            raise ValueError(
-                f"configuration {config.config_id} requires stream {name!r}"
-            )
+            raise ValueError(f"configuration {config_id} requires stream {name!r}")
     first = np.asarray(streams[first_name], dtype=np.float64)
     second = np.asarray(streams[second_name], dtype=np.float64)
     if first.shape != second.shape:
@@ -71,21 +57,11 @@ def semi_enhance(config: MixConfig, streams) -> np.ndarray:
             f"stream shape mismatch: {first_name} {first.shape} vs "
             f"{second_name} {second.shape}"
         )
-    if config.lam == 0.0:
+    if lam == 0.0:
         return first.copy()
-    if config.lam == 1.0:
+    if lam == 1.0:
         return second.copy()
-    return (1.0 - config.lam) * first + config.lam * second
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One (subset, config, lambda) evaluation."""
-
-    subset: str
-    config_id: int
-    lam: float
-    mse: float
+    return (1.0 - lam) * first + lam * second
 
 
 def lambda_sweep(subsets, grid, config_id: int):
@@ -101,7 +77,8 @@ def lambda_sweep(subsets, grid, config_id: int):
 
     Returns:
         (per_subset, average, cells): the per-subset optimal weight, the
-        arithmetic mean of those optima, and all evaluated cells.
+        arithmetic mean of those optima, and every evaluated cell as a
+        (subset, config_id, lambda, mse) tuple.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -117,11 +94,10 @@ def lambda_sweep(subsets, grid, config_id: int):
         best_lam = None
         best_mse = np.inf
         for lam in grid:
-            config = MixConfig(config_id, lam)
             total = 0.0
             count = 0
             for streams, clean in pairs:
-                mixed = semi_enhance(config, streams)
+                mixed = semi_enhance(config_id, lam, streams)
                 clean = np.asarray(clean, dtype=np.float64)
                 if mixed.shape != clean.shape:
                     raise ValueError(
@@ -131,7 +107,7 @@ def lambda_sweep(subsets, grid, config_id: int):
                 total += mse_loss(mixed, clean)
                 count += 1
             mse = total / count
-            cells.append(SweepCell(name, config_id, lam, mse))
+            cells.append((name, config_id, lam, mse))
             # ties (including float-rounding pseudo-ties of identical
             # streams) resolve to the earlier, smaller weight
             if mse < best_mse * (1.0 - 1e-12):

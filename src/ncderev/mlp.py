@@ -43,33 +43,23 @@ def _checked_dims(layer_dims) -> list:
     return dims
 
 
-@dataclass
 class MlpModel:
-    """Layer dimensions plus weight matrices (fan_in x fan_out) and biases."""
+    """Layer dimensions and one flat parameter vector ``theta``, which
+    holds each layer's (fan_in, fan_out) weights and then its (fan_out,)
+    bias; ``weights`` and ``biases`` are the per-layer views of it."""
 
-    layer_dims: list
-    weights: list
-    biases: list
-
-    def __post_init__(self):
-        dims = _checked_dims(self.layer_dims)
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ValueError("need one weight matrix and bias per layer transition")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
-                raise ValueError(
-                    f"layer {i}: expected {(dims[i], dims[i + 1])} weights and "
-                    f"({dims[i + 1]},) bias, got {w.shape} and {b.shape}"
-                )
-        self.layer_dims = dims
+    def __init__(self, layer_dims, theta):
+        self.layer_dims = _checked_dims(layer_dims)
+        count = _parameter_count(self.layer_dims)
+        if np.shape(theta) != (count,):
+            raise ValueError(f"layer dims {self.layer_dims} take {count} parameters, "
+                             f"got an array of shape {np.shape(theta)}")
+        self.theta = theta
+        self.weights, self.biases = _layer_views(theta, self.layer_dims)
 
     def astype(self, dtype) -> "MlpModel":
         """A copy with every parameter cast to ``dtype``."""
-        return MlpModel(
-            list(self.layer_dims),
-            [w.astype(dtype) for w in self.weights],
-            [b.astype(dtype) for b in self.biases],
-        )
+        return MlpModel(self.layer_dims, self.theta.astype(dtype))
 
 
 @dataclass
@@ -102,14 +92,12 @@ def init_model(layer_dims, seed: int) -> MlpModel:
     fewer than two layers or any dimension below 1.
     """
     layer_dims = _checked_dims(layer_dims)
+    model = MlpModel(layer_dims, np.zeros(_parameter_count(layer_dims)))
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(layer_dims, weights, biases)
+    for w in model.weights:
+        s = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-s, s, size=w.shape)
+    return model
 
 
 def _sigmoid(z):
@@ -189,22 +177,12 @@ def _parameter_count(layer_dims) -> int:
                for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
 
 
-def _flat_copy(model, dtype):
-    """(copy, theta): a copy of ``model`` at ``dtype`` whose weights and
-    biases are views of the one flat vector theta."""
-    theta = np.empty(_parameter_count(model.layer_dims), dtype)
-    weights, biases = _layer_views(theta, model.layer_dims)
-    for view, param in zip(weights + biases, model.weights + model.biases):
-        view[...] = param
-    return MlpModel(list(model.layer_dims), weights, biases), theta
-
-
 class StepWorkspace:
     """The buffers of one SGD step on batches of up to ``batch`` rows.
 
-    ``grad`` is one flat vector laid out as a flat model copy's
-    parameters, and ``w_grads``/``b_grads`` are its per-layer views, so
-    one update ``theta -= lr·grad`` steps every parameter. Each layer
+    ``grad`` is one flat vector laid out as a model's ``theta``, and
+    ``w_grads``/``b_grads`` are its per-layer views, so one update
+    ``theta -= lr·grad`` steps every parameter. Each layer
     has an activation and a delta buffer of ``batch`` rows, and the
     output layer a buffer for the squared error.
     """
@@ -312,10 +290,9 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
     features.ContextFrames; each batch and loss chunk gathers its rows.
     Training computes in the floating dtype of ``inputs``: the model copy
     and the targets are cast to it, and the learning rate stays a Python
-    float. Every loss is summed at float64. The model copy's parameters
-    are views of one flat vector, and every step runs in one
-    StepWorkspace whose flat gradient lines up with it, so each update
-    is one scaling and one subtraction.
+    float. Every loss is summed at float64. Every step runs in one
+    StepWorkspace whose flat gradient lines up with the model copy's
+    theta, so each update is one scaling and one subtraction.
 
     Returns:
         (best_model, trace) where best_model holds the parameters of the
@@ -342,7 +319,7 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
         valid_targets = np.asarray(valid_targets, dtype=np.float64)
 
     rng = np.random.default_rng(config.seed)
-    model, theta = _flat_copy(model, dtype)
+    model = model.astype(dtype)
     workspace = StepWorkspace(model.layer_dims, min(config.batch_size, len(inputs)), dtype)
     lr = config.learning_rate
     trace = []
@@ -368,7 +345,7 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
                 if lr:
                     # lr·g in the gradient's own buffer: no temporary
                     workspace.grad *= lr
-                    theta -= workspace.grad
+                    model.theta -= workspace.grad
             if has_valid:
                 train_mse = None
                 valid_mse = mse_loss(_forward_chunked(model, valid_inputs), valid_targets)
@@ -441,7 +418,7 @@ def _layer_block(path, i, layer, key, shape):
     if len(raw) != size:
         raise ValueError(f"model file {path}: layer {i} {key} holds {len(raw)} bytes, "
                          f"{size} for shape {shape}")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    return np.frombuffer(raw, dtype="<f4").reshape(shape)
 
 
 def load_model(path, data=None) -> MlpModel:
@@ -460,9 +437,8 @@ def load_model(path, data=None) -> MlpModel:
     if len(layers) != len(dims) - 1:
         raise ValueError(f"model file {path} holds {len(layers)} layers "
                          f"for layer_dims {dims}")
-    weights = []
-    biases = []
+    model = MlpModel(dims, np.empty(_parameter_count(dims)))
     for i, layer in enumerate(layers):
-        weights.append(_layer_block(path, i, layer, "weights", (dims[i], dims[i + 1])))
-        biases.append(_layer_block(path, i, layer, "bias", (dims[i + 1],)))
-    return MlpModel(dims, weights, biases)
+        model.weights[i][...] = _layer_block(path, i, layer, "weights", model.weights[i].shape)
+        model.biases[i][...] = _layer_block(path, i, layer, "bias", model.biases[i].shape)
+    return model

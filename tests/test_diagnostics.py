@@ -6,48 +6,45 @@ import pytest
 from ncderev import diagnostics
 
 
-def loop_autocorr(series, max_lag, magnitude=False):
-    """Per-lag oracle: direct lag sums over prefix-sum energy denominators."""
-    s = np.asarray(series)
+def loop_autocorr(series, max_lag):
+    """Per-lag oracle on the magnitudes: direct lag sums over prefix-sum
+    energy denominators."""
+    s = np.abs(np.asarray(series)).astype(np.float64)
     if s.size <= max_lag:
         raise ValueError(f"series length {s.size} must exceed max_lag {max_lag}")
-    if magnitude:
-        s = np.abs(s)
-    s = s.astype(np.complex128)
-    s = s - s.mean()
-    energy = s.real ** 2 + s.imag ** 2
-    if float(energy.sum()) < 1e-300:
+    # compared exactly: the mean of a constant series need not round to it
+    if np.all(s == s[0]):
         raise ValueError("constant series has no autocorrelation")
+    s = s - s.mean()
+    energy = s ** 2
+    if float(energy.sum()) < 1e-300:
+        raise ValueError("silent series has no autocorrelation")
     head = np.cumsum(energy)
     tail = np.cumsum(energy[::-1])[::-1]
     values = np.empty(max_lag + 1)
     for tau in range(max_lag + 1):
-        num = float((np.conj(s[:s.size - tau]) * s[tau:]).real.sum())
+        num = float((s[:s.size - tau] * s[tau:]).sum())
         denom = np.sqrt(head[s.size - tau - 1] * tail[tau])
         values[tau] = num / denom if denom > 0 else 0.0
     return values
 
 
-def oneshot_autocorr_columns(values, max_lag, magnitude):
-    """Every column's curve from one FFT along the frame axis of the
-    whole array: (curves of the usable columns, usable mask)."""
-    s = np.abs(values) if magnitude else values
-    if not np.iscomplexobj(s):
-        s = s.astype(np.float64)
+def oneshot_autocorr_columns(values, max_lag):
+    """Every column's magnitude curve from one FFT along the frame axis of
+    the whole array: (curves of the usable columns, usable mask)."""
+    s = np.abs(values).astype(np.float64)
     n = s.shape[0]
     usable = np.zeros(s.shape[1], dtype=bool)
     if n > max_lag:
         usable = np.any(s != s[0], axis=0)
         s = s - s.mean(axis=0)
-        energy = s.real ** 2 + s.imag ** 2
+        energy = s ** 2
         usable &= ~(energy.sum(axis=0) < 1e-300)
     if not usable.any():
         return np.zeros((max_lag + 1, 0)), usable
     s, energy = s[:, usable], energy[:, usable]
     nfft = 1 << (n + max_lag - 1).bit_length()
-    power = np.abs(np.fft.rfft(s.real, nfft, axis=0)) ** 2
-    if np.iscomplexobj(s):
-        power += np.abs(np.fft.rfft(s.imag, nfft, axis=0)) ** 2
+    power = np.abs(np.fft.rfft(s, nfft, axis=0)) ** 2
     num = np.fft.irfft(power, nfft, axis=0)[:max_lag + 1]
     head = np.cumsum(energy, axis=0)
     tail = np.cumsum(energy[::-1], axis=0)[::-1]
@@ -57,29 +54,29 @@ def oneshot_autocorr_columns(values, max_lag, magnitude):
     return np.where(positive, num / np.where(positive, denom, 1.0), 0.0), usable
 
 
-def loop_average(spectrograms, max_lag, magnitude=False):
+def loop_average(spectrograms, max_lag):
     """Per-bin oracle for AutocorrSums: (mean curve, skipped count)."""
     curves, skipped = [], 0
     for values in spectrograms:
         for k in range(values.shape[1]):
             try:
-                curves.append(loop_autocorr(values[:, k], max_lag, magnitude))
+                curves.append(loop_autocorr(values[:, k], max_lag))
             except ValueError:
                 skipped += 1
     return np.mean(curves, axis=0), skipped
 
 
-def folded(spectrograms, max_lag, magnitude=False):
+def folded(spectrograms, max_lag):
     """The spectrograms folded into one AutocorrSums, in order."""
-    sums = diagnostics.AutocorrSums(max_lag, magnitude)
+    sums = diagnostics.AutocorrSums(max_lag)
     for spec in spectrograms:
         sums.add(spec)
     return sums
 
 
-def series_curve(series, max_lag, magnitude=False):
+def series_curve(series, max_lag):
     """One sequence's curve: the mean over a (frames, 1) spectrogram."""
-    return folded([np.asarray(series)[:, None]], max_lag, magnitude).curve()
+    return folded([np.asarray(series)[:, None]], max_lag).curve()
 
 
 class TestNormalizedAutocorr:
@@ -97,15 +94,17 @@ class TestNormalizedAutocorr:
         assert np.max(np.abs(curve[1:])) <= 0.05
 
     def test_periodic_square_wave(self):
+        # magnitudes 1 and 3: mean-removed, the same +-1 wave
         period = 8
-        s = np.tile(np.concatenate([np.ones(period // 2), -np.ones(period // 2)]),
+        s = np.tile(np.concatenate([np.ones(period // 2), 3.0 * np.ones(period // 2)]),
                     200).astype(float)
         curve = series_curve(s, 3 * period)
         assert curve[period] == pytest.approx(1.0, abs=1e-9)
         assert curve[2 * period] == pytest.approx(1.0, abs=1e-9)
 
     def test_ar1_matches_analytic_autocorrelation(self):
-        # AR(1) with coefficient a has r(tau) = a^tau
+        # AR(1) with coefficient a has r(tau) = a^tau; offset to stay
+        # positive, its magnitudes are the series, and the mean is removed
         rng = np.random.default_rng(2)
         n = 100_000
         a = 0.9
@@ -114,7 +113,8 @@ class TestNormalizedAutocorr:
         s[0] = e[0]
         for i in range(1, n):
             s[i] = a * s[i - 1] + e[i]
-        curve = series_curve(s, 30)
+        assert s.min() > -100.0
+        curve = series_curve(s + 100.0, 30)
         want = a ** np.arange(31)
         assert np.max(np.abs(curve - want)) <= 0.05
 
@@ -129,8 +129,6 @@ class TestNormalizedAutocorr:
         s = np.full(150, value)
         with pytest.raises(ValueError, match="no usable"):
             series_curve(s, 10)
-        with pytest.raises(ValueError, match="no usable"):
-            series_curve(s, 10, magnitude=True)
 
     def test_too_short_series_rejected(self):
         sums = folded([np.arange(10.0)[:, None]], 10)
@@ -150,14 +148,16 @@ class TestNormalizedAutocorr:
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_magnitude_domain_flag(self):
+        # complex input is correlated through its magnitudes
         rng = np.random.default_rng(4)
         s = rng.normal(size=400) + 1j * rng.normal(size=400)
-        a = series_curve(s, 10, magnitude=True)
+        a = series_curve(s, 10)
         b = series_curve(np.abs(s), 10)
         assert np.allclose(a, b)
 
 
 class TestAgainstLoopOracle:
+    # the input kinds: complex values, signed reals and their magnitudes
     @pytest.mark.parametrize("kind", ["complex", "real", "magnitude"])
     @pytest.mark.parametrize("n, max_lag", [(500, 40), (101, 100), (64, 0)])
     def test_single_series(self, kind, n, max_lag):
@@ -165,13 +165,15 @@ class TestAgainstLoopOracle:
         s = rng.normal(size=n) + 1.5
         if kind != "real":
             s = s + 1j * rng.normal(size=n)
-        magnitude = kind == "magnitude"
-        got = series_curve(s, max_lag, magnitude=magnitude)
-        want = loop_autocorr(s, max_lag, magnitude)
+        if kind == "magnitude":
+            s = np.abs(s)
+        got = series_curve(s, max_lag)
+        want = loop_autocorr(s, max_lag)
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("magnitude", [False, True])
-    def test_spectrogram_with_constant_bins(self, magnitude):
+    @pytest.mark.parametrize("real", [False, True])
+    def test_spectrogram_with_constant_bins(self, real):
+        # complex spectrograms, or their signed real parts
         rng = np.random.default_rng(11)
         a = rng.normal(size=(150, 9)) + 1j * rng.normal(size=(150, 9))
         a[:, 0] = 2.0 - 1.0j        # constant
@@ -179,9 +181,10 @@ class TestAgainstLoopOracle:
         b = rng.normal(size=(90, 9)) + 1j * rng.normal(size=(90, 9))
         b[:, 3] = 0.5
         short = rng.normal(size=(30, 9)) + 0j   # too short for max_lag 30
-        sums = folded([a, b, short], 30, magnitude=magnitude)
+        spectrograms = [v.real.copy() if real else v for v in (a, b, short)]
+        sums = folded(spectrograms, 30)
         curve, skipped = sums.curve(), sums.skipped
-        want, want_skipped = loop_average([a, b, short], 30, magnitude)
+        want, want_skipped = loop_average(spectrograms, 30)
         assert skipped == want_skipped == 2 + 1 + 9
         assert np.max(np.abs(curve - want)) <= 1e-12
 
@@ -200,13 +203,14 @@ class TestAgainstLoopOracle:
         spec[:, [31, 64, 256]] = 0.0
         spec[:, 32] = 0.5
         spec[:, 63] = 3e-200 * rng.normal(size=n)
-        magnitude = kind == "magnitude"
-        got, usable = diagnostics._autocorr_columns(spec, max_lag, magnitude)
-        want, want_usable = oneshot_autocorr_columns(spec, max_lag, magnitude)
+        if kind == "magnitude":
+            spec = np.abs(spec)
+        got, usable = diagnostics._autocorr_columns(spec, max_lag)
+        want, want_usable = oneshot_autocorr_columns(spec, max_lag)
         assert np.array_equal(usable, want_usable)
         assert usable.sum() == (251 if n > max_lag else 0)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        sums = diagnostics.AutocorrSums(max_lag, magnitude)
+        sums = diagnostics.AutocorrSums(max_lag)
         sums.add(spec)
         assert sums.sums.tobytes() == want.sum(axis=1).tobytes()
 
@@ -253,7 +257,7 @@ class TestAverageAutocorr:
         n, max_lag = 2000, 20
         rng = np.random.default_rng(9)
         spec = rng.normal(size=(n, 257)) + 1j * rng.normal(size=(n, 257))
-        sums = diagnostics.AutocorrSums(max_lag, magnitude=True)
+        sums = diagnostics.AutocorrSums(max_lag)
         real = n * 257 * 8
         block = diagnostics.BLOCK * (1 << (n + max_lag - 1).bit_length()) * 8
         tracemalloc.start()

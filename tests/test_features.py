@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,24 +15,44 @@ def tone_spectrogram(freq, fs=16000):
 
 class TestMelBank:
     def test_paper_configuration_shape(self):
-        bank = features.mel_bank(512, 16000, 40)
+        bank = features.MEL_BANK
         assert bank.shape == (40, 257)
         assert np.all(bank >= 0)
 
     def test_peaks_strictly_increasing(self):
-        bank = features.mel_bank(512, 16000, 40)
+        bank = features.MEL_BANK
         peaks = bank.argmax(axis=1)
         assert np.all(np.diff(peaks) > 0)
 
     def test_interior_bins_covered(self):
-        bank = features.mel_bank(512, 16000, 40)
+        bank = features.MEL_BANK
         peaks = bank.argmax(axis=1)
         interior = np.arange(peaks[0], peaks[-1] + 1)
         assert np.all(bank[:, interior].sum(axis=0) > 0)
 
-    def test_infeasible_configuration(self):
-        with pytest.raises(ValueError, match="too small"):
-            features.mel_bank(64, 16000, 40)
+    def test_matches_closed_form_triangles(self):
+        # filter k of 40 on 42 edges equally spaced in Mel from 0 Hz to
+        # 8 kHz: 0 up to edge k, a line to 1 at edge k+1, a line to 0 at
+        # edge k+2, evaluated at bin b's frequency b * 16000 / 512
+        top = 2595.0 * math.log10(1.0 + 8000.0 / 700.0)
+        edges = [700.0 * (10.0 ** (top * j / 41 / 2595.0) - 1.0) for j in range(42)]
+        want = np.zeros((40, 257))
+        for k in range(40):
+            lo, mid, hi = edges[k:k + 3]
+            for b in range(257):
+                f = b * 16000 / 512
+                if lo < f <= mid:
+                    want[k, b] = (f - lo) / (mid - lo)
+                elif mid < f < hi:
+                    want[k, b] = (hi - f) / (hi - mid)
+        assert features.MEL_BANK.shape == want.shape
+        assert np.max(np.abs(features.MEL_BANK - want)) <= 1e-12
+        # every filter covers at least one bin
+        assert np.all(features.MEL_BANK.max(axis=1) > 0)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            features.MEL_BANK[0, 0] = 1.0
 
     def test_mel_scale_formula(self):
         assert np.isclose(features.hz_to_mel(700.0), 2595.0 * np.log10(2.0))
@@ -40,26 +62,24 @@ class TestMelBank:
 class TestLogMel:
     def test_zero_spectrogram_hits_floor(self):
         spec = np.zeros((5, 257), complex)
-        bank = features.mel_bank(512, 16000, 40)
-        out = features.log_mel(spec, bank)
+        bank = features.MEL_BANK
+        out = features.log_mel(spec)
         assert np.all(out == np.log(np.finfo(np.float64).tiny))
         # otherwise the floor is 1e-10 of the largest filter energy
         values = np.zeros((5, 257), complex)
         values[2, 100] = 1.0
-        out = features.log_mel(values, bank)
+        out = features.log_mel(values)
         assert out.min() == np.log(1e-10 * bank[:, 100].max())
 
     def test_scaling_shifts_by_two_log_c(self, speech):
-        bank = features.mel_bank(512, 16000, 40)
-        a = features.log_mel(stft(speech), bank)
-        b = features.log_mel(stft(0.5 * speech), bank)
+        a = features.log_mel(stft(speech))
+        b = features.log_mel(stft(0.5 * speech))
         assert np.allclose(b - a, 2 * np.log(0.5), atol=1e-9)
 
     def test_tone_peaks_at_matching_filter(self):
-        bank = features.mel_bank(512, 16000, 40)
         for freq in (300.0, 1000.0, 3000.0):
             spec = tone_spectrogram(freq)
-            out = features.log_mel(spec, bank)
+            out = features.log_mel(spec)
             k = int(np.median(out.argmax(axis=1)))
             centers_hz = features.mel_to_hz(
                 np.linspace(features.hz_to_mel(0), features.hz_to_mel(8000), 42)
@@ -70,11 +90,11 @@ class TestLogMel:
     def test_monotone_in_bin_power(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(6, 257)) + 1j * rng.normal(size=(6, 257))
-        bank = features.mel_bank(512, 16000, 40)
-        base = features.log_mel(values, bank)
+        bank = features.MEL_BANK
+        base = features.log_mel(values)
         boosted = values.copy()
         boosted[2, 100] *= 3.0
-        out = features.log_mel(boosted, bank)
+        out = features.log_mel(boosted)
         touched = bank[:, 100] > 0
         assert np.all(out[2, touched] >= base[2, touched])
         assert np.allclose(out[2, ~touched], base[2, ~touched])
@@ -82,8 +102,7 @@ class TestLogMel:
 
 class TestMvn:
     def test_statistics(self, speech):
-        bank = features.mel_bank(512, 16000, 40)
-        out = features.mvn(features.log_mel(stft(speech), bank))
+        out = features.mvn(features.log_mel(stft(speech)))
         assert np.max(np.abs(out.mean(axis=0))) <= 1e-9
         assert np.max(np.abs(out.var(axis=0) - 1.0)) <= 1e-6
 
@@ -261,9 +280,7 @@ class TestAlignPairs:
 
 
 def test_pipeline_determinism(speech):
-    bank = features.mel_bank(512, 16000, 40)
-
     def run():
-        return features.mvn(features.log_mel(stft(speech), bank))
+        return features.mvn(features.log_mel(stft(speech)))
 
     assert np.array_equal(run(), run())

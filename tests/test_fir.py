@@ -158,20 +158,23 @@ class TestFitFilter:
 class TestSolve:
     @pytest.mark.parametrize("ridge", [0.0, 0.5, "auto"])
     def test_loads_a_copy_of_a_principal_block(self, ridge):
-        # a principal block of a wider Gram, as the context sweep passes it;
-        # the solve equals one of ridge * I added to the block, to the bit
+        # a copy of a principal block of a wider Gram, as the context sweep
+        # passes it; the solve loads the copy in place, to the bits of
+        # ridge * I added to the block, and solves that
         rng = np.random.default_rng(4)
         z = rng.normal(size=(6, 40, 9)) + 1j * rng.normal(size=(6, 40, 9))
         wide = np.einsum("kni,knj->kij", z.conj(), z)
         wide[:, 2, 5] = -0.0
         corr = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
-        before = wide.copy()
         block, r = wide[:, 2:7, 2:7], corr[:, 2:7]
-        g = fir._solve(block, r, ridge)
-        assert np.array_equal(wide, before) and np.signbit(wide[0, 2, 5].real)
+        copy = block.copy()
+        g = fir._solve(copy, r, ridge)
+        assert np.signbit(wide[0, 2, 5].real) and not np.signbit(copy[0, 0, 3].real)
         load = (1e-8 * np.trace(block, axis1=1, axis2=2).real / 5 if ridge == "auto"
                 else np.full(6, ridge))
-        want = np.linalg.solve(block + load[:, None, None] * np.eye(5), r[:, :, None])
+        loaded = block + load[:, None, None] * np.eye(5)
+        assert np.array_equal(copy, loaded)
+        want = np.linalg.solve(loaded, r[:, :, None])
         assert np.array_equal(g, want[:, :, 0])
 
 
@@ -485,6 +488,27 @@ class TestPooledFit:
         pair = (toy_spectrogram(rng, 40), toy_spectrogram(rng, 40))
         with pytest.raises(ValueError, match="ridge"):
             fir.fit_pooled_filters([pair], 1, 0, ridge=-1e-3)
+
+    @pytest.mark.parametrize("p", [10, 20])
+    def test_holds_one_gram(self, p):
+        # the solve loads the pooled Gram in place, so the fit peaks where
+        # normal_blocks does; a loaded copy would add a Gram (1.8 MB at 21
+        # taps and 257 bins, 6.9 MB at 41)
+        rng = np.random.default_rng(29)
+        x = toy_spectrogram(rng, 500, 257)
+        y = toy_spectrogram(rng, 500, 257)
+        taps = 2 * p + 1
+        peaks = []
+        for run in (lambda: kernels.normal_blocks(x, y, p, taps),
+                    lambda: fir.fit_pooled_filters([(x, y)], p, p)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        gram = 257 * taps * taps * 16
+        assert peaks[1] <= peaks[0] + gram / 8
 
 
 class TestCheckPair:
