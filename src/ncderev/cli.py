@@ -37,7 +37,9 @@ class DataError(RuntimeError):
     """Missing or malformed input data or upstream artifacts."""
 
 
-SPLITS = ("train", "dev", "test", "all")
+# the values a config key may take; argparse offers them for its flag
+CHOICES = {"split": ("train", "dev", "test", "all"), "enhancer": mixing.ENHANCERS,
+           "absorption_mode": ("calibrated",)}
 
 
 @dataclass
@@ -88,23 +90,17 @@ class ExperimentConfig:
                     kind is float and type(value) is int):
                 continue
             raise ConfigError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
-        if self.enhancer not in mixing.ENHANCERS:
-            raise ConfigError(
-                f"unknown enhancer {self.enhancer!r}; registered: {mixing.ENHANCERS}"
-            )
-        if self.split not in SPLITS:
-            raise ConfigError(f"split must be train/dev/test/all, got {self.split!r}")
-        if self.absorption_mode != "calibrated":
-            raise ConfigError(
-                f"absorption_mode must be 'calibrated', got {self.absorption_mode!r}"
-            )
+        for name, choices in CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
         if self.ridge != "auto":
             if type(self.ridge) not in (int, float):
                 raise ConfigError(f"ridge must be a number or 'auto', got {self.ridge!r}")
             self.ridge = float(self.ridge)
             if not 0.0 <= self.ridge < float("inf"):
                 raise ConfigError(f"ridge must be finite and >= 0, got {self.ridge}")
-        for name, low in (("p", 0), ("q", 0), ("enhancer_p", 0), ("n_subsets", 1),
+        for name, low in (("seed", 0), ("p", 0), ("q", 0), ("enhancer_p", 0), ("n_subsets", 1),
                           ("hidden_width", 1), ("hidden_layers", 0), ("jobs", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -467,11 +463,11 @@ def cmd_derev(cfg) -> int:
         fileformats.write_features(estimate,
                                    _out(cfg, _features_path(cfg, "derev", row.utterance)))
         for name, feats in (("derev", estimate), ("reverb", reverb_feats)):
-            reports[name].append(diagnostics.mse_row(row.utterance, feats, clean_feats))
+            reports[name].append((row.utterance, len(feats), mlp.mse_loss(feats, clean_feats)))
     for name, report in reports.items():
         fileformats.write_csv(_out(cfg, workdir / f"{name}_mse.csv"),
                               ["utterance", "n_frames", "mse"], report)
-    means = {name: diagnostics.corpus_mse([mse for _, _, mse in report])
+    means = {name: float(np.mean([mse for _, _, mse in report]))
              for name, report in reports.items()}
     _write_run_record(cfg, "derev")
     print(f"corpus MSE: derev {means['derev']!r} vs reverb {means['reverb']!r} "
@@ -528,7 +524,7 @@ def cmd_mix_sweep(cfg) -> int:
             spec = _load_reverb(cfg, row)
             if enhancer_taps is not None:
                 spec = kernels.apply_fir(enhancer_taps, spec, 0, len(spec))
-            streams["ref_enhanced"] = _mvn_logmel(spec)[:clean_feats.shape[0]]
+            streams["ref_enhanced"] = features.align_pairs(_mvn_logmel(spec), clean_feats)[0]
             # released before the next utterance's spectrogram is loaded
             del spec
         for source in ("reverb", "ref_enhanced"):
@@ -646,7 +642,6 @@ FLAGS = {
     "mix-sweep": ("--p", "--q", "--enhancer", "--streams-dir"),
     "diagnose": ("--split", "--p", "--q", "--max-lag"),
 }
-CHOICES = {"split": SPLITS, "enhancer": mixing.ENHANCERS}
 
 
 def build_parser() -> argparse.ArgumentParser:

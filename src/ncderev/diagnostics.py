@@ -1,5 +1,5 @@
-"""Analysis artifacts: normalized autocorrelation of bin trajectories,
-spectrogram exports, and MSE rows.
+"""Analysis artifacts: normalized autocorrelation of bin trajectories and
+spectrogram exports.
 
 Spectrograms are complex (frames, bins) arrays, column k holding bin k's
 trajectory. An autocorrelation curve is a plain float64 array whose entry
@@ -18,8 +18,6 @@ dozen spectrogram-sized temporaries per call.
 """
 
 import numpy as np
-
-from .mlp import mse_loss
 
 # bin trajectories _autocorr_columns transforms at once
 BLOCK = 32
@@ -163,22 +161,4 @@ def export_spectrogram(data, path, fmt: str = "csv") -> None:
             fh.write(img.tobytes())
     else:
         raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'pgm'")
-
-
-def mse_row(utt_id, est, ref):
-    """(utterance_id, n_frames, mse) of one aligned feature pair."""
-    est = np.asarray(est, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    if est.shape != ref.shape:
-        raise ValueError(
-            f"{utt_id}: misaligned pair {est.shape} vs {ref.shape}"
-        )
-    return utt_id, est.shape[0], mse_loss(est, ref)
-
-
-def corpus_mse(mses) -> float:
-    """Corpus mean of per-utterance MSEs; ValueError when there are none."""
-    if not mses:
-        raise ValueError("no pairs supplied")
-    return float(np.mean(mses))
 

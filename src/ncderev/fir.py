@@ -29,10 +29,10 @@ along the diagonals gives the rest.
 ``context_sweep`` consumes its iterable of pairs once and builds one Gram
 per utterance at (max p, max q) of its grid. Column s of that design is
 x(n + Q - s) whatever the cell, so every cell's Gram and Zᴴy are a
-principal block and subvector of it, and each cell's error comes from
-the quadratic form ‖y‖² - 2 Re(gᴴr) + gᴴGg without applying the filter.
-With the recursion the wide Gram costs O(taps²) per bin beyond its two
-correlations, so the entries no cell reads cost little.
+principal block and subvector of it, and each cell's error, like
+``dereverberate_spectrogram``'s, comes from ``_residuals`` without
+applying the filter. With the recursion the wide Gram costs O(taps²) per
+bin beyond its two correlations, so the entries no cell reads cost little.
 """
 
 from dataclasses import dataclass
@@ -69,17 +69,18 @@ def _solve(gram, corr, ridge):
     ridge is a nonnegative number shared by all bins, or "auto" for the
     scale-invariant per-bin floor 1e-8 * Re tr(G) / n. The diagonal of
     ``gram`` is loaded in place, so a caller passes a Gram it no longer
-    needs, or a copy.
+    needs, or a copy. Returns the (K, n) taps and the (K,) ridge loaded.
     """
     taps = gram.shape[-1]
     if ridge == "auto":
         ridge = 1e-8 * np.trace(gram, axis1=1, axis2=2).real / taps
     elif ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
+    ridge = np.broadcast_to(ridge, len(gram))
     # adding 0.0 turns -0.0 entries into +0.0 as adding ridge * I does
     gram += 0.0
     diagonal = np.arange(taps)
-    gram[:, diagonal, diagonal] += np.reshape(ridge, (-1, 1))
+    gram[:, diagonal, diagonal] += ridge[:, None]
     try:
         g = np.linalg.solve(gram, corr[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -96,7 +97,24 @@ def _solve(gram, corr, ridge):
         raise SingularSystemError(
             f"bin {bad[0]}: singular normal equations; supply ridge"
         )
-    return g
+    return g, ridge
+
+
+def _residuals(g, corr, ridge, energy, diagonal, frames):
+    """Per-bin error ‖Zg - y‖² of taps g that solve (G + ridge I) g = r.
+
+    Then gᴴGg = gᴴr - ridge‖g‖², so the error ‖y‖² - 2Re(gᴴr) + gᴴGg is
+    ‖y‖² - Re(gᴴr) - ridge‖g‖². energy holds ‖y‖², which callers take from
+    ``np.vecdot`` without a temporary of y's size. Rounding leaves the
+    error uncertain by up to frames·ε·(‖y‖ + Σ|g_i|·√G_ii)², diagonal
+    holding the unloaded G_ii; an error inside that bound reads as 0.
+    """
+    magnitudes = np.abs(g)
+    err = (energy - np.einsum("ki,ki->k", g.conj(), corr).real
+           - ridge * np.einsum("ki,ki->k", magnitudes, magnitudes))
+    scale = np.sqrt(energy) + np.sum(magnitudes * np.sqrt(diagonal), axis=1)
+    bound = frames * np.finfo(np.float64).eps * scale ** 2
+    return np.where(err > bound, err, 0.0)
 
 
 def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
@@ -137,7 +155,7 @@ def fit_pooled_filters(pairs, p: int, q: int, ridge="auto") -> np.ndarray:
         del reverb, clean, gram, corr
     if gram_sum is None:
         raise ValueError("no pairs supplied")
-    return _solve(gram_sum, corr_sum, ridge)
+    return _solve(gram_sum, corr_sum, ridge)[0]
 
 
 def dereverberate_spectrogram(reverb, clean, p: int, q: int, ridge="auto"):
@@ -154,36 +172,16 @@ def dereverberate_spectrogram(reverb, clean, p: int, q: int, ridge="auto"):
         (estimate, taps, errors): the estimated-clean (frames, bins)
         spectrogram with clean's frame count, the (bins, p+q+1) complex
         taps of ``fit_pooled_filters``, and the per-bin squared prediction
-        errors.
+        errors of ``_residuals``.
     """
-    g = fit_pooled_filters([(reverb, clean)], p, q, ridge)
-    estimate = kernels.apply_fir(g, reverb, q, len(clean))
-    return estimate, g, _squared_errors(estimate, clean)
-
-
-def _squared_errors(estimate, clean):
-    """Per-bin sum over frames of |estimate - clean|², ``kernels.ROWS``
-    frames at a time into reused buffers.
-
-    Row 0 of the block buffer carries the running sum, and a sum over
-    axis 0 of more than one bin adds the rows in order, so the result is
-    ``np.sum(np.abs(estimate - clean) ** 2, axis=0)`` bit for bit without
-    its three arrays of the estimate's size. (numpy sums a single bin's
-    column pairwise instead, which differs in the last bits.)
-    """
-    frames, bins = estimate.shape
-    rows = min(kernels.ROWS, frames)
-    diff = np.empty((rows, bins), dtype=np.complex128)
-    block = np.zeros((rows + 1, bins))
-    total = np.zeros(bins)
-    for first in range(0, frames, rows):
-        m = min(rows, frames - first)
-        np.subtract(estimate[first:first + m], clean[first:first + m], out=diff[:m])
-        squares = np.abs(diff[:m], out=block[1:m + 1])
-        np.square(squares, out=squares)
-        block[0] = total
-        np.sum(block[:m + 1], axis=0, out=total)
-    return total
+    _check_pair(reverb, clean, p, q)
+    gram, corr = kernels.normal_blocks(reverb, clean, q, p + q + 1)
+    diagonal = np.diagonal(gram, axis1=1, axis2=2).real.copy()
+    g, loaded = _solve(gram, corr, ridge)
+    del gram  # released before the estimate is allocated
+    errors = _residuals(g, corr, loaded, np.vecdot(clean, clean, axis=0).real,
+                        diagonal, len(clean))
+    return kernels.apply_fir(g, reverb, q, len(clean)), g, errors
 
 
 @dataclass(frozen=True)
@@ -211,16 +209,10 @@ def _cell_errors(gram, corr, energy, frames, grid, ridge):
     for c, (p, q) in enumerate(grid):
         rows = slice(wide_q - q, wide_q + p + 1)
         g_cell, r_cell = gram[:, rows, rows], corr[:, rows]
-        # the solve loads a copy: the quadratic form below reads the block
-        g = _solve(g_cell.copy(), r_cell, ridge)
-        err = (energy - 2.0 * np.einsum("ki,ki->k", g.conj(), r_cell).real
-               + np.einsum("ki,kij,kj->k", g.conj(), g_cell, g).real)
-        # rounding in G, Zᴴy and ‖y‖² leaves err uncertain by up to
-        # Nc·ε·(‖y‖ + Σ|g_i|·√G_ii)²; an error inside that bound reads as 0
-        scale = np.sqrt(energy) + np.sum(
-            np.abs(g) * np.sqrt(np.diagonal(g_cell, axis1=1, axis2=2).real), axis=1)
-        bound = frames * np.finfo(np.float64).eps * scale ** 2
-        errors[c] = np.sum(err[err > bound])
+        # the solve loads a copy: the wide Gram serves the other cells
+        g, loaded = _solve(g_cell.copy(), r_cell, ridge)
+        errors[c] = np.sum(_residuals(
+            g, r_cell, loaded, energy, np.diagonal(g_cell, axis1=1, axis2=2).real, frames))
     total = energy.sum()
     return errors / total if total > 0 else errors
 
@@ -233,10 +225,9 @@ def context_sweep(pairs, grid, ridge="auto"):
     sum |Y|^2; rows carry 100*p/(p+q) for fixed-tap-count slices (NaN
     for the (0, 0) cell). Each utterance gets one Gram at the grid's
     (max p, max q), whose principal blocks are every cell's Gram, and
-    each cell's error comes from the quadratic form
-    ‖y‖² - 2 Re(gᴴr) + gᴴGg, so no filter is applied. The pair is
-    released before its cells are solved, and its Gram before the next
-    pair is drawn.
+    each cell's error comes from ``_residuals``, so no filter is
+    applied. The pair is released before its cells are solved, and its
+    Gram before the next pair is drawn.
 
     Args:
         pairs: iterable of (reverb, clean) complex (frames, bins)
@@ -258,7 +249,7 @@ def context_sweep(pairs, grid, ridge="auto"):
         for p, q in grid:
             _check_pair(x, y, p, q)
         gram, corr = kernels.normal_blocks(x, y, wide_q, wide_p + wide_q + 1)
-        energy, frames = np.sum(np.abs(y) ** 2, axis=0), len(y)
+        energy, frames = np.vecdot(y, y, axis=0).real, len(y)
         # one pair, then one Gram, is alive at a time
         del x, y
         total += _cell_errors(gram, corr, energy, frames, grid, ridge)

@@ -363,7 +363,6 @@ def train(model: MlpModel, inputs, targets, config: TrainConfig,
                 lr *= 0.5
                 halvings += 1
                 if halvings >= config.max_halvings:
-                    prev_valid = valid_mse
                     break
             else:
                 halvings = 0

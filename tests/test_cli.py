@@ -235,6 +235,7 @@ class TestConfigHandling:
         ("jobs", -2),
         ("improvement_threshold", float("nan")),
         ("lambda_grid", [True, False]),
+        ("seed", -1),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.json"
@@ -590,7 +591,7 @@ def test_sweep_context_holds_one_pair_at_a_time(built_corpus, monkeypatch):
 
 def test_derev_reports_match_mse_rows_of_the_whole_split(trained, capsys):
     # derev writes its MSE rows one utterance at a time; the reports are
-    # the mse_row and corpus_mse of every utterance's pair held at once
+    # the mse_loss of every utterance's pair held at once, and their mean
     config_path, workdir = trained
     assert cli.main(["derev", "--config", str(config_path)]) == 0
     rows = [r for r in corpus.read_manifest(workdir / "manifest.csv") if r.split == "test"]
@@ -602,9 +603,9 @@ def test_derev_reports_match_mse_rows_of_the_whole_split(trained, capsys):
     feats["derev"] = [mlp.dereverberate_features(model, x, 2, 2) for x in feats["reverb"]]
     means = {}
     for name in ("derev", "reverb"):
-        report = [diagnostics.mse_row(r.utterance, est, ref)
+        report = [(r.utterance, len(est), mlp.mse_loss(est, ref))
                   for r, est, ref in zip(rows, feats[name], feats["clean"])]
-        means[name] = diagnostics.corpus_mse([m for _, _, m in report])
+        means[name] = float(np.mean([m for _, _, m in report]))
         expected = ["utterance,n_frames,mse"] + [f"{u},{n},{m!r}" for u, n, m in report]
         assert (workdir / f"{name}_mse.csv").read_text().splitlines() == expected
     assert f"corpus MSE: derev {means['derev']!r} vs reverb {means['reverb']!r}" in \

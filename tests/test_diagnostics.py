@@ -326,24 +326,3 @@ class TestExportSpectrogram:
         with pytest.raises(ValueError, match="unknown format"):
             diagnostics.export_spectrogram(np.ones((2, 2)), tmp_path / "x", "png")
 
-
-class TestMseReport:
-    def test_identical_pair_zero(self):
-        row = diagnostics.mse_row("u0", np.ones((5, 4)), np.ones((5, 4)))
-        assert row == ("u0", 5, 0.0)
-        assert diagnostics.corpus_mse([row[2]]) == 0.0
-
-    def test_constant_offset(self):
-        row = diagnostics.mse_row("u0", np.zeros((4, 10)), np.ones((4, 10)))
-        assert row[2] == pytest.approx(1.0)
-
-    def test_corpus_mean_is_mean_of_rows(self):
-        rng = np.random.default_rng(8)
-        rows = [diagnostics.mse_row(f"u{i}", rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
-                for i in range(5)]
-        mean = diagnostics.corpus_mse([r[2] for r in rows])
-        assert mean == pytest.approx(np.mean([r[2] for r in rows]), abs=1e-12)
-
-    def test_misaligned_pair_rejected(self):
-        with pytest.raises(ValueError, match="misaligned"):
-            diagnostics.mse_row("u0", np.ones((5, 4)), np.ones((6, 4)))

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +283,11 @@ class TestConvolve:
         empty_h = convolve(np.ones(10), np.zeros(0))
         for out in (empty_x, empty_h):
             assert out.shape == (0,) and out.dtype == np.float64
+
+
+def test_declared_numpy_floor_has_fft_out():
+    # stft, istft and the diagnostics' autocorrelation pass out= to
+    # np.fft.rfft and irfft, which numpy added in 2.0
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)', text)
+    assert floor and int(floor.group(1)) >= 2

@@ -168,10 +168,11 @@ class TestSolve:
         corr = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
         block, r = wide[:, 2:7, 2:7], corr[:, 2:7]
         copy = block.copy()
-        g = fir._solve(copy, r, ridge)
+        g, ridges = fir._solve(copy, r, ridge)
         assert np.signbit(wide[0, 2, 5].real) and not np.signbit(copy[0, 0, 3].real)
         load = (1e-8 * np.trace(block, axis1=1, axis2=2).real / 5 if ridge == "auto"
                 else np.full(6, ridge))
+        assert np.array_equal(ridges, load)
         loaded = block + load[:, None, None] * np.eye(5)
         assert np.array_equal(copy, loaded)
         want = np.linalg.solve(loaded, r[:, :, None])
@@ -298,9 +299,11 @@ class TestDereverberateSpectrogram:
         spec = toy_spectrogram(rng, 40)
         out, taps, errors = fir.dereverberate_spectrogram(spec, spec, 1, 1,
                                                           ridge=0.0)
-        assert np.max(errors) <= 1e-18
+        assert np.all(errors == 0.0)
         assert np.max(np.abs(out - spec)) <= 1e-9
         assert taps.shape == (spec.shape[1], 3) and taps.dtype == np.complex128
+        # the auto ridge's error is far inside the rounding bound too
+        assert np.all(fir.dereverberate_spectrogram(spec, spec, 1, 1)[2] == 0.0)
 
     def test_bin_index_attached_to_error(self):
         rng = np.random.default_rng(20)
@@ -336,20 +339,27 @@ class TestDereverberateSpectrogram:
     @pytest.mark.parametrize("frames, bins", [
         (1, 9), (7, 9), (31, 9), (32, 9), (33, 9), (64, 2), (500, 257), (2001, 257)])
     def test_errors_are_the_whole_array_sum_bit_for_bit(self, frames, bins):
-        # row 0 of the block carries the running sum, so the rows are added
-        # in the whole array's order across blocks of kernels.ROWS frames
+        # the errors come from the normal equations, not the estimate, so
+        # they match the whole-array sum of the estimate's squared error
+        # within the rounding bound Nc·ε·(‖y‖ + Σ|g_i|·√G_ii)²
         rng = np.random.default_rng(frames)
         clean = toy_spectrogram(rng, frames, bins)
         reverb = np.vstack([clean, toy_spectrogram(rng, 3, bins)])
         reverb[:frames] += 0.5 * toy_spectrogram(rng, frames, bins)
         context = 0 if frames < 5 else 2
-        estimate, _, errors = fir.dereverberate_spectrogram(reverb, clean, context, context)
+        estimate, taps, errors = fir.dereverberate_spectrogram(reverb, clean, context, context)
         want = np.sum(np.abs(estimate - clean) ** 2, axis=0)
-        assert errors.shape == want.shape and errors.tobytes() == want.tobytes()
+        # G_ii is the energy of x(n + q - i) over the clean frames
+        tap_energy = np.array([np.sum(np.abs(reverb[max(0, context - i):frames + context - i])
+                                      ** 2, axis=0) for i in range(2 * context + 1)]).T
+        scale = (np.sqrt(np.sum(np.abs(clean) ** 2, axis=0))
+                 + np.sum(np.abs(taps) * np.sqrt(tap_energy), axis=1))
+        bound = frames * np.finfo(np.float64).eps * scale ** 2
+        assert errors.shape == want.shape and np.all(np.abs(errors - want) <= bound)
 
     def test_error_sum_holds_one_block(self):
-        # the per-bin errors of a 2000-frame, 257-bin fit hold one block of
-        # kernels.ROWS frames, not three arrays of the estimate's size
+        # the per-bin errors of a 2000-frame, 257-bin fit need no array of
+        # the estimate's size beside the estimate
         rng = np.random.default_rng(41)
         clean = toy_spectrogram(rng, 2000, 257)
         reverb = np.vstack([clean, toy_spectrogram(rng, 4, 257)])
@@ -372,7 +382,7 @@ class TestContextSweep:
         assert np.isnan(rows[0].ratio_percent)
 
     def test_identity_corpus_never_negative(self):
-        # the quadratic form cancels to rounding noise of either sign on an
+        # the residual formula cancels to rounding noise of either sign on an
         # exact fit; noise inside its rounding bound reads as 0
         rng = np.random.default_rng(22)
         pairs = [(s, s) for s in (toy_spectrogram(rng, 30), toy_spectrogram(rng, 35))]
@@ -381,7 +391,7 @@ class TestContextSweep:
 
     def test_small_error_above_rounding_bound_kept(self):
         # a 1e-6 perturbation leaves errors near 1e-12, far above the
-        # quadratic form's rounding bound, so they must not read as 0
+        # residual formula's rounding bound, so they must not read as 0
         rng = np.random.default_rng(38)
         x = toy_spectrogram(rng, 40)
         y = x + 1e-6 * toy_spectrogram(rng, 40)
