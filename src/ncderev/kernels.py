@@ -4,8 +4,11 @@ Three kernels dominate the toolkit's runtime. The first is the one
 image-lattice pass per room impulse response. It tabulates arrivals by
 reflection order, keeping for each window of WINDOW taps only the orders
 an arrival there can have, so that every calibration step is one
-matrix-vector render per window. It walks the candidate images in
-blocks of at most BLOCK, so that it holds those windows plus one block.
+matrix-vector render per window. It walks only the candidate images
+that can arrive before the last tap, in blocks of at most BLOCK, each
+through a fixed set of reused BLOCK-entry buffers, so that it holds
+those windows plus one block; the in-range mask is built only for a
+block from which it drops something.
 The second builds the per-bin complex normal equations (ZᴴZ) g = Zᴴy
 of the FIR fits without forming Z: each bin's Zᴴy and first Gram row
 are two lag correlations of its zero-padded trajectory, and a rank-2
@@ -46,13 +49,20 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
     ``render_orders`` computes.
 
     Per axis and parity, the lattice offsets are pruned to those within
-    reach of n_taps alone; per parity u, the x-y pairs are pruned to
-    those within reach together. Each kept pair then takes only the
-    contiguous run of z offsets inside the reach sphere, found by two
-    searchsorted calls on the sorted z offsets. These candidates are
-    walked in blocks of at most BLOCK, pair by pair and z by z, and the
-    images in range are added in the same order as one broadcast over
-    every candidate, so every cell of the table is the same to the bit.
+    reach of n_taps alone. Per parity u, the x-y pairs are pruned to
+    those inside the inner radius r_in = c * (n_taps - 1/2) / fs, widened
+    by a relative 1e-9: an image beyond it rounds to tap n_taps or later.
+    Each kept pair then takes only the contiguous run of z offsets inside
+    that sphere, found by two searchsorted calls on the sorted z offsets.
+    These candidates are walked in blocks of at most BLOCK, pair by pair
+    and z by z. Each block's z offsets, distances, taps, cells and
+    amplitudes are written through out= into buffers of BLOCK entries
+    allocated once per call, and the orders enter pre-scaled to cell
+    offsets, pair part plus z part. The mask of images in range (past
+    the last tap, or on the microphone) is built only for a block whose
+    largest tap or smallest distance fails it. The images in range are
+    added by np.add.at in the same order as one broadcast over every
+    candidate, so every cell of the table is the same to the bit.
 
     Only the rows an arrival time can reach are stored. Let o be an
     image's offset from the microphone and L the room dimensions. Along
@@ -119,16 +129,30 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
     # order k of tap t is cell base[t] + k * width
     base = np.repeat(block_start - row_lo * width - win_start, width)[:n_taps]
     base += np.arange(n_taps)
+    # an image beyond r_in arrives at tap n_taps or later, so the walk keeps
+    # only the pairs and z runs inside it; the margin is far wider than the
+    # rounding of d / c * fs
+    r_in = max(0.0, min(d_max, c * (n_taps - 0.5) / fs * (1.0 + 1e-9)))
+    # one block's z offsets, distances, arrival times and amplitudes, taps
+    # and cells, reused by every block
+    ramp = np.arange(BLOCK)
+    z = np.empty(BLOCK, dtype=np.int64)
+    dist = np.empty(BLOCK)
+    amp = np.empty(BLOCK)
+    tap = np.empty(BLOCK, dtype=np.int64)
+    cell = np.empty(BLOCK, dtype=np.int64)
     images = 0
     for u in range(8):
         (_, sx, kx), (_, sy, ky), (oz, sz, kz) = (axes[a][(u >> a) & 1] for a in range(3))
         sq = sx[:, None] + sy[None, :]
-        near = sq <= d_max * d_max
+        near = sq <= r_in * r_in
         pair_sq = sq[near]
-        pair_order = (kx[:, None] + ky[None, :])[near]
+        # the orders, scaled once into cell offsets
+        pair_cell = (kx[:, None] + ky[None, :])[near] * width
+        kz_cell = kz * width
         # pair i takes the run of z offsets inside the sphere, from lo[i]
         # on, as candidates starts[i]:ends[i] of this parity
-        r = np.sqrt(d_max * d_max - pair_sq)
+        r = np.sqrt(r_in * r_in - pair_sq)
         lo = np.searchsorted(oz, -r, side="left")
         counts = np.searchsorted(oz, r, side="right") - lo
         ends = np.cumsum(counts)
@@ -137,18 +161,34 @@ def rir_order_table(n_taps, dims, src, mic, fs, c=343.0):
         total = int(counts.sum())
         for first in range(0, total, BLOCK):
             last = min(first + BLOCK, total)
+            m = last - first
             # pairs p0..p1-1 overlap candidates first:last
             p0 = int(np.searchsorted(ends, first, side="right"))
             p1 = int(np.searchsorted(starts, last, side="left"))
             run = np.minimum(ends[p0:p1], last) - np.maximum(starts[p0:p1], first)
-            z = np.arange(first, last) + np.repeat(shift[p0:p1], run)
-            d = np.sqrt(np.repeat(pair_sq[p0:p1], run) + sz[z])
-            idx = np.round(d / c * fs).astype(np.int64)
-            sel = (d > 1e-12) & (idx < n_taps)
-            order = (np.repeat(pair_order[p0:p1], run) + kz[z])[sel]
-            idx, d = idx[sel], d[sel]
-            images += order.size
-            np.add.at(store, base[idx] + order * width, 1.0 / (4.0 * np.pi * d))
+            zb, d, t, idx, cb = z[:m], dist[:m], amp[:m], tap[:m], cell[:m]
+            np.add((shift[p0:p1] + first).repeat(run), ramp[:m], out=zb)
+            sz.take(zb, out=d, mode="clip")
+            d += pair_sq[p0:p1].repeat(run)
+            np.sqrt(d, out=d)
+            np.divide(d, c, out=t)
+            t *= fs
+            # np.round's half-to-even rounding, cast to int64 on the way
+            np.rint(t, out=idx, casting="unsafe")
+            kz_cell.take(zb, out=cb, mode="clip")
+            cb += pair_cell[p0:p1].repeat(run)
+            # a tap past the table clips to its last; the mask drops it
+            cb += base.take(idx, mode="clip")
+            if idx.max() >= n_taps or d.min() <= 1e-12:
+                # the mask, needed only for a block that holds an arrival
+                # past the last tap or the source on the microphone
+                sel = (d > 1e-12) & (idx < n_taps)
+                cb, d = cb[sel], d[sel]
+                t = t[:cb.size]
+            np.multiply(d, 4.0 * np.pi, out=t)
+            np.divide(1.0, t, out=t)
+            images += cb.size
+            np.add.at(store, cb, t)
     bands = [(int(first), store[s:e].reshape(-1, width)[:, :n_taps - t])
              for t, first, s, e in zip(win_start, row_lo, block_start, block_end)]
     return bands, images
